@@ -536,33 +536,40 @@ fn routing_pass_baselines(out: &mut Vec<BaselinePoint>) {
 /// Epoch-boundary snapshot cost at fleet depth: what 64 instances pay to receive
 /// their visibility-filtered view of a populated shared network tier — the legacy
 /// full clone ([`kvcache::NetKvPool::visible_snapshot`], one deep copy of every
-/// resident entry per instance per epoch) against the copy-on-write delta view
-/// ([`kvcache::NetKvPool::view_at`], an `Arc` bump plus the publish-log filter).
+/// resident entry per instance per epoch) against the append-only delta view
+/// ([`kvcache::NetKvPool::view_at`], an `Arc` bump plus the publish-log filter) —
+/// and what a boundary costs once the tier is full and every view spills.
 fn epoch_snapshot_baselines(out: &mut Vec<BaselinePoint>) {
     const BLOCK_BYTES: u64 = 16 * 128 * 1024;
     let net_blocks = 16_384u64;
-    let mut pool = kvcache::NetKvPool::new(net_blocks * BLOCK_BYTES, BLOCK_BYTES)
-        .with_propagation_delay(SimDuration::from_millis(250));
     let chain_blocks = 512usize;
-    for chain in 0..net_blocks / chain_blocks as u64 {
-        let start = chain as u32 * 10_000_000;
-        let tokens: Vec<u32> = (start..start + (chain_blocks * BLOCK_SIZE) as u32).collect();
-        pool.offload(
-            &kvcache::hash_token_blocks(&tokens, BLOCK_SIZE),
-            SimTime::from_secs(chain),
-        );
-    }
-    // Most of the pool long settled, a few chains freshly published — the mix a
-    // mid-replay epoch boundary actually filters.
-    pool.settle();
-    for chain in 0..4u64 {
-        let start = 2_000_000_000 + chain as u32 * 10_000_000;
-        let tokens: Vec<u32> = (start..start + (chain_blocks * BLOCK_SIZE) as u32).collect();
-        pool.offload(
-            &kvcache::hash_token_blocks(&tokens, BLOCK_SIZE),
-            SimTime::from_millis(100_000 + chain),
-        );
-    }
+    // A full pool: most of it long settled, a few chains freshly published (and
+    // displacing as many settled blocks) — the mix a mid-replay epoch boundary
+    // actually filters.
+    let full_pool = || {
+        let mut pool = kvcache::NetKvPool::new(net_blocks * BLOCK_BYTES, BLOCK_BYTES)
+            .with_propagation_delay(SimDuration::from_millis(250));
+        for chain in 0..net_blocks / chain_blocks as u64 {
+            let start = chain as u32 * 10_000_000;
+            let tokens: Vec<u32> = (start..start + (chain_blocks * BLOCK_SIZE) as u32).collect();
+            pool.offload(
+                &kvcache::hash_token_blocks(&tokens, BLOCK_SIZE),
+                SimTime::from_secs(chain),
+            );
+        }
+        pool.settle();
+        for chain in 0..4u64 {
+            let start = 2_000_000_000 + chain as u32 * 10_000_000;
+            let tokens: Vec<u32> = (start..start + (chain_blocks * BLOCK_SIZE) as u32).collect();
+            pool.offload(
+                &kvcache::hash_token_blocks(&tokens, BLOCK_SIZE),
+                SimTime::from_millis(100_000 + chain),
+            );
+        }
+        assert_eq!(pool.resident_blocks(), net_blocks, "the pool is full");
+        pool
+    };
+    let pool = full_pool();
     let visible_at = SimTime::from_millis(100_150);
     measure(
         out,
@@ -584,6 +591,37 @@ fn epoch_snapshot_baselines(out: &mut Vec<BaselinePoint>) {
             (0..64usize)
                 .map(|id| pool.view_at(visible_at, id))
                 .collect::<Vec<_>>()
+        },
+    );
+    // Every view of the full pool spills 100 fresh blocks into its overlay (a
+    // view never evicts), then the barrier absorbs the 64 overlays in slot order,
+    // evicting by the pool's global LRU.  Each sample gets its own pool, so the
+    // absorb never pays a copy-on-write clone of a state another pool shares.
+    let spills: Vec<Vec<kvcache::TokenBlockHash>> = (0..64u32)
+        .map(|id| {
+            let start = 3_000_000_000 + id * 10_000;
+            let tokens: Vec<u32> = (start..start + (100 * BLOCK_SIZE) as u32).collect();
+            kvcache::hash_token_blocks(&tokens, BLOCK_SIZE)
+        })
+        .collect();
+    measure(
+        out,
+        "serving/epoch_snapshot_64i/delta_full_pool",
+        samples(9),
+        full_pool,
+        |mut pool| {
+            let deltas: Vec<kvcache::ViewDelta> = spills
+                .iter()
+                .enumerate()
+                .map(|(id, chain)| {
+                    let mut view = pool.view_at(visible_at, id);
+                    view.offload(chain, visible_at);
+                    view.into_delta()
+                })
+                .collect();
+            let evicted: u64 = deltas.into_iter().map(|delta| pool.absorb(delta)).sum();
+            assert_eq!(evicted, 64 * 100, "every fresh block displaces one");
+            pool
         },
     );
 }

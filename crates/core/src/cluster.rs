@@ -33,17 +33,18 @@
 //! deterministic *propagation epochs* of that length.  Each epoch repeats the window
 //! discipline in miniature, in lockstep across all instances:
 //!
-//! 1. every instance receives a [`NetKvPool::visible_snapshot`] of the shared tier —
+//! 1. every instance receives a [`NetKvPool::view_at`] view of the shared tier —
 //!    the entries whose publish time (`spill time + delay`) has passed the epoch
-//!    start;
+//!    start, plus an append-only overlay for its own spills;
 //! 2. the epoch's arrivals are routed in `(arrival time, trace index)` order against
 //!    a *fresh* [`RouterSnapshot`](crate::routing::RouterSnapshot) (live loads carry
 //!    queued work over from earlier epochs; prefix probes are re-captured,
 //!    incrementally, instead of staying frozen for the whole window);
 //! 3. the per-instance loops simulate strictly up to the epoch boundary — pending
 //!    events beyond it stay queued — and the boundary is a barrier: every thread
-//!    reaches it before the per-instance tier snapshots merge back into the shared
-//!    pool, deterministically in instance-id order, and the next epoch begins.
+//!    reaches it before the per-instance overlays merge back into the shared
+//!    pool, deterministically in instance-id order — the one place the shared
+//!    tier evicts — and the next epoch begins.
 //!
 //! A spill therefore surfaces on other instances at the first epoch boundary past
 //! its publish time (between one and two delays after it happened) instead of at the
@@ -577,11 +578,11 @@ pub struct Cluster {
     /// while each window's parallel replay stays byte-identical to the sequential
     /// reference.
     net_pool: Option<NetKvPool>,
-    /// Blocks the shared pool displaced while absorbing warm seeds and end-of-window
-    /// snapshot merges.  Merge churn happens at the cluster, not inside any
-    /// instance, so it is accounted here and folded into the report's
-    /// `OffloadStats::net_evicted_blocks` alongside the instances' in-window
-    /// evictions.
+    /// Blocks the shared pool displaced while absorbing warm seeds and barrier
+    /// merges — the only places it evicts.  Merge churn happens at the cluster,
+    /// not inside any instance, so it is accounted here and folded into the
+    /// report's `OffloadStats::net_evicted_blocks` alongside the evictions of
+    /// private pools.
     net_merge_evictions: u64,
     /// Trace-scheduled membership events (sorted by time), consumed at epoch
     /// boundaries; `membership_cursor` is the first event not yet applied.
@@ -1950,8 +1951,8 @@ impl Cluster {
     /// drain-to-net spill publishes the slot's reusable KV into its installed
     /// tier snapshot (stamped `boundary`, so survivors see it one propagation
     /// delay later), and the slot becomes reusable by later joins.
-    /// Single-install replays merge the leaver's snapshot back immediately —
-    /// the shared pool is the only place its spill could survive the instance.
+    /// Single-install replays absorb the leaver's overlay immediately — the
+    /// shared pool is the only place its spill could survive the instance.
     fn retire_idle_drains(&mut self, boundary: SimTime, epoch_sharing: bool) {
         for slot in 0..self.slot_states.len() {
             let SlotState::Draining { spill, .. } = self.slot_states[slot] else {
@@ -1967,10 +1968,8 @@ impl Cluster {
                 DrainSpill::default()
             };
             if !epoch_sharing {
-                if let Some(local) = instance.take_net_pool() {
-                    if let Some(pool) = &mut self.net_pool {
-                        self.net_merge_evictions += pool.merge_from(&local);
-                    }
+                if let (Some(view), Some(pool)) = (instance.take_net_view(), &mut self.net_pool) {
+                    self.net_merge_evictions += pool.absorb(view.into_delta());
                 }
             }
             self.slot_states[slot] = SlotState::Retired;
@@ -1982,7 +1981,7 @@ impl Cluster {
         }
     }
 
-    /// Installs a copy-on-write view of the shared network tier into every
+    /// Installs an append-only view of the shared network tier into every
     /// instance.  Both replay paths call this before simulating, so an instance
     /// sees the cluster tier as of the window's start plus its own contributions —
     /// and the parallel path has no mid-run cross-thread state to race on (each
@@ -2014,44 +2013,26 @@ impl Cluster {
         }
     }
 
-    /// Merges every instance's network-tier view back into the shared pool, in
-    /// instance-id order (deterministic regardless of which threads finished
-    /// first), accounting the merge's own eviction churn.
-    ///
-    /// Fast path: when every view still shares the pool's state and the worst-case
-    /// growth provably fits capacity (no merge can evict), each view surrenders
-    /// just its overlay delta — O(entries touched this epoch) for the whole
-    /// boundary.  The deltas are all extracted *before* the first absorb so no
-    /// outstanding base reference forces a copy-on-write clone of the shared
-    /// state.  Any doubt (a mid-window pool mutation, a dense fallback, capacity
-    /// pressure) falls back to materialising every view and replaying the legacy
-    /// dense merge, which is exact under eviction.
+    /// The barrier merge, and the only place the shared tier evicts: every
+    /// instance's view surrenders its overlay and the pool absorbs them in slot
+    /// order (deterministic regardless of which threads finished first), each
+    /// oldest first, displacing the pool's global LRU once it is full — O(entries
+    /// touched) for the whole boundary.  The deltas are all extracted *before* the
+    /// first absorb, so no outstanding base reference forces a copy-on-write clone
+    /// of the shared state.  Detached slots keep their private pools and
+    /// tierless slots carry nothing, so both contribute no delta.
     fn merge_net_snapshots(&mut self) {
         let Some(pool) = &mut self.net_pool else {
             return;
         };
-        // Detached and retired slots carry no view — skip them.  Collection order
-        // is instance-id order, which both merge paths preserve.
-        let views: Vec<NetPoolView> = self
+        let deltas: Vec<ViewDelta> = self
             .instances
             .iter_mut()
             .filter_map(EngineInstance::take_net_view)
+            .map(NetPoolView::into_delta)
             .collect();
-        let no_evictions = views.iter().all(|view| view.shares_base(pool))
-            && pool
-                .resident_blocks()
-                .saturating_add(views.iter().map(NetPoolView::merge_added_upper_bound).sum())
-                <= pool.capacity_blocks();
-        if no_evictions {
-            let deltas: Vec<ViewDelta> = views.into_iter().map(NetPoolView::into_delta).collect();
-            for delta in deltas {
-                self.net_merge_evictions += pool.absorb(delta);
-            }
-        } else {
-            let locals: Vec<NetKvPool> = views.into_iter().map(NetPoolView::into_pool).collect();
-            for local in locals {
-                self.net_merge_evictions += pool.merge_from(&local);
-            }
+        for delta in deltas {
+            self.net_merge_evictions += pool.absorb(delta);
         }
     }
 
@@ -2890,6 +2871,50 @@ mod tests {
         let pb = sequential.net_pool().unwrap();
         assert_eq!(pa.resident_blocks(), pb.resident_blocks());
         assert_eq!(pa.generation(), pb.generation());
+    }
+
+    /// Central eviction at fleet level: on a net tier squeezed far below the
+    /// trace's shared working set, under cache-aware routing and propagation
+    /// epochs, views read past the tier's capacity but the barrier merge evicts
+    /// it back under — the shared pool never exceeds its capacity at any
+    /// boundary — and parallel replay stays byte-identical to sequential.
+    #[test]
+    fn squeezed_net_tier_evicts_at_the_barrier_and_never_overflows() {
+        let (config, arrivals) = net_pressure_config(64 << 30);
+        let block_bytes = Cluster::new(&config).instances()[0].kv_block_bytes();
+        let capacity_blocks = 32;
+        let config = config
+            .with_net_kv(capacity_blocks * block_bytes)
+            .with_routing(crate::routing::RoutingPolicyKind::CacheAware)
+            .with_net_propagation_ms(2_000)
+            .with_window_metrics();
+        let mut parallel = Cluster::new(&config);
+        let a = parallel.run(&arrivals, 3.0).unwrap();
+        let b = Cluster::new(&config)
+            .run_sequential(&arrivals, 3.0)
+            .unwrap();
+        assert_eq!(a.records, b.records);
+        assert_eq!(a.cache, b.cache);
+        assert_eq!(a.offload, b.offload);
+        assert_eq!(a.windows, b.windows);
+        assert!(
+            a.offload.net_evicted_blocks > 0,
+            "the squeezed tier must evict"
+        );
+        assert!(a.windows.len() > 1, "the trace must span several epochs");
+        for window in &a.windows {
+            assert!(
+                window.net_resident_blocks <= capacity_blocks,
+                "window {}: {} resident blocks exceed the {capacity_blocks}-block tier",
+                window.window,
+                window.net_resident_blocks
+            );
+        }
+        assert_eq!(
+            parallel.net_pool().unwrap().resident_blocks(),
+            capacity_blocks,
+            "the tier must run full"
+        );
     }
 
     /// The warm-join construction boundary: an undeployable configuration, a

@@ -495,13 +495,13 @@ impl EngineInstance {
         self.block_bytes
     }
 
-    /// Installs this instance's snapshot of the cluster-shared network KV tier for
-    /// the next replay window (see [`NetKvPool`]'s snapshot-merge semantics).
+    /// Installs a network-tier pool of this instance's own, which no barrier merges
+    /// and which evicts in place (see [`kvcache::KvCacheManager::install_net_pool`]).
     pub fn install_net_pool(&mut self, pool: NetKvPool) {
         self.kv.install_net_pool(pool);
     }
 
-    /// Installs a copy-on-write view of the cluster-shared network KV tier (see
+    /// Installs an append-only view of the cluster-shared network KV tier (see
     /// [`kvcache::NetPoolView`]); `content_unchanged` forwards the cluster's proof
     /// that this install is observationally identical to the previous one, keeping
     /// routing-probe memoisation warm across the boundary.
@@ -509,14 +509,8 @@ impl EngineInstance {
         self.kv.install_net_view(view, content_unchanged);
     }
 
-    /// Harvests the network-tier snapshot (with this instance's spills applied) so
-    /// the cluster can merge it back into the shared pool.
-    pub fn take_net_pool(&mut self) -> Option<NetKvPool> {
-        self.kv.take_net_pool()
-    }
-
-    /// Harvests the network-tier view without materialising it (the delta-merge
-    /// boundary path; see [`kvcache::KvCacheManager::take_net_view`]).
+    /// Harvests the shared-tier view for the barrier merge; a private pool stays
+    /// installed (see [`kvcache::KvCacheManager::take_net_view`]).
     pub fn take_net_view(&mut self) -> Option<kvcache::NetPoolView> {
         self.kv.take_net_view()
     }

@@ -57,7 +57,9 @@ pub struct DrainSpill {
     pub cpu_blocks: u64,
     /// CPU-resident blocks the single-use spill filter kept out.
     pub filtered_blocks: u64,
-    /// Network-tier residents displaced to make room for the published blocks.
+    /// Network-tier residents displaced to make room for the published blocks
+    /// (only ever non-zero for a private pool: a view of the shared tier defers
+    /// eviction to the barrier merge).
     pub evicted_blocks: u64,
 }
 
@@ -316,19 +318,20 @@ pub struct KvCacheManager {
     /// The CPU tier eviction victims spill into (`None` = discard-on-evict).
     cpu: Option<CpuKvPool>,
     /// The cluster-shared network tier CPU eviction victims cascade into (`None` =
-    /// two-tier behaviour).  Installed / harvested by the cluster around each replay
-    /// window as a copy-on-write [`NetPoolView`] — see [`NetKvPool`]'s module docs
-    /// for the snapshot-merge and delta-view semantics.
+    /// two-tier behaviour).  Installed / harvested by the cluster around each
+    /// replay window or epoch as an append-only [`NetPoolView`] — see
+    /// [`NetKvPool`]'s module docs for the view and central-eviction semantics —
+    /// or installed once as a private pool.
     net: Option<NetPoolView>,
     /// Network-tier and reload-policy accounting.  Kept on the manager (not the
     /// pool) because the net pool is swapped in and out every replay window while
     /// statistics must stay cumulative; only the `net_*` and `declined_*` fields are
     /// used.
     net_stats: OffloadStats,
-    /// Bumped on every [`Self::install_net_pool`] / [`Self::take_net_pool`]: two
-    /// installed snapshots can share a content generation while holding different
-    /// entries (the cluster filters by publish time), so probe memoisation must also
-    /// key on *which* snapshot is installed.
+    /// Bumped on every observable network-tier install: two installed views can
+    /// share a content generation while holding different entries (the cluster
+    /// filters by publish time), so probe memoisation must also key on *which*
+    /// view is installed.
     net_swap_generation: u64,
     stats: CacheStats,
 }
@@ -425,13 +428,14 @@ impl KvCacheManager {
         self.cpu.as_ref().map_or(0, CpuKvPool::resident_blocks)
     }
 
-    /// Installs the instance's snapshot of the cluster-shared network tier for the
-    /// next replay window or propagation epoch (replacing any previous snapshot).
+    /// Installs a network-tier pool of this manager's own (replacing any previous
+    /// tier): one no barrier merges, so it evicts in place — a standalone
+    /// instance's tier, or a test fixture.
     pub fn install_net_pool(&mut self, pool: NetKvPool) {
-        self.install_net_view(NetPoolView::dense(pool), false);
+        self.install_net_view(NetPoolView::private(pool), false);
     }
 
-    /// Installs a copy-on-write view of the cluster-shared network tier.  When the
+    /// Installs an append-only view of the cluster-shared network tier.  When the
     /// cluster can prove this install exposes exactly the entry set and propagation
     /// flags of the previous one (`content_unchanged`), the swap generation is left
     /// alone so probe memoisation survives the boundary; any real change bumps it
@@ -443,20 +447,14 @@ impl KvCacheManager {
         }
     }
 
-    /// Harvests the network-tier snapshot (with this instance's spills applied) so
-    /// the cluster can merge it back into the shared pool.  The manager reverts to
-    /// two-tier behaviour until the next install.
-    pub fn take_net_pool(&mut self) -> Option<NetKvPool> {
-        self.net_swap_generation += 1;
-        self.net.take().map(NetPoolView::into_pool)
-    }
-
-    /// Harvests the network-tier view without materialising it (the delta-merge
-    /// boundary path).  Deliberately does *not* bump the swap generation: nothing
-    /// probes the manager between a boundary's take and the next install, and the
-    /// install decides whether the boundary was observable.
+    /// Harvests the installed view of the shared tier for the barrier merge; the
+    /// manager reverts to two-tier behaviour until the next install.  A private
+    /// pool ([`Self::install_net_pool`]) is never merged: it stays installed and
+    /// this returns `None`.  Deliberately does *not* bump the swap generation:
+    /// nothing probes the manager between a boundary's take and the next install,
+    /// and the install decides whether the boundary was observable.
     pub fn take_net_view(&mut self) -> Option<NetPoolView> {
-        self.net.take()
+        self.net.take_if(|view| !view.is_private())
     }
 
     /// The currently installed network-tier snapshot, if any.

@@ -33,29 +33,30 @@
 //! ([`NetKvPool::reload_prefix_accounted`]).  With a zero delay (the default) the
 //! timestamps are inert and sharing happens exactly at window boundaries, as before.
 //!
-//! # Delta views (copy-on-write snapshots)
+//! # Delta views (append-only overlays, central eviction)
 //!
 //! Cloning the whole pool into every instance at every propagation epoch costs
 //! O(pool × instances) per boundary, which dominated fleet-scale replays.  A
 //! [`NetPoolView`] is the remedy: the shared pool keeps its state behind an `Arc`, a
 //! view holds a reference to that state plus the epoch's visibility filter
-//! (`visible_at`, owner) and a private *overlay* of entries the instance touched or
-//! added during the epoch.  Reads consult the overlay first and fall back to the
-//! (filtered) base; writes only ever land in the overlay.  An epoch boundary then
-//! costs O(entries actually touched): [`NetPoolView::into_delta`] surrenders just the
-//! overlay and [`NetKvPool::absorb`] replays it — oldest-first, exactly like
-//! [`NetKvPool::merge_from`] — into the shared pool.
+//! (`visible_at`, owner) and a private, append-only *overlay* of entries the instance
+//! touched or added during the epoch.  Reads consult the overlay first and fall back
+//! to the (filtered) base; writes only ever land in the overlay.  A view never
+//! evicts: however full the pool is, it reads exactly its visible base plus its own
+//! overlay.
 //!
-//! The overlay replay is provably identical to the legacy materialise-and-merge as
-//! long as *no eviction* happens, because then merges are per-entry commutative
-//! (publication keeps the minimum, origins union, recency moves forward only) and an
-//! entry absent from the overlay merges as a no-op touch.  Two guards keep the fast
-//! path honest: a view near pool capacity materialises itself into a dense
-//! [`NetKvPool`] *before* any insert could evict (so snapshot-local eviction order is
-//! exactly the legacy one), and the cluster falls back to the dense merge for a whole
-//! boundary unless every view still shares the pool's state
-//! ([`NetPoolView::shares_base`]) and the worst-case growth fits capacity
-//! ([`NetPoolView::merge_added_upper_bound`]).
+//! Eviction happens in one place, as in a central KV store (LMCache- or
+//! Mooncake-style): the barrier merge.  There [`NetPoolView::into_delta`]
+//! surrenders each view's overlay and [`NetKvPool::absorb`] replays it into the
+//! shared pool — views in slot order, each overlay oldest first — refreshing
+//! resident entries and inserting new ones, which displace the pool's global
+//! `(last_used, hash)` LRU once it is full.  A boundary therefore costs O(entries
+//! touched) whether or not the pool is full, and since the merge runs on one
+//! thread in slot order, parallel replay stays byte-identical to sequential.
+//!
+//! A pool that no barrier merges — a standalone instance's, a detached slot's, a
+//! test fixture's — is installed as a *private* view ([`NetPoolView::private`])
+//! and evicts in place like the shared pool.
 //!
 //! To let routing-probe memoisation survive boundaries, the pool also keeps a
 //! publish-ordered log of unsettled publications: [`NetKvPool::published_in`] answers
@@ -449,79 +450,60 @@ impl NetKvPool {
         reload
     }
 
-    /// Merges another pool's contents into this one (the merge of the per-instance
-    /// snapshots back into the cluster-shared pool at a propagation-epoch or window
-    /// boundary).
+    /// Merges another pool's contents into this one (seeding a deployment's shared
+    /// tier from a warm pool).
     ///
-    /// Entries are replayed oldest-first in `(last_used, hash)` order, refreshing
-    /// duplicates to the younger timestamp (and the *earlier* publication); capacity
-    /// overflow evicts LRU as usual.  Deterministic: the outcome depends only on the
-    /// two pools' contents, never on map iteration order.  Propagation flags never
-    /// survive a merge — the shared pool is the source of truth and the next
-    /// visibility-filtered install recomputes them.  Returns how many residents the
-    /// merge displaced, so the caller can account the churn.
+    /// Entries are replayed like an [`Self::absorb`]ed overlay: oldest-first in
+    /// `(last_used, hash)` order, refreshing duplicates to the younger timestamp
+    /// (and the *earlier* publication); capacity overflow evicts LRU as usual.
+    /// Deterministic: the outcome depends only on the two pools' contents, never on
+    /// map iteration order.  Propagation flags never survive a merge — the shared
+    /// pool is the source of truth and the next visibility-filtered install
+    /// recomputes them.  Returns how many residents the merge displaced, so the
+    /// caller can account the churn.
     pub fn merge_from(&mut self, other: &NetKvPool) -> u64 {
         if Arc::ptr_eq(&self.state, &other.state) {
             // Merging an untouched copy-on-write snapshot of ourselves: every entry
             // would replay as a no-op touch.
             return 0;
         }
-        let mut evicted = 0;
-        let capacity = self.capacity_blocks;
-        let state = Arc::make_mut(&mut self.state);
-        for (last_used, hash) in &other.state.lru {
-            let entry = &other.state.entries[hash];
-            if state.entries.contains_key(hash) {
-                state.touch(*hash, *last_used, Some((entry.published, entry.origins)));
-                continue;
-            }
-            if capacity == 0 {
-                continue;
-            }
-            evicted +=
-                state.insert_entry(capacity, *hash, *last_used, entry.published, entry.origins);
-        }
-        evicted
+        self.replay(&other.state.entries, &other.state.lru)
     }
 
-    /// Replays a view's surrendered delta into the shared pool — the O(touched)
-    /// equivalent of materialising the view and [`Self::merge_from`]-ing it.
-    ///
-    /// Exactness contract (enforced by the caller, see the module docs): every entry
-    /// the view left untouched merges as a no-op, so replaying only the overlay is
-    /// identical to the legacy dense merge *provided no eviction occurs anywhere in
-    /// the boundary's merges*.  Callers must pre-check capacity across the whole
-    /// boundary and fall back to dense merges otherwise; a delta extracted from a
-    /// view that materialised dense mid-window replays through the dense merge path
-    /// automatically.  Returns how many residents were displaced (always 0 under the
-    /// contract for overlay deltas, counted anyway for honesty).
+    /// The barrier merge of one view: replays the overlay it surrendered
+    /// ([`NetPoolView::into_delta`]) into the pool, oldest first, refreshing
+    /// resident entries and inserting new ones — each insert into a full pool
+    /// displacing the global `(last_used, hash)` LRU head.  This is the only place
+    /// the shared tier evicts; the cluster absorbs its views in slot order.
+    /// Returns how many residents were displaced.
     pub fn absorb(&mut self, delta: ViewDelta) -> u64 {
-        match delta.repr {
-            DeltaRepr::Dense(pool) => self.merge_from(&pool),
-            DeltaRepr::Overlay { entries, lru } => {
-                let mut evicted = 0;
-                let capacity = self.capacity_blocks;
-                let state = Arc::make_mut(&mut self.state);
-                for (last_used, hash) in &lru {
-                    let entry = &entries[hash];
-                    if state.entries.contains_key(hash) {
-                        state.touch(*hash, *last_used, Some((entry.published, entry.origins)));
-                        continue;
-                    }
-                    if capacity == 0 {
-                        continue;
-                    }
-                    evicted += state.insert_entry(
-                        capacity,
-                        *hash,
-                        *last_used,
-                        entry.published,
-                        entry.origins,
-                    );
-                }
-                evicted
+        self.replay(&delta.entries, &delta.lru)
+    }
+
+    /// Replays `entries` in `lru` order (`(last_used, hash)`, oldest first): the
+    /// one merge discipline behind [`Self::merge_from`] and [`Self::absorb`].
+    fn replay(
+        &mut self,
+        entries: &HashMap<TokenBlockHash, NetEntry>,
+        lru: &BTreeSet<(SimTime, TokenBlockHash)>,
+    ) -> u64 {
+        if lru.is_empty() {
+            // Skip `make_mut`, which would clone a state that views still read.
+            return 0;
+        }
+        let capacity = self.capacity_blocks;
+        let state = Arc::make_mut(&mut self.state);
+        let mut evicted = 0;
+        for (last_used, hash) in lru {
+            let entry = &entries[hash];
+            if state.entries.contains_key(hash) {
+                state.touch(*hash, *last_used, Some((entry.published, entry.origins)));
+            } else if capacity > 0 {
+                evicted +=
+                    state.insert_entry(capacity, *hash, *last_used, entry.published, entry.origins);
             }
         }
+        evicted
     }
 
     /// Clones the pool filtered to what instance `owner` may read during the
@@ -568,19 +550,19 @@ impl NetKvPool {
         }
     }
 
-    /// A copy-on-write view over the whole pool, visibility-unfiltered — the cheap
+    /// An append-only view over the whole pool, visibility-unfiltered — the cheap
     /// replacement for cloning the pool into an instance at window start.  Reads
     /// see every resident entry (exactly like a full clone would) and spills stay
     /// in the view's private overlay until [`NetPoolView::into_delta`].
     pub fn view(&self) -> NetPoolView {
-        NetPoolView::cow(self, None, self.owner)
+        NetPoolView::overlay(self, None, self.owner)
     }
 
-    /// A copy-on-write view filtered like [`Self::visible_snapshot`]: instance
+    /// An append-only view filtered like [`Self::visible_snapshot`]: instance
     /// `owner` reads entries published by `visible_at` plus its own spills, with
     /// mid-window propagated entries flagged for reload accounting.
     pub fn view_at(&self, visible_at: SimTime, owner: usize) -> NetPoolView {
-        NetPoolView::cow(self, Some(visible_at), Some(owner))
+        NetPoolView::overlay(self, Some(visible_at), Some(owner))
     }
 
     /// Marks every resident entry as fully published (publish timestamp zero, no
@@ -627,10 +609,11 @@ impl NetKvPool {
     }
 }
 
-/// The copy-on-write body of a [`NetPoolView`]: a shared base, the epoch's
-/// visibility filter, and a private overlay of touched/added entries.
+/// The body of a shared-tier [`NetPoolView`]: the pool's state as the view was
+/// taken, the epoch's visibility filter, and a private append-only overlay of
+/// touched/added entries.
 #[derive(Debug, Clone)]
-struct CowView {
+struct OverlayView {
     base: Arc<NetState>,
     block_bytes: u64,
     capacity_blocks: u64,
@@ -642,25 +625,18 @@ struct CowView {
     /// Entries the view touched or added; always consulted before the base.
     overlay: HashMap<TokenBlockHash, NetEntry>,
     /// `(last_used, hash)` for every overlay entry, oldest first — the replay
-    /// order [`NetKvPool::absorb`] uses, mirroring the dense merge.
+    /// order of [`NetKvPool::absorb`].
     overlay_lru: BTreeSet<(SimTime, TokenBlockHash)>,
-    /// Overlay entries with no base counterpart at all: the only entries that can
-    /// grow the shared pool at merge time.
-    added_new: u64,
-    /// Overlay entries whose base counterpart is invisible to this view (published
-    /// past the horizon, not own): residents of the materialised snapshot, but
-    /// merge-time touches of the shared pool.
-    added_shadow: u64,
-    /// Content-generation bumps the equivalent dense snapshot would have recorded
-    /// (one per fresh overlay insert; the no-evict guard means evictions never
-    /// contribute).
-    gen_bumps: u64,
+    /// Overlay entries the base filter does not show (new content, or content
+    /// whose base copy is still unpublished to this view): the view's growth over
+    /// its visible base, and its content-generation bumps.
+    added: u64,
     /// Lazily-computed count of visible base entries (recomputing per
     /// `resident_blocks` call would be O(base)).
     visible_base: Cell<Option<u64>>,
 }
 
-impl CowView {
+impl OverlayView {
     fn base_visible(&self, entry: &NetEntry) -> bool {
         match self.visible_at {
             None => true,
@@ -689,13 +665,6 @@ impl CowView {
         };
         self.visible_base.set(Some(count));
         count
-    }
-
-    /// Whether the *next* fresh insert could force an eviction in the equivalent
-    /// dense snapshot.  Conservative (counts invisible base entries as resident);
-    /// a false positive merely materialises the view early, never corrupts it.
-    fn insert_may_evict(&self) -> bool {
-        self.base.entries.len() as u64 + self.added_new >= self.capacity_blocks
     }
 
     fn reload_one(&mut self, hash: TokenBlockHash, now: SimTime) -> Option<bool> {
@@ -730,8 +699,8 @@ impl CowView {
         Some(flag)
     }
 
-    /// One hash of a spill, under the caller-checked no-evict guarantee.  Returns
-    /// how many blocks were written (0 for refreshes of present entries).
+    /// One hash of a spill, appended to the overlay (a view never evicts).
+    /// Returns how many blocks were written (0 for refreshes of readable entries).
     fn spill_one(&mut self, hash: TokenBlockHash, last_used: SimTime, spilled_at: SimTime) -> u64 {
         let published = spilled_at + self.propagation_delay;
         let bit = origin_bit(self.owner);
@@ -747,48 +716,33 @@ impl CowView {
             }
             return 0;
         }
-        if let Some(base_entry) = self.base.entries.get(&hash) {
-            if self.base_visible(base_entry) {
-                // Present in the equivalent snapshot: refresh, don't duplicate.
-                let entry = NetEntry {
-                    last_used: base_entry.last_used.max(last_used),
-                    published: base_entry.published.min(published),
-                    origins: base_entry.origins | bit,
+        let (entry, written) = match self.base.entries.get(&hash) {
+            // Readable through the base: refresh, don't duplicate.
+            Some(base) if self.base_visible(base) => (
+                NetEntry {
+                    last_used: base.last_used.max(last_used),
+                    published: base.published.min(published),
+                    origins: base.origins | bit,
                     propagated: false,
-                };
-                self.overlay.insert(hash, entry);
-                self.overlay_lru.insert((entry.last_used, hash));
-                return 0;
-            }
-            // Invisible base entry: the snapshot would not contain it, so this is
-            // a fresh insert there — but a merge-time touch of the shared pool.
-            self.overlay.insert(
-                hash,
+                },
+                0,
+            ),
+            // New to this view — absent from the pool, or resident but still
+            // unpublished here (the barrier merges it as a touch).
+            _ => (
                 NetEntry {
                     last_used,
                     published,
                     origins: bit,
                     propagated: false,
                 },
-            );
-            self.overlay_lru.insert((last_used, hash));
-            self.added_shadow += 1;
-            self.gen_bumps += 1;
-            return 1;
-        }
-        self.overlay.insert(
-            hash,
-            NetEntry {
-                last_used,
-                published,
-                origins: bit,
-                propagated: false,
-            },
-        );
-        self.overlay_lru.insert((last_used, hash));
-        self.added_new += 1;
-        self.gen_bumps += 1;
-        1
+                1,
+            ),
+        };
+        self.overlay.insert(hash, entry);
+        self.overlay_lru.insert((entry.last_used, hash));
+        self.added += written;
+        written
     }
 
     fn lookup_prefix_blocks(&self, hashes: &[TokenBlockHash]) -> u64 {
@@ -808,70 +762,31 @@ impl CowView {
         }
         hits
     }
-
-    /// Materialises the dense [`NetKvPool`] this view is equivalent to: the
-    /// visible base entries (with freshly computed propagation flags) shadowed by
-    /// the overlay.
-    fn materialise(&self) -> NetKvPool {
-        let mut state = NetState {
-            generation: self.base.generation + self.gen_bumps,
-            meta_generation: self.base.meta_generation,
-            ..NetState::default()
-        };
-        for (hash, entry) in &self.base.entries {
-            if self.overlay.contains_key(hash) || !self.base_visible(entry) {
-                continue;
-            }
-            let entry = NetEntry {
-                propagated: self.base_flag(entry),
-                ..*entry
-            };
-            state.entries.insert(*hash, entry);
-            state.lru.insert((entry.last_used, *hash));
-            if entry.published > SimTime::ZERO {
-                state.publish_log.insert((entry.published, *hash));
-            }
-        }
-        for (hash, entry) in &self.overlay {
-            state.entries.insert(*hash, *entry);
-            state.lru.insert((entry.last_used, *hash));
-            if entry.published > SimTime::ZERO {
-                state.publish_log.insert((entry.published, *hash));
-            }
-        }
-        NetKvPool {
-            block_bytes: self.block_bytes,
-            capacity_blocks: self.capacity_blocks,
-            state: Arc::new(state),
-            propagation_delay: self.propagation_delay,
-            owner: self.owner,
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
 enum ViewRepr {
-    Cow(CowView),
-    /// A view that had to give up the copy-on-write discipline (an insert could
-    /// have evicted) and fell back to a dense pool — from that point on it *is*
-    /// the legacy snapshot, evictions and all.
-    Dense(NetKvPool),
+    /// An append-only overlay over the shared pool, merged at the barrier.
+    Overlay(OverlayView),
+    /// A pool of the holder's own that no barrier merges; it evicts in place.
+    Private(NetKvPool),
 }
 
-/// An instance's window/epoch working set of the network tier: a copy-on-write
-/// [`NetPoolView::shares_base`] snapshot of the shared [`NetKvPool`] that records
-/// the instance's touches in a private overlay, surrendered back to the cluster as
-/// a [`ViewDelta`] at the next boundary.  Mirrors the pool's read/spill/reload API
-/// so [`KvCacheManager`](crate::KvCacheManager) can use either interchangeably.
+/// An instance's window/epoch working set of the network tier.  Usually an
+/// append-only view of the shared [`NetKvPool`] ([`NetKvPool::view_at`]) that
+/// records the instance's touches in a private overlay — never evicting — and
+/// surrenders them to the barrier merge as a [`ViewDelta`]; or a private pool
+/// ([`Self::private`]).  Mirrors the pool's read/spill/reload API so
+/// [`KvCacheManager`](crate::KvCacheManager) can use either interchangeably.
 #[derive(Debug, Clone)]
 pub struct NetPoolView {
     repr: ViewRepr,
 }
 
 impl NetPoolView {
-    fn cow(pool: &NetKvPool, visible_at: Option<SimTime>, owner: Option<usize>) -> NetPoolView {
+    fn overlay(pool: &NetKvPool, visible_at: Option<SimTime>, owner: Option<usize>) -> NetPoolView {
         NetPoolView {
-            repr: ViewRepr::Cow(CowView {
+            repr: ViewRepr::Overlay(OverlayView {
                 base: Arc::clone(&pool.state),
                 block_bytes: pool.block_bytes,
                 capacity_blocks: pool.capacity_blocks,
@@ -880,43 +795,47 @@ impl NetPoolView {
                 visible_at,
                 overlay: HashMap::new(),
                 overlay_lru: BTreeSet::new(),
-                added_new: 0,
-                added_shadow: 0,
-                gen_bumps: 0,
+                added: 0,
                 visible_base: Cell::new(None),
             }),
         }
     }
 
-    /// Wraps an already-dense pool (a warm-seeded snapshot, a test fixture) in the
-    /// view interface.
-    pub fn dense(pool: NetKvPool) -> NetPoolView {
+    /// Wraps a pool no barrier merges (a standalone instance's tier, a test
+    /// fixture) in the view interface.  It evicts in place, like the shared pool.
+    pub fn private(pool: NetKvPool) -> NetPoolView {
         NetPoolView {
-            repr: ViewRepr::Dense(pool),
+            repr: ViewRepr::Private(pool),
         }
+    }
+
+    /// Whether this is a private pool rather than a view of the shared tier.
+    pub(crate) fn is_private(&self) -> bool {
+        matches!(self.repr, ViewRepr::Private(_))
     }
 
     /// Bytes of KV held per block.
     pub fn block_bytes(&self) -> u64 {
         match &self.repr {
-            ViewRepr::Cow(view) => view.block_bytes,
-            ViewRepr::Dense(pool) => pool.block_bytes(),
+            ViewRepr::Overlay(view) => view.block_bytes,
+            ViewRepr::Private(pool) => pool.block_bytes(),
         }
     }
 
     /// Maximum number of blocks the underlying pool can hold.
     pub fn capacity_blocks(&self) -> u64 {
         match &self.repr {
-            ViewRepr::Cow(view) => view.capacity_blocks,
-            ViewRepr::Dense(pool) => pool.capacity_blocks(),
+            ViewRepr::Overlay(view) => view.capacity_blocks,
+            ViewRepr::Private(pool) => pool.capacity_blocks(),
         }
     }
 
-    /// Number of blocks readable through the view.
+    /// Number of blocks readable through the view.  A view of a full pool reads
+    /// more than the pool's capacity once it spills: it never evicts.
     pub fn resident_blocks(&self) -> u64 {
         match &self.repr {
-            ViewRepr::Cow(view) => view.visible_base_count() + view.added_new + view.added_shadow,
-            ViewRepr::Dense(pool) => pool.resident_blocks(),
+            ViewRepr::Overlay(view) => view.visible_base_count() + view.added,
+            ViewRepr::Private(pool) => pool.resident_blocks(),
         }
     }
 
@@ -925,19 +844,19 @@ impl NetPoolView {
         self.resident_blocks() * self.block_bytes()
     }
 
-    /// The content generation of the equivalent dense snapshot (base generation
-    /// plus the view's own fresh inserts) — keeps probe memoisation exact.
+    /// The content generation of what the view reads (base generation plus the
+    /// view's own fresh inserts) — keeps probe memoisation exact.
     pub fn generation(&self) -> u64 {
         match &self.repr {
-            ViewRepr::Cow(view) => view.base.generation + view.gen_bumps,
-            ViewRepr::Dense(pool) => pool.generation(),
+            ViewRepr::Overlay(view) => view.base.generation + view.added,
+            ViewRepr::Private(pool) => pool.generation(),
         }
     }
 
     /// Publication metadata of one readable entry (see [`NetKvPool::entry_meta`]).
     pub fn entry_meta(&self, hash: TokenBlockHash) -> Option<(SimTime, u64)> {
         match &self.repr {
-            ViewRepr::Cow(view) => {
+            ViewRepr::Overlay(view) => {
                 if let Some(entry) = view.overlay.get(&hash) {
                     return Some((entry.published, entry.origins));
                 }
@@ -947,14 +866,14 @@ impl NetPoolView {
                 }
                 Some((entry.published, entry.origins))
             }
-            ViewRepr::Dense(pool) => pool.entry_meta(hash),
+            ViewRepr::Private(pool) => pool.entry_meta(hash),
         }
     }
 
     /// The hashes of every readable block, in unspecified order.
     pub fn resident_hashes(&self) -> Box<dyn Iterator<Item = TokenBlockHash> + '_> {
         match &self.repr {
-            ViewRepr::Cow(view) => Box::new(
+            ViewRepr::Overlay(view) => Box::new(
                 view.base
                     .entries
                     .iter()
@@ -967,15 +886,15 @@ impl NetPoolView {
                             .is_none_or(|e| !view.base_visible(e))
                     })),
             ),
-            ViewRepr::Dense(pool) => Box::new(pool.resident_hashes()),
+            ViewRepr::Private(pool) => Box::new(pool.resident_hashes()),
         }
     }
 
     /// How many *leading* blocks of `hashes` are readable (the reloadable prefix).
     pub fn lookup_prefix_blocks(&self, hashes: &[TokenBlockHash]) -> u64 {
         match &self.repr {
-            ViewRepr::Cow(view) => view.lookup_prefix_blocks(hashes),
-            ViewRepr::Dense(pool) => pool.lookup_prefix_blocks(hashes),
+            ViewRepr::Overlay(view) => view.lookup_prefix_blocks(hashes),
+            ViewRepr::Private(pool) => pool.lookup_prefix_blocks(hashes),
         }
     }
 
@@ -992,7 +911,7 @@ impl NetPoolView {
         now: SimTime,
     ) -> NetReload {
         match &mut self.repr {
-            ViewRepr::Cow(view) => {
+            ViewRepr::Overlay(view) => {
                 let blocks = blocks.min(hashes.len() as u64);
                 let mut reload = NetReload::default();
                 for hash in &hashes[..blocks as usize] {
@@ -1005,7 +924,7 @@ impl NetPoolView {
                 }
                 reload
             }
-            ViewRepr::Dense(pool) => pool.reload_prefix_accounted(hashes, blocks, now),
+            ViewRepr::Private(pool) => pool.reload_prefix_accounted(hashes, blocks, now),
         }
     }
 
@@ -1014,121 +933,52 @@ impl NetPoolView {
         self.offload_spilled(hashes, now, now)
     }
 
-    /// See [`NetKvPool::offload_spilled`].  A view about to evict materialises
-    /// itself dense first, so snapshot-local eviction order is exactly legacy.
+    /// See [`NetKvPool::offload_spilled`].  A view of the shared tier never
+    /// evicts: every spill lands in its append-only overlay, however full the pool
+    /// is, so `evicted` is always 0 and the barrier merge ([`NetKvPool::absorb`])
+    /// decides what the tier displaces.  A private pool evicts in place.
     pub fn offload_spilled(
         &mut self,
         hashes: &[TokenBlockHash],
         last_used: SimTime,
         spilled_at: SimTime,
     ) -> (u64, u64) {
-        let mut written = 0;
-        let mut index = 0;
-        while index < hashes.len() {
-            match &mut self.repr {
-                ViewRepr::Cow(view) => {
-                    if view.capacity_blocks == 0 {
-                        break;
-                    }
-                    if view.insert_may_evict() {
-                        self.materialise_in_place();
-                        continue;
-                    }
-                    written += view.spill_one(hashes[index], last_used, spilled_at);
-                    index += 1;
+        match &mut self.repr {
+            ViewRepr::Overlay(view) => {
+                if view.capacity_blocks == 0 {
+                    return (0, 0);
                 }
-                ViewRepr::Dense(pool) => {
-                    let (w, e) = pool.offload_spilled(&hashes[index..], last_used, spilled_at);
-                    return (written + w, e);
-                }
+                let written = hashes
+                    .iter()
+                    .map(|hash| view.spill_one(*hash, last_used, spilled_at))
+                    .sum();
+                (written, 0)
             }
-        }
-        (written, 0)
-    }
-
-    /// Whether this view still reads the given pool's current state — the
-    /// precondition for the O(touched) delta merge (a pool mutation since the view
-    /// was taken, or a dense fallback, forces the legacy dense merge).
-    pub fn shares_base(&self, pool: &NetKvPool) -> bool {
-        match &self.repr {
-            ViewRepr::Cow(view) => Arc::ptr_eq(&view.base, &pool.state),
-            ViewRepr::Dense(_) => false,
+            ViewRepr::Private(pool) => pool.offload_spilled(hashes, last_used, spilled_at),
         }
     }
 
-    /// The most entries this view's merge could add to the shared pool — the term
-    /// the cluster sums into the boundary-wide no-evict capacity check.
-    pub fn merge_added_upper_bound(&self) -> u64 {
-        match &self.repr {
-            ViewRepr::Cow(view) => view.added_new,
-            ViewRepr::Dense(pool) => pool.resident_blocks(),
-        }
-    }
-
-    /// The dense [`NetKvPool`] this view is equivalent to (non-consuming; the
-    /// property suite's bridge between the two worlds).
-    pub fn materialise(&self) -> NetKvPool {
-        match &self.repr {
-            ViewRepr::Cow(view) => view.materialise(),
-            ViewRepr::Dense(pool) => pool.clone(),
-        }
-    }
-
-    fn materialise_in_place(&mut self) {
-        if let ViewRepr::Cow(view) = &self.repr {
-            self.repr = ViewRepr::Dense(view.materialise());
-        }
-    }
-
-    /// Consumes the view into the dense pool it is equivalent to.
-    pub fn into_pool(self) -> NetKvPool {
-        match self.repr {
-            ViewRepr::Cow(view) => view.materialise(),
-            ViewRepr::Dense(pool) => pool,
-        }
-    }
-
-    /// Surrenders the view's merge contribution, dropping its base reference (so
-    /// the caller can mutate the shared pool without a copy-on-write clone).
+    /// Surrenders the view's overlay for the barrier merge, dropping its base
+    /// reference (so the caller can mutate the shared pool without a copy-on-write
+    /// clone).  A private pool is not part of the shared tier and contributes
+    /// nothing.
     pub fn into_delta(self) -> ViewDelta {
         match self.repr {
-            ViewRepr::Cow(view) => ViewDelta {
-                repr: DeltaRepr::Overlay {
-                    entries: view.overlay,
-                    lru: view.overlay_lru,
-                },
+            ViewRepr::Overlay(view) => ViewDelta {
+                entries: view.overlay,
+                lru: view.overlay_lru,
             },
-            ViewRepr::Dense(pool) => ViewDelta {
-                repr: DeltaRepr::Dense(pool),
-            },
+            ViewRepr::Private(_) => ViewDelta::default(),
         }
     }
 }
 
-#[derive(Debug)]
-enum DeltaRepr {
-    Overlay {
-        entries: HashMap<TokenBlockHash, NetEntry>,
-        lru: BTreeSet<(SimTime, TokenBlockHash)>,
-    },
-    Dense(NetKvPool),
-}
-
-/// A view's surrendered merge contribution (see [`NetPoolView::into_delta`]),
-/// replayed into the shared pool by [`NetKvPool::absorb`].
-#[derive(Debug)]
+/// A view's surrendered overlay (see [`NetPoolView::into_delta`]), replayed into
+/// the shared pool by [`NetKvPool::absorb`].
+#[derive(Debug, Default)]
 pub struct ViewDelta {
-    repr: DeltaRepr,
-}
-
-impl ViewDelta {
-    /// Wraps a dense pool as a delta, for merge paths that materialised their views
-    /// (the whole pool replays through the legacy dense merge).
-    pub fn from_pool(pool: NetKvPool) -> ViewDelta {
-        ViewDelta {
-            repr: DeltaRepr::Dense(pool),
-        }
-    }
+    entries: HashMap<TokenBlockHash, NetEntry>,
+    lru: BTreeSet<(SimTime, TokenBlockHash)>,
 }
 
 #[cfg(test)]
@@ -1451,7 +1301,6 @@ mod tests {
         pool.offload(&late, SimTime::from_millis(400)); // publishes at 900ms
 
         let mut view = pool.view_at(SimTime::from_millis(500), 1);
-        assert!(view.shares_base(&pool));
         assert_eq!(view.lookup_prefix_blocks(&early), 10);
         assert_eq!(view.lookup_prefix_blocks(&late), 0);
         assert_eq!(view.resident_blocks(), 10);
@@ -1483,10 +1332,57 @@ mod tests {
         assert_eq!(pool.state.entries, before.state.entries);
         assert_eq!(pool.generation(), before.generation());
 
-        // A pool mutation after the view was taken breaks the sharing link (the
-        // cluster's cue to fall back to the dense merge).
-        pool.offload(&hashes(300_000, 16), SimTime::from_secs(3));
-        assert!(!view.shares_base(&pool));
+        // A pool mutation after the view was taken copies the pool's state on
+        // write: the view keeps reading the state it was taken from.
+        let late_write = hashes(300_000, 16);
+        pool.offload(&late_write, SimTime::from_secs(3));
+        assert_eq!(pool.lookup_prefix_blocks(&late_write), 1);
+        assert_eq!(view.lookup_prefix_blocks(&late_write), 0);
+        assert_eq!(view.resident_blocks(), 20);
+        pool.assert_lru_invariant();
+    }
+
+    /// Central eviction in miniature: views of a full pool keep every spill (and
+    /// read past the pool's capacity), and the barrier merge alone evicts — the
+    /// global LRU head, views absorbed in slot order.
+    #[test]
+    fn views_of_a_full_pool_never_evict_and_the_barrier_evicts_by_global_lru() {
+        let mut pool = NetKvPool::new(8 * BLOCK_BYTES, BLOCK_BYTES);
+        let base: Vec<Vec<TokenBlockHash>> = (0..8u32)
+            .map(|i| hashes(10_000 * i, BLOCK_TOKENS))
+            .collect();
+        for (i, chain) in base.iter().enumerate() {
+            pool.offload(chain, SimTime::from_secs(i as u64));
+        }
+        pool.settle();
+        assert_eq!(pool.resident_blocks(), 8);
+
+        let mut views = [
+            pool.view_at(SimTime::ZERO, 0),
+            pool.view_at(SimTime::ZERO, 1),
+        ];
+        let fresh = [
+            hashes(500_000, 3 * BLOCK_TOKENS),
+            hashes(600_000, 3 * BLOCK_TOKENS),
+        ];
+        for ((view, chain), at) in views.iter_mut().zip(&fresh).zip([10, 11]) {
+            assert_eq!(view.offload(chain, SimTime::from_secs(at)), (3, 0));
+            assert_eq!(view.resident_blocks(), 11, "a view reads past capacity");
+            assert_eq!(view.lookup_prefix_blocks(&base[0]), 1, "nothing evicted");
+        }
+        assert_eq!(pool.resident_blocks(), 8, "views leave the pool untouched");
+
+        let deltas: Vec<ViewDelta> = views.into_iter().map(NetPoolView::into_delta).collect();
+        let evicted: u64 = deltas.into_iter().map(|delta| pool.absorb(delta)).sum();
+        assert_eq!(evicted, 6);
+        assert_eq!(pool.resident_blocks(), 8);
+        for (i, chain) in base.iter().enumerate() {
+            let expected = u64::from(i >= 6);
+            assert_eq!(pool.lookup_prefix_blocks(chain), expected, "base chain {i}");
+        }
+        for chain in &fresh {
+            assert_eq!(pool.lookup_prefix_blocks(chain), 3);
+        }
         pool.assert_lru_invariant();
     }
 
@@ -1507,148 +1403,335 @@ mod tests {
         }
     }
 
-    fn assert_same_pool(label: &str, actual: &NetKvPool, expected: &NetKvPool) {
-        assert_eq!(
-            actual.state.entries, expected.state.entries,
-            "{label}: entries diverged"
-        );
-        assert_eq!(
-            actual.state.lru, expected.state.lru,
-            "{label}: LRU diverged"
-        );
-        assert_eq!(
-            actual.state.publish_log, expected.state.publish_log,
-            "{label}: publish log diverged"
-        );
-        assert_eq!(
-            actual.generation(),
-            expected.generation(),
-            "{label}: generation diverged"
-        );
-        assert_eq!(actual.owner, expected.owner, "{label}: owner diverged");
-        assert_eq!(actual.block_bytes(), expected.block_bytes());
-        assert_eq!(actual.capacity_blocks(), expected.capacity_blocks());
-        actual.assert_lru_invariant();
-        expected.assert_lru_invariant();
+    /// The flat reference of the shared tier under central eviction: an entry map
+    /// plus the `(last_used, hash)` LRU, the content generation and the eviction
+    /// count.  Overlays are replayed as the barrier promises — each oldest first —
+    /// refreshing resident entries and inserting new ones, which displace the LRU
+    /// head once the map is full.
+    struct FlatTier {
+        capacity: u64,
+        entries: HashMap<TokenBlockHash, NetEntry>,
+        lru: BTreeSet<(SimTime, TokenBlockHash)>,
+        generation: u64,
+        evicted: u64,
     }
 
-    /// The delta-view property pin (the correctness gate of the copy-on-write
-    /// rewrite): across several propagation epochs with instances joining and
-    /// draining, a [`NetPoolView`] driven by an arbitrary interleaving of lookups,
-    /// reloads and spills must stay step-for-step identical to the legacy
-    /// [`NetKvPool::visible_snapshot`] full clone — and the boundary merge of its
-    /// delta into the shared pool identical to the legacy dense merge.  Runs both
-    /// an ample pool (pure delta path) and a squeezed one (dense fallback and
-    /// boundary eviction pressure).
-    #[test]
-    fn delta_views_match_legacy_snapshots_across_epochs() {
-        let delay = simcore::SimDuration::from_millis(250);
-        for (trial, capacity_blocks) in [(1u64, 4096u64), (2, 4096), (3, 24), (4, 24), (5, 24)] {
-            let mut rng = Lcg(0x9E3779B97F4A7C15 ^ trial);
-            let mut shared_delta = NetKvPool::new(capacity_blocks * BLOCK_BYTES, BLOCK_BYTES)
-                .with_propagation_delay(delay);
-            let mut shared_legacy = NetKvPool::new(capacity_blocks * BLOCK_BYTES, BLOCK_BYTES)
-                .with_propagation_delay(delay);
-            // Pre-seed and settle, like a warm window start.
-            shared_delta.offload(&hashes(1, 8 * BLOCK_TOKENS), SimTime::ZERO);
-            shared_legacy.offload(&hashes(1, 8 * BLOCK_TOKENS), SimTime::ZERO);
-            shared_delta.settle();
-            shared_legacy.settle();
+    impl FlatTier {
+        fn insert(&mut self, hash: TokenBlockHash, entry: NetEntry) {
+            if self.entries.len() as u64 >= self.capacity {
+                let (_, victim) = self.lru.pop_first().expect("a full tier has an LRU head");
+                self.entries.remove(&victim);
+                self.generation += 1;
+                self.evicted += 1;
+            }
+            self.entries.insert(hash, entry);
+            self.lru.insert((entry.last_used, hash));
+            self.generation += 1;
+        }
 
+        fn absorb(&mut self, overlay: &HashMap<TokenBlockHash, NetEntry>) {
+            let mut order: Vec<(SimTime, TokenBlockHash)> = overlay
+                .iter()
+                .map(|(hash, entry)| (entry.last_used, *hash))
+                .collect();
+            order.sort_unstable();
+            for (last_used, hash) in order {
+                let incoming = overlay[&hash];
+                let Some(entry) = self.entries.get_mut(&hash) else {
+                    self.insert(
+                        hash,
+                        NetEntry {
+                            propagated: false,
+                            ..incoming
+                        },
+                    );
+                    continue;
+                };
+                entry.published = entry.published.min(incoming.published);
+                entry.origins |= incoming.origins;
+                if entry.last_used < last_used {
+                    self.lru.remove(&(entry.last_used, hash));
+                    entry.last_used = last_used;
+                    self.lru.insert((last_used, hash));
+                }
+            }
+        }
+
+        fn publish_log(&self) -> BTreeSet<(SimTime, TokenBlockHash)> {
+            self.entries
+                .iter()
+                .filter(|(_, e)| e.published > SimTime::ZERO)
+                .map(|(hash, e)| (e.published, *hash))
+                .collect()
+        }
+    }
+
+    /// A view in the flat model: the legacy dense install of the epoch start
+    /// ([`NetKvPool::visible_snapshot`], the read oracle for the base) plus a flat
+    /// overlay map the view's own traffic writes to.
+    struct FlatView {
+        base: NetKvPool,
+        overlay: HashMap<TokenBlockHash, NetEntry>,
+        origin: u64,
+        delay: SimDuration,
+    }
+
+    impl FlatView {
+        fn readable(&self, hash: &TokenBlockHash) -> Option<NetEntry> {
+            self.overlay
+                .get(hash)
+                .or_else(|| self.base.state.entries.get(hash))
+                .copied()
+        }
+
+        fn lookup(&self, chain: &[TokenBlockHash]) -> u64 {
+            chain
+                .iter()
+                .take_while(|hash| self.readable(hash).is_some())
+                .count() as u64
+        }
+
+        fn reload(&mut self, chain: &[TokenBlockHash], depth: u64, now: SimTime) -> NetReload {
+            let mut reload = NetReload::default();
+            for hash in &chain[..depth as usize] {
+                let Some(entry) = self.readable(hash) else {
+                    continue;
+                };
+                reload.bytes += BLOCK_BYTES;
+                reload.propagated_blocks += u64::from(entry.propagated);
+                if entry.last_used < now {
+                    self.overlay.insert(
+                        *hash,
+                        NetEntry {
+                            last_used: now,
+                            ..entry
+                        },
+                    );
+                }
+            }
+            reload
+        }
+
+        fn spill(&mut self, chain: &[TokenBlockHash], now: SimTime) -> (u64, u64) {
+            let published = now + self.delay;
+            let mut written = 0;
+            for hash in chain {
+                let entry = match self.readable(hash) {
+                    Some(entry) => NetEntry {
+                        last_used: entry.last_used.max(now),
+                        published: entry.published.min(published),
+                        origins: entry.origins | self.origin,
+                        propagated: false,
+                    },
+                    None => {
+                        written += 1;
+                        NetEntry {
+                            last_used: now,
+                            published,
+                            origins: self.origin,
+                            propagated: false,
+                        }
+                    }
+                };
+                self.overlay.insert(*hash, entry);
+            }
+            (written, 0)
+        }
+
+        /// Overlay entries the base does not hold: the view's growth.
+        fn added(&self) -> u64 {
+            self.overlay
+                .keys()
+                .filter(|hash| !self.base.state.entries.contains_key(hash))
+                .count() as u64
+        }
+
+        fn readable_hashes(&self) -> Vec<TokenBlockHash> {
+            let mut hashes: Vec<TokenBlockHash> = self
+                .base
+                .resident_hashes()
+                .chain(self.overlay.keys().copied())
+                .collect();
+            hashes.sort_unstable();
+            hashes.dedup();
+            hashes
+        }
+    }
+
+    /// The central-eviction property pin: across six propagation epochs with
+    /// instances joining and draining, [`NetPoolView`]s driven by an arbitrary
+    /// interleaving of lookups, reloads and spills read exactly their visible base
+    /// (the legacy [`NetKvPool::visible_snapshot`] is the read oracle) plus their
+    /// own overlay, step for step, and never evict; and the barrier's slot-order
+    /// absorb leaves the shared pool identical to the [`FlatTier`] reference —
+    /// entries, LRU, publish log, generation and eviction count.  Runs an ample
+    /// pool (no eviction anywhere) and a squeezed one, where views must read past
+    /// the pool's capacity and the barrier must evict.
+    #[test]
+    fn delta_views_match_a_flat_central_eviction_reference_across_epochs() {
+        let delay = SimDuration::from_millis(250);
+        for (trial, capacity) in [(1u64, 4096u64), (2, 4096), (3, 24), (4, 24), (5, 24)] {
+            let squeezed = capacity < 4096;
+            let mut rng = Lcg(0x9E3779B97F4A7C15 ^ trial);
+            let mut shared =
+                NetKvPool::new(capacity * BLOCK_BYTES, BLOCK_BYTES).with_propagation_delay(delay);
+            let mut flat = FlatTier {
+                capacity,
+                entries: HashMap::new(),
+                lru: BTreeSet::new(),
+                generation: 0,
+                evicted: 0,
+            };
+            // Pre-seed and settle, like a warm window start.
+            let seed = hashes(1, 8 * BLOCK_TOKENS);
+            shared.offload(&seed, SimTime::ZERO);
+            shared.settle();
+            for hash in &seed {
+                flat.insert(
+                    *hash,
+                    NetEntry {
+                        last_used: SimTime::ZERO,
+                        published: SimTime::ZERO,
+                        origins: 0,
+                        propagated: false,
+                    },
+                );
+            }
+
+            let mut barrier_evictions = 0;
+            let mut view_read_past_capacity = false;
             // Membership churn: epoch 0 starts with {0, 1}; 2 joins at epoch 1;
-            // 1 drains after epoch 2; 3 joins at epoch 3.
-            for epoch in 0u64..5 {
+            // 1 drains (publishing a burst) at the end of epoch 2; 3 joins at 3.
+            for epoch in 0u64..6 {
                 let boundary = SimTime::from_millis(epoch * 250);
                 let members: Vec<usize> = match epoch {
                     0 => vec![0, 1],
                     1 | 2 => vec![0, 1, 2],
                     _ => vec![0, 2, 3],
                 };
-                let mut views: Vec<(usize, NetPoolView)> = members
+                let mut views: Vec<(usize, NetPoolView, FlatView)> = members
                     .iter()
-                    .map(|&id| (id, shared_delta.view_at(boundary, id)))
-                    .collect();
-                let mut snaps: Vec<(usize, NetKvPool)> = members
-                    .iter()
-                    .map(|&id| (id, shared_legacy.visible_snapshot(boundary, id)))
+                    .map(|&id| {
+                        let oracle = FlatView {
+                            base: shared.visible_snapshot(boundary, id),
+                            overlay: HashMap::new(),
+                            origin: origin_bit(Some(id)),
+                            delay,
+                        };
+                        (id, shared.view_at(boundary, id), oracle)
+                    })
                     .collect();
 
                 for step in 0..40 {
                     let slot = rng.below(members.len() as u64) as usize;
-                    let now = boundary + simcore::SimDuration::from_millis(step * 5);
+                    let now = boundary + SimDuration::from_millis(step * 5);
                     let start = (rng.below(60) * BLOCK_TOKENS as u64) as u32;
                     let blocks = 1 + rng.below(6) as usize;
                     let chain = hashes(start, blocks * BLOCK_TOKENS);
-                    let view = &mut views[slot].1;
-                    let snap = &mut snaps[slot].1;
+                    let (_, view, oracle) = &mut views[slot];
+                    let at = format!("trial {trial} epoch {epoch} step {step}");
                     match rng.below(3) {
                         0 => assert_eq!(
                             view.lookup_prefix_blocks(&chain),
-                            snap.lookup_prefix_blocks(&chain),
-                            "trial {trial} epoch {epoch} step {step}: lookup diverged"
+                            oracle.lookup(&chain),
+                            "{at}: lookup diverged"
                         ),
                         1 => {
-                            let depth = view.lookup_prefix_blocks(&chain);
+                            let depth = oracle.lookup(&chain);
                             assert_eq!(
                                 view.reload_prefix_accounted(&chain, depth, now),
-                                snap.reload_prefix_accounted(&chain, depth, now),
-                                "trial {trial} epoch {epoch} step {step}: reload diverged"
+                                oracle.reload(&chain, depth, now),
+                                "{at}: reload diverged"
                             );
                         }
                         _ => assert_eq!(
                             view.offload_spilled(&chain, now, now),
-                            snap.offload_spilled(&chain, now, now),
-                            "trial {trial} epoch {epoch} step {step}: spill diverged"
+                            oracle.spill(&chain, now),
+                            "{at}: spill diverged (a view never evicts)"
                         ),
                     }
-                    assert_eq!(view.resident_blocks(), snap.resident_blocks());
+                    assert_eq!(
+                        view.resident_blocks(),
+                        oracle.base.resident_blocks() + oracle.added(),
+                        "{at}: residency diverged"
+                    );
+                    view_read_past_capacity |= view.resident_blocks() > capacity;
                 }
-
-                for ((id, view), (_, snap)) in views.iter().zip(&snaps) {
-                    assert_same_pool(
-                        &format!("trial {trial} epoch {epoch} instance {id} materialise"),
-                        &view.materialise(),
-                        snap,
+                if epoch == 2 {
+                    // The leaver's drain-to-net burst, spilled at the boundary.
+                    let (_, view, oracle) = views
+                        .iter_mut()
+                        .find(|(id, _, _)| *id == 1)
+                        .expect("instance 1 is a member until it drains");
+                    let burst = hashes(900_000, 8 * BLOCK_TOKENS);
+                    let at = boundary + delay;
+                    assert_eq!(
+                        view.offload_spilled(&burst, at, at),
+                        oracle.spill(&burst, at)
                     );
                 }
 
-                // Boundary merge, in instance-id order, mirroring the cluster: all
-                // deltas extracted (and the no-evict fit checked) before the first
-                // absorb, legacy dense merges on the other side.
-                let fits = views.iter().all(|(_, v)| v.shares_base(&shared_delta))
-                    && shared_delta.resident_blocks().saturating_add(
-                        views.iter().map(|(_, v)| v.merge_added_upper_bound()).sum(),
-                    ) <= shared_delta.capacity_blocks();
-                let mut delta_evicted = 0;
-                if fits {
-                    let deltas: Vec<ViewDelta> =
-                        views.drain(..).map(|(_, v)| v.into_delta()).collect();
-                    for delta in deltas {
-                        delta_evicted += shared_delta.absorb(delta);
+                for (id, view, oracle) in &views {
+                    let at = format!("trial {trial} epoch {epoch} instance {id}");
+                    let mut readable: Vec<TokenBlockHash> = view.resident_hashes().collect();
+                    readable.sort_unstable();
+                    assert_eq!(readable, oracle.readable_hashes(), "{at}: readable set");
+                    for hash in &readable {
+                        assert_eq!(
+                            view.entry_meta(*hash),
+                            oracle.readable(hash).map(|e| (e.published, e.origins)),
+                            "{at}: entry metadata"
+                        );
                     }
-                } else {
-                    let pools: Vec<NetKvPool> =
-                        views.drain(..).map(|(_, v)| v.into_pool()).collect();
-                    for pool in pools {
-                        delta_evicted += shared_delta.absorb(ViewDelta::from_pool(pool));
-                    }
+                    assert_eq!(
+                        view.generation(),
+                        oracle.base.generation() + oracle.added(),
+                        "{at}: generation"
+                    );
                 }
-                let mut legacy_evicted = 0;
-                for (_, snap) in &snaps {
-                    legacy_evicted += shared_legacy.merge_from(snap);
+
+                // The barrier, mirroring the cluster: every delta extracted before
+                // the first absorb, then absorbed in slot order.
+                let (deltas, overlays): (Vec<ViewDelta>, Vec<HashMap<_, _>>) = views
+                    .into_iter()
+                    .map(|(_, view, oracle)| (view.into_delta(), oracle.overlay))
+                    .unzip();
+                let evicted: u64 = deltas.into_iter().map(|delta| shared.absorb(delta)).sum();
+                let flat_evicted_before = flat.evicted;
+                for overlay in &overlays {
+                    flat.absorb(overlay);
                 }
+                let at = format!("trial {trial} epoch {epoch} barrier");
                 assert_eq!(
-                    delta_evicted, legacy_evicted,
-                    "trial {trial} epoch {epoch}: merge eviction count diverged"
+                    evicted,
+                    flat.evicted - flat_evicted_before,
+                    "{at}: evictions"
                 );
-                assert_same_pool(
-                    &format!("trial {trial} epoch {epoch} shared"),
-                    &shared_delta,
-                    &shared_legacy,
-                );
+                assert_eq!(shared.state.entries, flat.entries, "{at}: entries");
+                assert_eq!(shared.state.lru, flat.lru, "{at}: LRU");
                 assert_eq!(
-                    shared_delta.meta_generation(),
-                    shared_legacy.meta_generation()
+                    shared.state.publish_log,
+                    flat.publish_log(),
+                    "{at}: publish log"
+                );
+                assert_eq!(shared.generation(), flat.generation, "{at}: generation");
+                assert!(shared.resident_blocks() <= capacity, "{at}: over capacity");
+                shared.assert_lru_invariant();
+                barrier_evictions += evicted;
+            }
+            if squeezed {
+                assert!(
+                    barrier_evictions > 0,
+                    "trial {trial}: the barrier must evict"
+                );
+                assert!(
+                    view_read_past_capacity,
+                    "trial {trial}: a view must read past the pool's capacity"
+                );
+            } else {
+                assert_eq!(
+                    barrier_evictions, 0,
+                    "trial {trial}: an ample pool never evicts"
                 );
             }
         }

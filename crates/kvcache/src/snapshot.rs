@@ -308,7 +308,8 @@ mod tests {
         for seed in 0..24u64 {
             let mut rng = SimRng::seed_from_u64(seed);
             let mut kv = KvCacheManager::with_offload(8, BLOCK_SIZE, 4 * BLOCK_BYTES, BLOCK_BYTES);
-            kv.install_net_pool(NetKvPool::new(1 << 30, BLOCK_BYTES));
+            let mut shared = NetKvPool::new(1 << 30, BLOCK_BYTES);
+            kv.install_net_view(shared.view(), false);
             let mut cache = crate::PrefixProbeCache::new();
             let chains: Vec<Vec<u32>> = (0..5u32)
                 .map(|i| tokens(i * 100_000, 16 * ((i as usize % 3) + 2)))
@@ -329,17 +330,19 @@ mod tests {
                         true
                     }
                     2 => {
-                        // Swap the net snapshot, sometimes for a filtered clone with
-                        // the *same* content generation but fewer visible entries —
-                        // the case the swap generation exists for.
-                        if let Some(pool) = kv.take_net_pool() {
-                            let reinstall = if rng.gen_range(0u32..2) == 0 {
-                                pool.visible_snapshot(SimTime::ZERO, 0)
-                            } else {
-                                pool
-                            };
-                            kv.install_net_pool(reinstall);
+                        // A barrier: merge the view back and install a fresh one,
+                        // sometimes filtered to the *same* content generation but
+                        // fewer visible entries — the case the swap generation
+                        // exists for.
+                        if let Some(view) = kv.take_net_view() {
+                            shared.absorb(view.into_delta());
                         }
+                        let reinstall = if rng.gen_range(0u32..2) == 0 {
+                            shared.view_at(SimTime::ZERO, 0)
+                        } else {
+                            shared.view()
+                        };
+                        kv.install_net_view(reinstall, false);
                         true
                     }
                     _ => false, // capture-only step: the reuse path must stay correct
