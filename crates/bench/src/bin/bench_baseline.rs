@@ -254,35 +254,54 @@ fn offload_baselines(out: &mut Vec<BaselinePoint>) {
 /// tiers (missing both), quotes the net segment, and rehydrates 100 net-resident
 /// blocks — the bookkeeping a cold instance pays per cold-join reload.  Mirrors
 /// `offload_reload` one tier further down.
+///
+/// Each sample builds its own pool in the untimed setup: a clone of one template
+/// pool would share its state, and the reload's first write would then copy the
+/// whole pool inside the timed region.
 fn net_reload_baselines(out: &mut Vec<BaselinePoint>) {
     const BLOCK_BYTES: u64 = 16 * 128 * 1024;
     for net_blocks in [2_048u64, 131_072] {
         let gpu_blocks = 2_048u64;
-        let mut manager =
+        let manager =
             KvCacheManager::with_offload(gpu_blocks, BLOCK_SIZE, BLOCK_BYTES, BLOCK_BYTES);
-        let mut pool = kvcache::NetKvPool::new(net_blocks * BLOCK_BYTES, BLOCK_BYTES);
         let chain_blocks = 512usize;
-        for chain in 0..net_blocks / chain_blocks as u64 {
-            let start = chain as u32 * 10_000_000;
-            let tokens: Vec<u32> = (start..start + (chain_blocks * BLOCK_SIZE) as u32).collect();
-            pool.offload(
-                &kvcache::hash_token_blocks(&tokens, BLOCK_SIZE),
-                SimTime::from_secs(chain),
-            );
-        }
         let request: Vec<u32> =
             (2_000_000_000..2_000_000_000u32 + (100 * BLOCK_SIZE) as u32).collect();
-        pool.offload(
-            &kvcache::hash_token_blocks(&request, BLOCK_SIZE),
+        let mut spills: Vec<(Vec<kvcache::TokenBlockHash>, SimTime)> = (0..net_blocks
+            / chain_blocks as u64)
+            .map(|chain| {
+                let start = chain as u32 * 10_000_000;
+                let tokens: Vec<u32> =
+                    (start..start + (chain_blocks * BLOCK_SIZE) as u32).collect();
+                (
+                    kvcache::hash_token_blocks(&tokens, BLOCK_SIZE),
+                    SimTime::from_secs(chain),
+                )
+            })
+            .collect();
+        spills.push((
+            kvcache::hash_token_blocks(&request, BLOCK_SIZE),
             SimTime::from_secs(1_000),
+        ));
+        let warm_manager = || {
+            let mut pool = kvcache::NetKvPool::new(net_blocks * BLOCK_BYTES, BLOCK_BYTES);
+            for (hashes, at) in &spills {
+                pool.offload(hashes, *at);
+            }
+            let mut manager = manager.clone();
+            manager.install_net_pool(pool);
+            manager
+        };
+        assert_eq!(
+            warm_manager().lookup_cached_tokens(&request),
+            0,
+            "GPU-cold prefix"
         );
-        manager.install_net_pool(pool);
-        assert_eq!(manager.lookup_cached_tokens(&request), 0, "GPU-cold prefix");
         measure(
             out,
             &format!("kvcache_ops/net_reload/reload_100_from_net_pool_of/{net_blocks}"),
             samples(25),
-            || manager.clone(),
+            warm_manager,
             |mut manager| {
                 let alloc = manager
                     .allocate(
@@ -446,7 +465,8 @@ fn streaming_replay_baselines(out: &mut Vec<BaselinePoint>) {
 /// Routing-pass cost at fleet depth: one epoch batch of 4096 arrivals routed
 /// against 64 instances via [`Cluster::route_preview`], reported per arrival.
 /// The sticky entry exercises the stamped arithmetic fast path; the cache-aware
-/// entry pays per-arrival block hashing plus the 64-instance prefix probe.
+/// entry runs against a cold fleet, so the pass skips hashing and falls back to
+/// load.
 fn routing_pass_baselines(out: &mut Vec<BaselinePoint>) {
     let spec = SharedPrefixFleetSpec {
         num_cohorts: 64,
@@ -498,10 +518,8 @@ fn routing_pass_baselines(out: &mut Vec<BaselinePoint>) {
     }
 
     // The steady-state (epoch 2+) cache-aware pass: the fleet has real GPU
-    // residency (so the cold-fleet hashing skip does not apply and every arrival
-    // pays its chain walk), but the per-instance probe captures hit the
-    // generation-keyed probe cache — the cost profile of every epoch after the
-    // first on an unchanged fleet.
+    // residency, so the cold-fleet hashing skip does not apply and every arrival
+    // pays its block hashing plus a chain walk on each of the 64 live KV managers.
     let config = fleet_config(prefillonly::RoutingPolicyKind::CacheAware, 640);
     let mut cluster = Cluster::new(&config);
     let warm_arrivals: Vec<ArrivalPattern> = batch

@@ -22,10 +22,11 @@
 //! *replay window*: the configured [`RoutingPolicy`](crate::routing) routes **all**
 //! arrivals up front, in `(arrival time, trace index)` order, against a
 //! [`RouterSnapshot`](crate::routing::RouterSnapshot) of the window-start state
-//! (modelled loads updated with the pass's own decisions; frozen three-tier prefix
-//! probes for cache-aware policies) — mirroring the snapshot-install/merge discipline
-//! of the shared network KV tier.  Both replay paths run the identical pass, so the
-//! partition, and hence the replay, is byte-identical.
+//! (modelled loads updated with the pass's own decisions; for cache-aware policies,
+//! a borrow of every instance's KV manager, which nothing can mutate until the pass
+//! ends) — mirroring the snapshot-install/merge discipline of the shared network KV
+//! tier.  Both replay paths run the identical pass, so the partition, and hence the
+//! replay, is byte-identical.
 //!
 //! # Propagation epochs (`net_propagation_ms > 0`)
 //!
@@ -38,8 +39,8 @@
 //!    start, plus an append-only overlay for its own spills;
 //! 2. the epoch's arrivals are routed in `(arrival time, trace index)` order against
 //!    a *fresh* [`RouterSnapshot`](crate::routing::RouterSnapshot) (live loads carry
-//!    queued work over from earlier epochs; prefix probes are re-captured,
-//!    incrementally, instead of staying frozen for the whole window);
+//!    queued work over from earlier epochs; cache-aware walks read the KV managers
+//!    as this epoch's installs left them);
 //! 3. the per-instance loops simulate strictly up to the epoch boundary — pending
 //!    events beyond it stay queued — and the boundary is a barrier: every thread
 //!    reaches it before the per-instance overlays merge back into the shared
@@ -74,10 +75,10 @@
 //! [`Cluster::run_stream`] replays an [`ArrivalStream`] — a generator of
 //! event-time-ordered, stamped arrivals — without ever materialising the trace:
 //! arrivals are pulled lazily, buffered one epoch at a time, routed per epoch
-//! (reusing one [`RoutingScratch`] across epochs, so steady-state routing
-//! allocates nothing), and simulated strictly to the epoch boundary.  Peak
-//! arrival memory is O(largest epoch), which is what lets a million-request
-//! trace replay in a few hundred megabytes instead of tens of gigabytes.
+//! (reusing one [`RoutingScratch`]'s buffers across epochs), and simulated
+//! strictly to the epoch boundary.  Peak arrival memory is O(largest epoch),
+//! which is what lets a million-request trace replay in a few hundred megabytes
+//! instead of tens of gigabytes.
 //!
 //! Epoch boundaries come from an adaptive clock ([`EpochLengthPolicy`]): the
 //! next epoch's length is a pure function of the configuration and the arrival
@@ -105,7 +106,7 @@ use simcore::{EventQueue, SimDuration, SimTime};
 
 use kvcache::{
     hash_token_blocks, CacheStats, DrainSpill, HandoffLedger, HandoffRecord, NetKvPool,
-    NetPoolView, OffloadStats, PrefixProbe, ViewDelta,
+    NetPoolView, OffloadStats, ViewDelta,
 };
 use workload::{
     ArrivalPattern, ArrivalStream, InstanceRole, MembershipChange, MembershipSchedule,
@@ -224,9 +225,9 @@ struct PartitionEntry {
 }
 
 /// Reusable buffers of a routing pass.  Epoch-driven replay routes thousands of
-/// passes per window; this keeps every per-pass allocation — the decision and
-/// hash-chain slots, and the [`RouterSnapshot`]'s load/probe vectors, recovered
-/// via [`RouterSnapshot::into_buffers`] after each pass — alive across epochs.
+/// passes per window; this keeps the per-pass allocations — the decision and
+/// hash-chain slots, and the [`RouterSnapshot`]'s load vector, recovered via
+/// [`RouterSnapshot::into_loads`] after each pass — alive across epochs.
 ///
 /// Public so routing benchmarks can measure a pass without re-paying the
 /// allocations ([`Cluster::route_preview`]); replay entry points manage their
@@ -236,7 +237,6 @@ pub struct RoutingScratch {
     decisions: Vec<RoutingDecision>,
     hashes: Vec<Option<Arc<Vec<kvcache::TokenBlockHash>>>>,
     loads: Vec<InstanceLoad>,
-    probes: Vec<PrefixProbe>,
 }
 
 impl RoutingScratch {
@@ -1273,7 +1273,7 @@ impl Cluster {
     /// Routes one epoch's batch into `scratch` (a decision per batch position, plus
     /// the hash chains computed for probing): tries the stamped arithmetic fast
     /// path first, then falls back to the snapshot pass — reusing the scratch's
-    /// load/probe buffers so steady-state routing allocates nothing per epoch.
+    /// load buffer across epochs.
     fn route_stream_epoch(&mut self, batch: &[StreamedArrival], scratch: &mut RoutingScratch) {
         let num_instances = self.instances.len();
         let needs_probe = self.router.needs_prefix_probe();
@@ -1300,9 +1300,12 @@ impl Cluster {
             return;
         }
 
-        let mut snapshot = self.capture_snapshot(
+        let mut snapshot = Self::capture_snapshot(
+            &self.instances,
+            self.config.block_size,
+            needs_probe,
+            self.prefill_capable_slots(),
             std::mem::take(&mut scratch.loads),
-            std::mem::take(&mut scratch.probes),
         );
         // A residency-free snapshot answers depth 0 to every probe, so hashing the
         // arrivals would be pure cost: skip it and let the instance compute the
@@ -1330,7 +1333,7 @@ impl Cluster {
                 scratch.hashes[pos] = Some(hashes);
             }
         }
-        (scratch.loads, scratch.probes) = snapshot.into_buffers();
+        scratch.loads = snapshot.into_loads();
     }
 
     /// Runs one routing pass over a batch without simulating it — the benchmark
@@ -1342,40 +1345,43 @@ impl Cluster {
         self.route_stream_epoch(batch, scratch);
     }
 
-    /// Captures the [`RouterSnapshot`] of the *current* instance state, reusing the
-    /// given load/probe buffers (pass empty vectors when there is nothing to
-    /// recycle).
-    fn capture_snapshot(
-        &self,
+    /// Captures the [`RouterSnapshot`] of the *current* instance state over the
+    /// `routable` slots, reusing the given load buffer (pass an empty vector when
+    /// there is nothing to recycle).  With `needs_probe` the snapshot borrows every
+    /// instance's live KV manager, so nothing can mutate one while it routes.  An
+    /// associated function rather than a method, so the caller can still borrow
+    /// the router mutably while the snapshot holds the instances.
+    fn capture_snapshot<'a>(
+        instances: &'a [EngineInstance],
+        block_size: usize,
+        needs_probe: bool,
+        routable: Vec<usize>,
         mut loads: Vec<InstanceLoad>,
-        mut probes: Vec<PrefixProbe>,
-    ) -> RouterSnapshot {
-        let block_size = self.config.block_size;
+    ) -> RouterSnapshot<'a> {
         loads.clear();
-        loads.extend(self.instances.iter().map(EngineInstance::router_load));
-        probes.clear();
-        if self.router.needs_prefix_probe() {
-            probes.extend(self.instances.iter().map(EngineInstance::prefix_probe));
-        }
-        let (cpu_hit_discount, net_hit_discount) = self
-            .instances
+        loads.extend(instances.iter().map(EngineInstance::router_load));
+        let kv = if needs_probe {
+            instances.iter().map(EngineInstance::kv).collect()
+        } else {
+            Vec::new()
+        };
+        let (cpu_hit_discount, net_hit_discount) = instances
             .first()
             .map(|i| (i.cpu_hit_discount(), i.net_hit_discount()))
             .unwrap_or((0.0, 0.0));
-        let pool_capacity_blocks = self
-            .instances
+        let pool_capacity_blocks = instances
             .first()
             .map(|i| i.kv_pool_tokens() / block_size as u64)
             .unwrap_or(0);
         RouterSnapshot::new(
             loads,
-            probes,
+            kv,
             block_size,
             pool_capacity_blocks,
             cpu_hit_discount,
             net_hit_discount,
         )
-        .with_routable_slots(self.prefill_capable_slots())
+        .with_routable_slots(routable)
     }
 
     /// The sequential streaming event loop of one epoch: like
@@ -1573,7 +1579,13 @@ impl Cluster {
         let num_instances = self.instances.len();
         let needs_probe = self.router.needs_prefix_probe();
         let block_size = self.config.block_size;
-        let mut snapshot = self.capture_snapshot(Vec::new(), Vec::new());
+        let mut snapshot = Self::capture_snapshot(
+            &self.instances,
+            block_size,
+            needs_probe,
+            self.prefill_capable_slots(),
+            Vec::new(),
+        );
 
         // Same cold-fleet fast path as `route_stream_epoch`: no resident block
         // anywhere means every chain walk is 0, so the chains need not exist.
@@ -2002,7 +2014,7 @@ impl Cluster {
     /// the legacy [`NetKvPool::visible_snapshot`] it replaces).  When the caller
     /// proved the boundary changed nobody's visible set (`content_unchanged`, see
     /// [`Self::run_stream_core`]'s guard), the installs keep every instance's
-    /// routing-probe memoisation warm.
+    /// scheduler probe memoisation warm.
     fn install_net_snapshots_visible(&mut self, visible_at: SimTime, content_unchanged: bool) {
         if let Some(pool) = &self.net_pool {
             for (id, instance) in self.instances.iter_mut().enumerate() {

@@ -16,9 +16,8 @@ use simcore::{SimDuration, SimTime};
 use executor::{max_input_length, profile_jct_grid, Executor};
 use gpu::{HostLink, NetLink};
 use kvcache::{
-    hash_token_blocks, CacheStats, KvCacheManager, NetKvPool, OffloadStats, PrefixProbeCache,
-    ProbeCache, ReloadQuote, ReloadTier, RequestKv, RetentionPolicy, SequenceGrowth, TierHits,
-    TokenBlockHash,
+    hash_token_blocks, CacheStats, KvCacheManager, NetKvPool, OffloadStats, ProbeCache,
+    ReloadQuote, ReloadTier, RequestKv, RetentionPolicy, SequenceGrowth, TierHits, TokenBlockHash,
 };
 use scheduler::{CacheProbe, JctEstimator, SchedulingPolicy, WaitingQueue, WaitingRequest};
 use workload::InstanceRole;
@@ -269,11 +268,6 @@ pub struct EngineInstance {
     /// generation counters.  `RefCell` because the probe is handed to the scheduling
     /// policy behind an immutable [`CacheProbe`] reference.
     probe_cache: RefCell<ProbeCache>,
-    /// Incrementally maintained routing-probe capture (copy-on-write per tier, keyed
-    /// by the same generation counters) — [`Self::prefix_probe`] reuses unchanged
-    /// tiers instead of cloning every resident set per capture.  `RefCell` because
-    /// captures go through `&self`.
-    probe_snapshots: RefCell<PrefixProbeCache>,
     running: HashMap<u64, RunningRequest>,
     stage_free_at: Vec<SimTime>,
     max_input_length: u64,
@@ -384,7 +378,6 @@ impl EngineInstance {
             pending_hashes: HashMap::new(),
             pending_requests: HashMap::new(),
             probe_cache: RefCell::new(ProbeCache::new()),
-            probe_snapshots: RefCell::new(PrefixProbeCache::new()),
             running: HashMap::new(),
             stage_free_at: vec![SimTime::ZERO; stages],
             max_input_length: profile.max_input_length,
@@ -504,7 +497,7 @@ impl EngineInstance {
     /// Installs an append-only view of the cluster-shared network KV tier (see
     /// [`kvcache::NetPoolView`]); `content_unchanged` forwards the cluster's proof
     /// that this install is observationally identical to the previous one, keeping
-    /// routing-probe memoisation warm across the boundary.
+    /// the scheduler's probe memoisation warm across the boundary.
     pub fn install_net_view(&mut self, view: kvcache::NetPoolView, content_unchanged: bool) {
         self.kv.install_net_view(view, content_unchanged);
     }
@@ -540,13 +533,10 @@ impl EngineInstance {
         }
     }
 
-    /// An immutable three-tier residency snapshot of this instance's KV manager (see
-    /// [`kvcache::PrefixProbe`]) — what cache-aware routing probes at the start of
-    /// each replay window or propagation epoch.  Maintained incrementally: a tier
-    /// whose generation counter is unchanged since the previous capture is reused
-    /// (one `Arc` clone) instead of re-collected.
-    pub fn prefix_probe(&self) -> kvcache::PrefixProbe {
-        self.probe_snapshots.borrow_mut().probe(&self.kv)
+    /// This instance's KV manager — what cache-aware routing walks hash chains
+    /// against at the start of each replay window or propagation epoch.
+    pub(crate) fn kv(&self) -> &KvCacheManager {
+        &self.kv
     }
 
     /// Earliest virtual time at which a new request could be admitted (when the first

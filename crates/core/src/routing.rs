@@ -13,16 +13,17 @@
 //! State-dependent routing breaks the instance-independence the parallel replay relies
 //! on — a decision taken mid-window would have to observe another thread's simulation
 //! state.  The routing layer therefore mirrors the network tier's snapshot-merge
-//! discipline: at the start of each replay window ([`crate::Cluster::run`] /
-//! `run_sequential`) the cluster captures a [`RouterSnapshot`] — per-instance queue
-//! depth and outstanding tokens, plus (for policies that ask) a frozen three-tier
-//! [`PrefixProbe`] of each instance's KV manager — and routes *every* arrival of the
-//! window against that snapshot, in `(arrival time, trace index)` order, before any
-//! instance simulates.  The snapshot's load half is updated with the policy's own
-//! decisions as the pass proceeds (so balancing works within a window); the probe half
-//! stays frozen (cache effects propagate between windows, exactly like the shared
-//! network pool).  Both replay paths call the same pass, so the partition — and hence
-//! the replay — is byte-identical no matter how many threads simulate it.
+//! discipline: at the start of each replay window or propagation epoch the cluster
+//! builds a [`RouterSnapshot`] — per-instance queue depth and outstanding tokens, plus
+//! (for policies that ask) a shared borrow of each instance's live KV manager — and
+//! routes *every* arrival of the window against it, in `(arrival time, trace index)`
+//! order, on the main thread and before any instance simulates.  The snapshot's load
+//! half is updated with the policy's own decisions as the pass proceeds (so balancing
+//! works within a window); the residency half cannot change during the pass, because
+//! the borrow keeps every manager immutable until the snapshot is dropped (cache
+//! effects propagate between windows, exactly like the shared network pool).  Both
+//! replay paths call the same pass, so the partition — and hence the replay — is
+//! byte-identical no matter how many threads simulate it.
 //!
 //! Sticky routing needs no snapshot at all: it is a pure function of user
 //! first-appearance order, which trace generation precomputes
@@ -33,7 +34,7 @@ use std::collections::{HashMap, HashSet};
 
 use serde::{Deserialize, Serialize};
 
-use kvcache::{PrefixProbe, TokenBlockHash};
+use kvcache::{KvCacheManager, TokenBlockHash};
 use workload::{ArrivalPattern, StreamedArrival};
 
 /// Why routing could not be set up.
@@ -131,21 +132,55 @@ pub struct InstanceLoad {
 }
 
 /// The deterministic per-window view routing policies decide against (see the module
-/// docs for the lifecycle).
+/// docs for the lifecycle).  Loads are copied at capture time; prefix residency is
+/// read from the borrowed KV managers, which cannot change while the snapshot lives.
 ///
 /// In the current full-drain replay windows every instance is idle between `run`
 /// calls, so the *captured* loads are zero and the load signal is driven entirely by
 /// [`Self::note_routed`] within the window; the capture exists so mid-trace windowing
 /// (and tests) see real queue state without an API change.
+///
+/// ```
+/// use kvcache::{hash_token_blocks, KvCacheManager, RetentionPolicy};
+/// use prefillonly::{InstanceLoad, RouterSnapshot};
+/// use simcore::SimTime;
+///
+/// let mut warm = KvCacheManager::new(64, 16);
+/// let tokens: Vec<u32> = (0..64).collect();
+/// let alloc = warm
+///     .allocate(&tokens, SimTime::ZERO, RetentionPolicy::FullResidency)
+///     .unwrap();
+/// warm.commit(alloc, SimTime::ZERO);
+/// let cold = KvCacheManager::new(64, 16);
+///
+/// // 16-token blocks, a 64-block GPU pool, CPU and network hit discounts.
+/// let loads = vec![InstanceLoad::default(); 2];
+/// let snapshot = RouterSnapshot::new(loads, vec![&warm, &cold], 16, 64, 0.8, 0.4);
+/// let hashes = hash_token_blocks(&tokens, 16);
+/// assert_eq!(snapshot.discounted_hit_tokens(0, &hashes), 64);
+/// assert_eq!(snapshot.discounted_hit_tokens(1, &hashes), 0);
+/// ```
+///
+/// The snapshot borrows the managers, so none of them can change while it is
+/// alive:
+///
+/// ```compile_fail,E0502
+/// # use kvcache::{hash_token_blocks, KvCacheManager};
+/// # use prefillonly::{InstanceLoad, RouterSnapshot};
+/// let mut kv = KvCacheManager::new(64, 16);
+/// let snapshot = RouterSnapshot::new(vec![InstanceLoad::default()], vec![&kv], 16, 64, 0.8, 0.4);
+/// kv.clear_cache(); // error: `kv` is still borrowed by the snapshot
+/// snapshot.discounted_hit_tokens(0, &hash_token_blocks(&[1; 16], 16));
+/// ```
 #[derive(Debug)]
-pub struct RouterSnapshot {
+pub struct RouterSnapshot<'a> {
     loads: Vec<InstanceLoad>,
-    /// One frozen three-tier probe per instance; empty unless the policy asked for
-    /// probes ([`RoutingPolicy::needs_prefix_probe`]).
-    probes: Vec<PrefixProbe>,
+    /// One live KV manager per instance; empty unless the policy consults prefix
+    /// residency ([`RoutingPolicy::needs_prefix_probe`]).
+    kv: Vec<&'a KvCacheManager>,
     /// The instance slots a decision may name, ascending.  On a fixed fleet this is
     /// the identity `0..loads.len()`; under elastic membership, draining and
-    /// retired slots stay *in* the loads/probes vectors (instance indices are
+    /// retired slots stay *in* the loads/managers vectors (instance indices are
     /// stable for the replay's lifetime) but drop out of this list, so policies
     /// never route new work onto a leaver.
     slots: Vec<usize>,
@@ -160,34 +195,33 @@ pub struct RouterSnapshot {
     net_hit_discount: f64,
 }
 
-impl RouterSnapshot {
-    /// Decomposes the snapshot into its load and probe buffers so the caller can
-    /// recycle the allocations for the next routing pass (epoch-driven replay
-    /// routes thousands of passes per window; reallocating per pass is pure
-    /// overhead).
-    pub fn into_buffers(self) -> (Vec<InstanceLoad>, Vec<PrefixProbe>) {
-        (self.loads, self.probes)
+impl<'a> RouterSnapshot<'a> {
+    /// Returns the load buffer so the caller can recycle the allocation for the
+    /// next routing pass (epoch-driven replay routes thousands of passes per
+    /// window; reallocating per pass is pure overhead).
+    pub fn into_loads(self) -> Vec<InstanceLoad> {
+        self.loads
     }
 
-    /// Builds a snapshot from per-instance loads and (optionally) per-instance
-    /// probes.  `probes` must be empty or have one entry per instance.  Every slot
+    /// Builds a snapshot from per-instance loads and (optionally) each instance's
+    /// KV manager.  `kv` must be empty or have one entry per instance.  Every slot
     /// is routable; use [`Self::with_routable_slots`] to restrict.
     pub fn new(
         loads: Vec<InstanceLoad>,
-        probes: Vec<PrefixProbe>,
+        kv: Vec<&'a KvCacheManager>,
         block_size: usize,
         pool_capacity_blocks: u64,
         cpu_hit_discount: f64,
         net_hit_discount: f64,
-    ) -> RouterSnapshot {
+    ) -> RouterSnapshot<'a> {
         assert!(
-            probes.is_empty() || probes.len() == loads.len(),
-            "one probe per instance (or none at all)"
+            kv.is_empty() || kv.len() == loads.len(),
+            "one KV manager per instance (or none at all)"
         );
         let slots = (0..loads.len()).collect();
         RouterSnapshot {
             loads,
-            probes,
+            kv,
             slots,
             block_size,
             pool_capacity_blocks,
@@ -197,10 +231,10 @@ impl RouterSnapshot {
     }
 
     /// Restricts the snapshot to the given routable slots (ascending instance
-    /// indices; draining/retired slots keep their loads/probes entries but may not
-    /// be chosen).  Panics unless `slots` is non-empty, strictly ascending and
+    /// indices; draining/retired slots keep their loads/managers entries but may
+    /// not be chosen).  Panics unless `slots` is non-empty, strictly ascending and
     /// in range — an all-leavers fleet has nowhere to route.
-    pub fn with_routable_slots(mut self, slots: Vec<usize>) -> RouterSnapshot {
+    pub fn with_routable_slots(mut self, slots: Vec<usize>) -> RouterSnapshot<'a> {
         assert!(!slots.is_empty(), "at least one routable slot");
         assert!(
             slots.windows(2).all(|w| w[0] < w[1])
@@ -245,13 +279,13 @@ impl RouterSnapshot {
     /// so crediting it would make the router prefer placements the allocator will
     /// truncate.
     ///
-    /// Returns 0 when the snapshot carries no probes.
+    /// Returns 0 when the snapshot carries no KV managers.
     pub fn discounted_hit_tokens(&self, instance: usize, hashes: &[TokenBlockHash]) -> u64 {
-        let Some(probe) = self.probes.get(instance) else {
+        let Some(kv) = self.kv.get(instance) else {
             return 0;
         };
         crate::instance::effective_cached_tokens(
-            probe.tier_hits(hashes),
+            kv.lookup_tier_hits_from_hashes(hashes),
             self.pool_capacity_blocks,
             self.block_size,
             self.cpu_hit_discount,
@@ -259,15 +293,15 @@ impl RouterSnapshot {
         )
     }
 
-    /// Whether any probe of the snapshot holds *any* resident block in *any* tier.
-    /// When false, every chain walk answers depth 0, so a cache-consulting caller
-    /// can skip hashing arrival tokens entirely — the routing outcome is provably
-    /// the load fallback either way.  A cold fleet (the entire first window, and
-    /// every epoch before the first spill propagates) pays zero hashing cost.
+    /// Whether any KV manager of the snapshot holds *any* resident block in *any*
+    /// tier.  When false, every chain walk answers depth 0, so a cache-consulting
+    /// caller can skip hashing arrival tokens entirely — the routing outcome is
+    /// provably the load fallback either way.  A cold fleet (the entire first
+    /// window, and every epoch before the first spill propagates) pays zero
+    /// hashing cost.
     pub fn has_prefix_residency(&self) -> bool {
-        self.probes.iter().any(|probe| {
-            let (gpu, cpu, net) = probe.resident_blocks();
-            gpu + cpu + net > 0
+        self.kv.iter().any(|kv| {
+            kv.cached_blocks() > 0 || kv.cpu_resident_blocks() > 0 || kv.net_resident_blocks() > 0
         })
     }
 
@@ -300,8 +334,9 @@ pub trait RoutingPolicy: Send {
     /// Which configured kind this policy implements.
     fn kind(&self) -> RoutingPolicyKind;
 
-    /// Whether [`RouterSnapshot`] must include per-instance prefix probes (building
-    /// them costs a pass over every tier's resident set, so only cache-consulting
+    /// Whether the routing pass must hash each arrival's tokens and give the
+    /// [`RouterSnapshot`] every instance's KV manager to walk the chain against
+    /// (hashing costs a pass over the prompt per arrival, so only cache-consulting
     /// policies should ask).
     fn needs_prefix_probe(&self) -> bool {
         false
@@ -724,7 +759,7 @@ mod tests {
             .contains("at least one"));
     }
 
-    fn snapshot_with_loads(loads: Vec<InstanceLoad>) -> RouterSnapshot {
+    fn snapshot_with_loads(loads: Vec<InstanceLoad>) -> RouterSnapshot<'static> {
         RouterSnapshot::new(loads, Vec::new(), 16, 1 << 20, 0.9, 0.5)
     }
 
@@ -734,6 +769,30 @@ mod tests {
             num_tokens,
             hashes: &[],
         }
+    }
+
+    const BLOCK_SIZE: usize = 16;
+    const BLOCK_BYTES: u64 = 16 * 128 * 1024;
+
+    /// A manager holding `gpu_tokens` committed in its GPU prefix cache and
+    /// `net_hashes` in a private network tier (the discounted tier).
+    fn manager_holding(gpu_tokens: &[u32], net_hashes: &[TokenBlockHash]) -> KvCacheManager {
+        use kvcache::{NetKvPool, RetentionPolicy};
+        use simcore::SimTime;
+
+        let mut kv = KvCacheManager::new(64, BLOCK_SIZE);
+        if !gpu_tokens.is_empty() {
+            let alloc = kv
+                .allocate(gpu_tokens, SimTime::ZERO, RetentionPolicy::FullResidency)
+                .unwrap();
+            kv.commit(alloc, SimTime::ZERO);
+        }
+        if !net_hashes.is_empty() {
+            let mut pool = NetKvPool::new(1 << 30, BLOCK_BYTES);
+            pool.offload(net_hashes, SimTime::ZERO);
+            kv.install_net_pool(pool);
+        }
+        kv
     }
 
     #[test]
@@ -793,24 +852,15 @@ mod tests {
     fn cache_aware_prefers_depth_and_falls_back_to_load() {
         use kvcache::hash_token_blocks;
 
-        let block_size = 16usize;
         let chain: Vec<u32> = (0..128).collect();
-        let hashes = hash_token_blocks(&chain, block_size);
+        let hashes = hash_token_blocks(&chain, BLOCK_SIZE);
 
         // Instance 1 holds the whole chain on GPU; instance 0 holds it only in the
-        // CPU tier (discounted); instance 2 is cold but idle.
-        let probe_of = |gpu: &[TokenBlockHash], cpu: &[TokenBlockHash]| {
-            kvcache::PrefixProbe::new(
-                block_size,
-                gpu.iter().copied().collect(),
-                cpu.iter().copied().collect(),
-                Default::default(),
-            )
-        };
-        let probes = vec![
-            probe_of(&[], &hashes),
-            probe_of(&hashes, &[]),
-            probe_of(&[], &[]),
+        // network tier (discounted); instance 2 is cold but idle.
+        let managers = [
+            manager_holding(&[], &hashes),
+            manager_holding(&chain, &[]),
+            manager_holding(&[], &[]),
         ];
         let loads = vec![
             InstanceLoad::default(),
@@ -820,10 +870,19 @@ mod tests {
             },
             InstanceLoad::default(),
         ];
-        let snapshot = RouterSnapshot::new(loads, probes, block_size, 1 << 20, 0.8, 0.4);
+        let snapshot = RouterSnapshot::new(
+            loads,
+            managers.iter().collect(),
+            BLOCK_SIZE,
+            1 << 20,
+            0.8,
+            0.4,
+        );
+        assert_eq!(snapshot.discounted_hit_tokens(0, &hashes), 51, "128 × 0.4");
+        assert_eq!(snapshot.discounted_hit_tokens(1, &hashes), 128);
         let mut policy = RoutingPolicyKind::CacheAware.build(3).unwrap();
 
-        // Full GPU residency beats a discounted CPU hit, load notwithstanding.
+        // Full GPU residency beats a discounted network hit, load notwithstanding.
         let q = RouteQuery {
             user_id: 7,
             num_tokens: 128,
@@ -833,7 +892,7 @@ mod tests {
         assert_eq!((d.instance, d.reason), (1, RoutingReason::DeepestPrefix));
 
         // A chain nobody holds falls back to load (idle 0 and 2 tie → index 0).
-        let cold = hash_token_blocks(&(500_000..500_128u32).collect::<Vec<_>>(), block_size);
+        let cold = hash_token_blocks(&(500_000..500_128u32).collect::<Vec<_>>(), BLOCK_SIZE);
         let q = RouteQuery {
             user_id: 8,
             num_tokens: 128,
@@ -843,21 +902,181 @@ mod tests {
         assert_eq!((d.instance, d.reason), (0, RoutingReason::LoadFallback));
     }
 
+    /// Each slot reads the shared tier through its own publish-time-filtered view:
+    /// a chain slot 0 spilled during the epoch is credited on slot 0 (its origin)
+    /// only, until the barrier absorbs it and an install past its publish time
+    /// shows it to slot 1 as well — even between two installs of one content
+    /// generation.
+    #[test]
+    fn cache_aware_credits_each_slot_only_what_its_view_publishes() {
+        use kvcache::{hash_token_blocks, NetKvPool};
+        use simcore::{SimDuration, SimTime};
+
+        let delay = SimDuration::from_millis(500);
+        let mut shared = NetKvPool::new(1 << 30, BLOCK_BYTES).with_propagation_delay(delay);
+        let hashes = hash_token_blocks(&(0..64).collect::<Vec<u32>>(), BLOCK_SIZE);
+        let t = SimTime::from_millis(1_000);
+        let published = t + delay;
+        let mut managers = [
+            KvCacheManager::new(64, BLOCK_SIZE),
+            KvCacheManager::new(64, BLOCK_SIZE),
+        ];
+        let credited = |managers: &[KvCacheManager]| -> Vec<u64> {
+            let snapshot = RouterSnapshot::new(
+                vec![InstanceLoad::default(); 2],
+                managers.iter().collect(),
+                BLOCK_SIZE,
+                1 << 20,
+                0.8,
+                0.5,
+            );
+            (0..2)
+                .map(|slot| snapshot.discounted_hit_tokens(slot, &hashes))
+                .collect()
+        };
+        let barrier = |managers: &mut [KvCacheManager], shared: &mut NetKvPool, at: SimTime| {
+            for kv in managers.iter_mut() {
+                let view = kv.take_net_view().expect("a shared-tier view");
+                shared.absorb(view.into_delta());
+            }
+            for (slot, kv) in managers.iter_mut().enumerate() {
+                kv.install_net_view(shared.view_at(at, slot), false);
+            }
+        };
+
+        // Slot 0 spills the chain at `t`; it publishes at `t + delay`.
+        let mut view = shared.view_at(t, 0);
+        view.offload(&hashes, t);
+        managers[0].install_net_view(view, false);
+        managers[1].install_net_view(shared.view_at(t, 1), false);
+        assert_eq!(
+            credited(&managers),
+            vec![32, 0],
+            "64 tokens × 0.5 on slot 0"
+        );
+
+        // Absorbed but not yet published: still slot 0's alone.
+        barrier(
+            &mut managers,
+            &mut shared,
+            published - SimDuration::from_millis(1),
+        );
+        assert_eq!(credited(&managers), vec![32, 0]);
+
+        // Past its publish time, with the shared tier's content unchanged since the
+        // previous install, both slots see it.
+        let generation = shared.generation();
+        barrier(&mut managers, &mut shared, published);
+        assert_eq!(shared.generation(), generation);
+        assert_eq!(credited(&managers), vec![32, 32]);
+    }
+
+    /// The depth credited is the live three-tier lookup's: GPU hits in full, the
+    /// CPU and network continuations at their discounts, each capped by the GPU
+    /// pool room the tiers above leave.
+    #[test]
+    fn discounted_hits_weight_each_live_tier_and_respect_the_pool_cap() {
+        use kvcache::{hash_token_blocks, NetKvPool, RetentionPolicy, TierHits};
+        use simcore::SimTime;
+
+        // A 6-block chain: blocks 0..2 on the GPU, block 2 in the CPU tier and
+        // blocks 3..6 in the network tier.
+        let chain: Vec<u32> = (0..96).collect();
+        let hashes = hash_token_blocks(&chain, BLOCK_SIZE);
+        let mut kv = KvCacheManager::with_offload(3, BLOCK_SIZE, 1 << 30, BLOCK_BYTES);
+        // Re-touching the 2-block head makes block 2 the victim the fresh block
+        // spills to the CPU tier.
+        let fresh: Vec<u32> = (9_000..9_016).collect();
+        for (secs, tokens) in [(0, &chain[..48]), (1, &chain[..32]), (2, &fresh[..])] {
+            let now = SimTime::from_secs(secs);
+            let alloc = kv
+                .allocate(tokens, now, RetentionPolicy::FullResidency)
+                .unwrap();
+            kv.commit(alloc, now);
+        }
+        let mut net = NetKvPool::new(1 << 30, BLOCK_BYTES);
+        net.offload(&hashes[3..], SimTime::from_secs(2));
+        kv.install_net_pool(net);
+        assert_eq!(
+            kv.lookup_tier_hits_from_hashes(&hashes),
+            TierHits {
+                gpu_blocks: 2,
+                cpu_blocks: 1,
+                net_blocks: 3,
+            }
+        );
+
+        let credited = |pool_capacity_blocks| {
+            RouterSnapshot::new(
+                vec![InstanceLoad::default()],
+                vec![&kv],
+                BLOCK_SIZE,
+                pool_capacity_blocks,
+                0.8,
+                0.4,
+            )
+            .discounted_hit_tokens(0, &hashes)
+        };
+        assert_eq!(credited(1 << 20), 32 + 12 + 19, "32, 16 × 0.8, 48 × 0.4");
+        assert_eq!(credited(4), 32 + 12 + 6, "room for one network block");
+        assert_eq!(credited(2), 32, "no room past the GPU hit");
+    }
+
+    /// The hashing skip reads each manager's per-tier resident counts: residency
+    /// in any one tier of any one manager makes the pass hash.
+    #[test]
+    fn prefix_residency_counts_every_tier() {
+        use kvcache::{hash_token_blocks, RetentionPolicy};
+        use simcore::SimTime;
+
+        let chain: Vec<u32> = (0..64).collect();
+        let hashes = hash_token_blocks(&chain, BLOCK_SIZE);
+        // CPU-only residency: fresh traffic evicts the chain into the CPU tier,
+        // then a reset empties the GPU cache without spilling.
+        let mut cpu_only = KvCacheManager::with_offload(4, BLOCK_SIZE, 1 << 30, BLOCK_BYTES);
+        let fresh: Vec<u32> = (1_000..1_064).collect();
+        for (secs, tokens) in [(0, &chain), (1, &fresh)] {
+            let now = SimTime::from_secs(secs);
+            let alloc = cpu_only
+                .allocate(tokens, now, RetentionPolicy::FullResidency)
+                .unwrap();
+            cpu_only.commit(alloc, now);
+        }
+        cpu_only.clear_cache();
+        assert_eq!(
+            (cpu_only.cached_blocks(), cpu_only.cpu_resident_blocks()),
+            (0, 4)
+        );
+
+        let cold = manager_holding(&[], &[]);
+        let has_residency = |kv: &KvCacheManager| {
+            RouterSnapshot::new(
+                vec![InstanceLoad::default(); 2],
+                vec![&cold, kv],
+                BLOCK_SIZE,
+                1 << 20,
+                0.8,
+                0.4,
+            )
+            .has_prefix_residency()
+        };
+        assert!(!has_residency(&manager_holding(&[], &[])));
+        assert!(has_residency(&manager_holding(&chain, &[])), "GPU");
+        assert!(has_residency(&cpu_only), "CPU");
+        assert!(has_residency(&manager_holding(&[], &hashes)), "network");
+    }
+
     #[test]
     fn cache_aware_tie_breaks_by_load_then_index() {
         use kvcache::hash_token_blocks;
 
-        let block_size = 16usize;
         let chain: Vec<u32> = (0..64).collect();
-        let hashes = hash_token_blocks(&chain, block_size);
-        let full_probe = || {
-            kvcache::PrefixProbe::new(
-                block_size,
-                hashes.iter().copied().collect(),
-                Default::default(),
-                Default::default(),
-            )
-        };
+        let hashes = hash_token_blocks(&chain, BLOCK_SIZE);
+        let full = [
+            manager_holding(&chain, &[]),
+            manager_holding(&chain, &[]),
+            manager_holding(&chain, &[]),
+        ];
         // Equal depth everywhere; instance 2 is the least loaded.
         let loads = vec![
             InstanceLoad {
@@ -873,14 +1092,8 @@ mod tests {
                 outstanding_tokens: 4_000,
             },
         ];
-        let snapshot = RouterSnapshot::new(
-            loads,
-            vec![full_probe(), full_probe(), full_probe()],
-            block_size,
-            1 << 20,
-            0.8,
-            0.4,
-        );
+        let snapshot =
+            RouterSnapshot::new(loads, full.iter().collect(), BLOCK_SIZE, 1 << 20, 0.8, 0.4);
         let mut policy = RoutingPolicyKind::CacheAware.build(3).unwrap();
         let q = RouteQuery {
             user_id: 1,
@@ -892,8 +1105,8 @@ mod tests {
         // Equal depth *and* equal load: lowest index, repeatably.
         let even = RouterSnapshot::new(
             vec![InstanceLoad::default(); 3],
-            vec![full_probe(), full_probe(), full_probe()],
-            block_size,
+            full.iter().collect(),
+            BLOCK_SIZE,
             1 << 20,
             0.8,
             0.4,
@@ -1165,22 +1378,17 @@ mod tests {
 
         // Cache-aware: the deepest hit lives on the unroutable slot; the policy
         // must settle for the deepest hit among the routable ones.
-        let block_size = 16usize;
         let chain: Vec<u32> = (0..64).collect();
-        let hashes = hash_token_blocks(&chain, block_size);
-        let probe_of = |gpu: &[TokenBlockHash]| {
-            kvcache::PrefixProbe::new(
-                block_size,
-                gpu.iter().copied().collect(),
-                Default::default(),
-                Default::default(),
-            )
-        };
-        let probes = vec![probe_of(&hashes), probe_of(&hashes[..2]), probe_of(&[])];
+        let hashes = hash_token_blocks(&chain, BLOCK_SIZE);
+        let managers = [
+            manager_holding(&chain, &[]),
+            manager_holding(&chain[..2 * BLOCK_SIZE], &[]),
+            manager_holding(&[], &[]),
+        ];
         let snapshot = RouterSnapshot::new(
             vec![InstanceLoad::default(); 3],
-            probes,
-            block_size,
+            managers.iter().collect(),
+            BLOCK_SIZE,
             1 << 20,
             0.8,
             0.4,

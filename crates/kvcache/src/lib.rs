@@ -41,7 +41,6 @@ mod manager;
 mod netpool;
 mod offload;
 mod probe;
-mod snapshot;
 
 pub use block::{BlockId, BlockPool};
 pub use growth::SequenceGrowth;
@@ -54,4 +53,3 @@ pub use manager::{
 pub use netpool::{NetKvPool, NetPoolView, NetReload, ViewDelta};
 pub use offload::{CpuEviction, CpuKvPool, OffloadStats};
 pub use probe::ProbeCache;
-pub use snapshot::{PrefixProbe, PrefixProbeCache};

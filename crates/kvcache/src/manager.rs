@@ -569,44 +569,6 @@ impl KvCacheManager {
         }
     }
 
-    /// The hashes of every block resident in the GPU prefix cache, in unspecified
-    /// order (mirrors the pools' `resident_hashes`; used to snapshot the tier into
-    /// an immutable [`PrefixProbe`](crate::PrefixProbe)).
-    pub fn resident_gpu_hashes(&self) -> impl Iterator<Item = TokenBlockHash> + '_ {
-        self.cached.keys().copied()
-    }
-
-    /// The hashes of every block resident in the CPU tier (empty when offload is
-    /// disabled), in unspecified order.
-    pub fn resident_cpu_hashes(&self) -> impl Iterator<Item = TokenBlockHash> + '_ {
-        self.cpu.iter().flat_map(CpuKvPool::resident_hashes)
-    }
-
-    /// The hashes of every block resident in the installed network-tier snapshot
-    /// (empty when none is installed), in unspecified order.
-    pub fn resident_net_hashes(&self) -> impl Iterator<Item = TokenBlockHash> + '_ {
-        self.net.iter().flat_map(NetPoolView::resident_hashes)
-    }
-
-    /// Captures an immutable three-tier residency snapshot for routing-time probes
-    /// (see [`PrefixProbe`](crate::PrefixProbe)): the answers of
-    /// [`PrefixProbe::tier_hits`](crate::PrefixProbe::tier_hits) equal
-    /// [`Self::lookup_tier_hits_from_hashes`] at capture time and stay frozen no
-    /// matter what the live manager does afterwards.
-    ///
-    /// Building a probe clones every tier's resident set — O(resident blocks).
-    /// Repeated captures (per propagation epoch) should go through the incremental
-    /// [`PrefixProbeCache`](crate::PrefixProbeCache) instead, which reuses each
-    /// tier's set while that tier's generation counter proves it unchanged.
-    pub fn prefix_probe(&self) -> crate::PrefixProbe {
-        crate::PrefixProbe::new(
-            self.block_size,
-            self.resident_gpu_hashes().collect(),
-            self.resident_cpu_hashes().collect(),
-            self.resident_net_hashes().collect(),
-        )
-    }
-
     /// Resumes a hash-chain walk from a previously measured hit depth.
     ///
     /// Sound only while [`Self::evict_generation`] is unchanged since `prev_hit_blocks`
@@ -1500,6 +1462,50 @@ mod tests {
         assert_eq!(again.reloaded_tokens(), 64);
         assert_eq!(again.uncached_tokens(), 0);
         m.commit(again, SimTime::from_secs(3));
+        m.assert_lru_invariant();
+    }
+
+    #[test]
+    fn tier_walks_stop_at_the_first_block_missing_from_every_tier() {
+        // A 6-block chain spread over all three tiers with a gap: blocks 0..2 on
+        // the GPU, block 2 in the CPU tier, block 3 nowhere and blocks 4..6 in the
+        // network tier.  The walk must stop at the gap.
+        let mut m = KvCacheManager::with_offload(3, 16, 1 << 30, CPU_BLOCK_BYTES);
+        let chain = tokens(0, 96);
+        let hashes = hash_token_blocks(&chain, 16);
+        let run = |m: &mut KvCacheManager, tokens: &[u32], secs: u64| {
+            let alloc = m
+                .allocate(
+                    tokens,
+                    SimTime::from_secs(secs),
+                    RetentionPolicy::FullResidency,
+                )
+                .unwrap();
+            m.commit(alloc, SimTime::from_secs(secs));
+        };
+        run(&mut m, &chain[..48], 0);
+        // Re-touch the 2-block head so block 2 is the LRU victim of the next
+        // allocation, which spills it to the CPU tier.
+        run(&mut m, &chain[..32], 1);
+        run(&mut m, &tokens(9_000, 16), 2);
+        let mut net = crate::NetKvPool::new(1 << 30, CPU_BLOCK_BYTES);
+        net.offload(&hashes[4..], SimTime::from_secs(2));
+        m.install_net_pool(net);
+
+        assert_eq!(m.cpu_resident_blocks(), 1);
+        assert_eq!(
+            m.net_resident_blocks(),
+            2,
+            "the blocks behind the gap are resident"
+        );
+        assert_eq!(
+            m.lookup_tier_hits_from_hashes(&hashes),
+            TierHits {
+                gpu_blocks: 2,
+                cpu_blocks: 1,
+                net_blocks: 0,
+            }
+        );
         m.assert_lru_invariant();
     }
 

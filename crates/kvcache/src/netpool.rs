@@ -58,10 +58,11 @@
 //! test fixture's — is installed as a *private* view ([`NetPoolView::private`])
 //! and evicts in place like the shared pool.
 //!
-//! To let routing-probe memoisation survive boundaries, the pool also keeps a
-//! publish-ordered log of unsettled publications: [`NetKvPool::published_in`] answers
-//! "did any entry's visibility flip between these two epoch starts?" in O(log n),
-//! and [`NetKvPool::meta_generation`] tracks publication-metadata changes the content
+//! To let the scheduler's probe memoisation ([`ProbeCache`](crate::ProbeCache))
+//! survive boundaries, the pool also keeps a publish-ordered log of unsettled
+//! publications: [`NetKvPool::published_in`] answers "did any entry's visibility
+//! flip between these two epoch starts?" in O(log n), and
+//! [`NetKvPool::meta_generation`] tracks publication-metadata changes the content
 //! [`NetKvPool::generation`] deliberately ignores.
 //!
 //! Unlike [`CpuKvPool`](crate::CpuKvPool), the pool keeps no statistics of its own:
@@ -397,9 +398,9 @@ impl NetKvPool {
         (written, evicted)
     }
 
-    /// The hashes of every resident block, in unspecified order (used to snapshot
-    /// the tier into an immutable [`PrefixProbe`](crate::PrefixProbe)).
-    pub fn resident_hashes(&self) -> impl Iterator<Item = TokenBlockHash> + '_ {
+    /// The hashes of every resident block, in unspecified order.
+    #[cfg(test)]
+    fn resident_hashes(&self) -> impl Iterator<Item = TokenBlockHash> + '_ {
         self.state.entries.keys().copied()
     }
 
@@ -871,7 +872,8 @@ impl NetPoolView {
     }
 
     /// The hashes of every readable block, in unspecified order.
-    pub fn resident_hashes(&self) -> Box<dyn Iterator<Item = TokenBlockHash> + '_> {
+    #[cfg(test)]
+    fn resident_hashes(&self) -> Box<dyn Iterator<Item = TokenBlockHash> + '_> {
         match &self.repr {
             ViewRepr::Overlay(view) => Box::new(
                 view.base

@@ -245,12 +245,6 @@ impl CpuKvPool {
         written
     }
 
-    /// The hashes of every resident block, in unspecified order (used to snapshot
-    /// the tier into an immutable [`PrefixProbe`](crate::PrefixProbe)).
-    pub fn resident_hashes(&self) -> impl Iterator<Item = TokenBlockHash> + '_ {
-        self.entries.keys().copied()
-    }
-
     /// Every resident entry in eviction order — oldest `(last_used, hash)` first —
     /// carrying the same reuse evidence an eviction would report (see
     /// [`CpuEviction::uses`]).  The drain path of an instance leaving the fleet walks

@@ -400,8 +400,8 @@ fn cache_aware_routing_beats_sticky_on_a_shared_prefix_multi_user_trace() {
     // other; the main window's first appearances are ordered so §7.1 sticky
     // round-robin splits each cohort across both instances — recomputing each
     // cohort's prefix cold on the instance that never held it — while cache-aware
-    // routing reads the window-start prefix probes and consolidates each cohort
-    // onto its warm instance.  Mean JCT must be strictly lower under cache-aware
+    // routing walks each instance's window-start KV residency and consolidates each
+    // cohort onto its warm instance.  Mean JCT must be strictly lower under cache-aware
     // routing, with identical per-instance user counts (the win is cache reuse,
     // not load shifting).
     use prefillonly::{RoutingPolicyKind, RoutingReason};
