@@ -6,7 +6,7 @@
 //! times) against the deployment and produces the [`RunReport`] every figure of the
 //! evaluation is computed from.
 //!
-//! # Parallel replay and windowed routing
+//! # Parallel replay and epoch routing
 //!
 //! No event ever crosses instances: an `Admit` or `Complete` event only touches the
 //! instance that produced it.  Replicated deployments therefore factor into
@@ -18,29 +18,36 @@
 //! `parallel_run_is_identical_to_sequential` test.
 //!
 //! Routing is what could break that factoring: a policy that consults instance state
-//! mid-window would couple the per-instance loops.  Instead, every `run` call is one
-//! *replay window*: the configured [`RoutingPolicy`](crate::routing) routes **all**
-//! arrivals up front, in `(arrival time, trace index)` order, against a
-//! [`RouterSnapshot`](crate::routing::RouterSnapshot) of the window-start state
-//! (modelled loads updated with the pass's own decisions; for cache-aware policies,
-//! a borrow of every instance's KV manager, which nothing can mutate until the pass
-//! ends) — mirroring the snapshot-install/merge discipline of the shared network KV
-//! tier.  Both replay paths run the identical pass, so the partition, and hence the
-//! replay, is byte-identical.
+//! mid-epoch would couple the per-instance loops.  Instead, every replay is cut into
+//! *epochs*, and the configured [`RoutingPolicy`](crate::routing) routes **all** of an
+//! epoch's arrivals up front, in `(arrival time, request id)` order, against a
+//! [`RouterSnapshot`] of the epoch-start state (modelled loads updated with the
+//! pass's own decisions; for cache-aware policies, a borrow of every instance's KV
+//! manager, which nothing can mutate until the pass ends) — mirroring the
+//! snapshot-install/merge discipline of the shared network KV tier.  Both flavours
+//! run the identical pass, so the partition, and hence the replay, is
+//! byte-identical.
+//!
+//! Every entry point drives the same replay loop (see "Streaming replay").  The
+//! materialised ones — [`Cluster::run`] and its siblings — stream their slice in
+//! `(arrival time, trace index)` order, with trace indices as request ids.  On a
+//! fixed, colocated fleet without propagation epochs, a materialised trace replays
+//! as a single *replay window*: one epoch with no boundary, routed against the
+//! window-start snapshot and simulated to completion, with no barrier work.
 //!
 //! # Propagation epochs (`net_propagation_ms > 0`)
 //!
-//! With a finite [`EngineConfig::net_propagation_ms`] the window is subdivided into
+//! With a finite [`EngineConfig::net_propagation_ms`] the replay is cut into
 //! deterministic *propagation epochs* of that length.  Each epoch repeats the window
 //! discipline in miniature, in lockstep across all instances:
 //!
 //! 1. every instance receives a [`NetKvPool::view_at`] view of the shared tier —
 //!    the entries whose publish time (`spill time + delay`) has passed the epoch
 //!    start, plus an append-only overlay for its own spills;
-//! 2. the epoch's arrivals are routed in `(arrival time, trace index)` order against
-//!    a *fresh* [`RouterSnapshot`](crate::routing::RouterSnapshot) (live loads carry
-//!    queued work over from earlier epochs; cache-aware walks read the KV managers
-//!    as this epoch's installs left them);
+//! 2. the epoch's arrivals are routed in `(arrival time, request id)` order against
+//!    a *fresh* [`RouterSnapshot`] (live loads carry queued work over from earlier
+//!    epochs; cache-aware walks read the KV managers as this epoch's installs left
+//!    them);
 //! 3. the per-instance loops simulate strictly up to the epoch boundary — pending
 //!    events beyond it stay queued — and the boundary is a barrier: every thread
 //!    reaches it before the per-instance overlays merge back into the shared
@@ -51,8 +58,9 @@
 //! its publish time (between one and two delays after it happened) instead of at the
 //! window's end, while the per-epoch factoring keeps the parallel replay
 //! byte-identical to the sequential reference: within an epoch nothing crosses
-//! instances, exactly as within a delay-zero window.  `net_propagation_ms = 0` keeps
-//! the historical single-pass window byte for byte (pinned by regression test).
+//! instances, exactly as within a delay-zero window.  With `net_propagation_ms = 0`
+//! a materialised trace replays as a single window, byte for byte what one epoch
+//! longer than the trace produces (pinned by regression test).
 //!
 //! # Membership events (elastic fleet)
 //!
@@ -88,9 +96,9 @@
 //! propagation epochs replay byte-identically to [`Cluster::run`] on the
 //! materialised trace; without the shared tier the chunk cadence is a
 //! routing-snapshot cadence only (state-dependent policies see refreshed loads
-//! per chunk, which whole-window replay by design does not), and the tier
+//! per chunk, which a single replay window by design does not), and the tier
 //! snapshots are installed once up front and merged once at the end, exactly as
-//! a single window.
+//! in a single window.
 //!
 //! Why the per-instance loops are sound: within one instance, the global loop pops
 //! that instance's events in `(time, push order)` — and the per-instance loop pushes
@@ -165,8 +173,7 @@ impl std::error::Error for RunError {}
 
 #[derive(Debug, Clone, Copy)]
 enum Event {
-    /// The request at this index (into the window's trace, or the current epoch's
-    /// batch on the streaming path) reaches the router.
+    /// The request at this position of the current epoch's batch arrives.
     Arrival(usize),
     /// An instance may be able to admit another request.
     Admit(usize),
@@ -185,25 +192,6 @@ enum InstanceEvent {
     Complete(u64),
 }
 
-/// One window's routing outcome: a decision per trace index, plus the
-/// `(arrival time, index)` iteration order the pass used (`None` = the trace was
-/// already sorted, so the order is the identity).
-struct RoutedWindow {
-    decisions: Vec<RoutingDecision>,
-    order: Option<Vec<usize>>,
-    /// Block-hash chains the routing pass computed to probe instances (per trace
-    /// index; empty when the policy needed none), handed to `enqueue` so the tokens
-    /// are hashed once, not twice.
-    hashes: Vec<Option<Arc<Vec<kvcache::TokenBlockHash>>>>,
-}
-
-impl RoutedWindow {
-    /// Takes the routing-time hash chain of one arrival, if any was computed.
-    fn take_hashes(&mut self, idx: usize) -> Option<Arc<Vec<kvcache::TokenBlockHash>>> {
-        self.hashes.get_mut(idx).and_then(Option::take)
-    }
-}
-
 /// One routed arrival of an instance's replay partition.  Owns what simulation
 /// needs (token ownership is an `Arc` bump, not a copy), so the streaming path
 /// can refill partitions per epoch without borrowing from an epoch-lived buffer.
@@ -220,8 +208,6 @@ struct PartitionEntry {
     tokens: Arc<Vec<u32>>,
     /// Of `tokens`, the trailing count decoded iteratively (0 = prefill-only).
     decode_tokens: u64,
-    /// When the request arrives.
-    arrival: SimTime,
 }
 
 /// Reusable buffers of a routing pass.  Epoch-driven replay routes thousands of
@@ -885,7 +871,7 @@ impl Cluster {
         stream: &mut S,
         offered_qps: f64,
     ) -> Result<RunReport, RunError> {
-        self.run_stream_core(stream, offered_qps, true)
+        self.run_stream_core(stream, offered_qps, true, Some(self.stream_clock()))
     }
 
     /// The single-threaded reference flavour of [`Self::run_stream`].
@@ -894,12 +880,15 @@ impl Cluster {
         stream: &mut S,
         offered_qps: f64,
     ) -> Result<RunReport, RunError> {
-        self.run_stream_core(stream, offered_qps, false)
+        self.run_stream_core(stream, offered_qps, false, Some(self.stream_clock()))
     }
 
-    /// The shared materialised-trace replay: epoch-sharing deployments stream the
-    /// slice (identical boundaries and routing cadence to [`Self::run_stream`]);
-    /// everything else takes the historical single-pass window.
+    /// The shared materialised-trace replay: streams the slice through
+    /// [`Self::run_stream_core`] in `(arrival time, trace index)` order, with trace
+    /// indices as request ids.  Deployments that need boundaries — propagation
+    /// epochs, an elastic fleet, a handoff plane — cut them exactly as
+    /// [`Self::run_stream`] does; everything else replays as one window (see the
+    /// module docs).
     fn run_vec(
         &mut self,
         arrivals: &[ArrivalPattern],
@@ -907,114 +896,40 @@ impl Cluster {
         offered_qps: f64,
         parallel: bool,
     ) -> RunReport {
-        if self.uses_propagation_epochs() || self.elastic_replay() || self.fleet_disaggregated() {
-            let mut stream = if sorted {
-                SliceArrivalStream::from_sorted(arrivals)
-            } else {
-                SliceArrivalStream::sorting(arrivals)
-            };
-            return self
-                .run_stream_core(&mut stream, offered_qps, parallel)
-                .expect("feasibility is checked before streaming a slice");
-        }
-        self.install_net_snapshots();
-
-        // Route every arrival up front against the window-start snapshot (see the
-        // module docs) in `(arrival time, index)` order — exactly the order the
-        // sequential event loop pops arrival events.
-        let mut routed = self.route_window(arrivals, sorted);
-
-        let records = if parallel {
-            // Each instance's partition holds owned `(request id, reason,
-            // routing-time hashes, user, tokens, arrival)` entries, sorted by
-            // `(arrival time, id)`.
-            let mut partitions: Vec<Vec<PartitionEntry>> =
-                (0..self.instances.len()).map(|_| Vec::new()).collect();
-            let order = routed.order.take();
-            let mut push = |idx: usize| {
-                let decision = routed.decisions[idx];
-                let arrival = &arrivals[idx];
-                partitions[decision.instance].push(PartitionEntry {
-                    request_id: idx as u64,
-                    reason: decision.reason,
-                    hashes: routed.take_hashes(idx),
-                    user_id: arrival.template.user_id,
-                    tokens: Arc::clone(&arrival.template.tokens),
-                    decode_tokens: arrival.template.decode_tokens,
-                    arrival: arrival.arrival,
-                });
-            };
-            match &order {
-                None => (0..arrivals.len()).for_each(&mut push),
-                Some(order) => order.iter().copied().for_each(&mut push),
-            }
-
-            let mut per_instance: Vec<Vec<RequestRecord>> =
-                Vec::with_capacity(self.instances.len());
-            if self.instances.len() == 1 {
-                per_instance.push(Self::simulate_instance(
-                    &mut self.instances[0],
-                    &partitions[0],
-                ));
-            } else {
-                per_instance.resize_with(self.instances.len(), Vec::new);
-                if self.worker_pool.is_none() {
-                    self.worker_pool = Some(WorkerPool::new());
-                }
-                let pool = self.worker_pool.as_ref().expect("just ensured above");
-                let jobs: Vec<ScopedJob> = self
-                    .instances
-                    .iter_mut()
-                    .zip(&partitions)
-                    .zip(&mut per_instance)
-                    .map(|((instance, partition), records)| {
-                        Box::new(move || {
-                            *records = Self::simulate_instance(instance, partition);
-                        }) as ScopedJob
-                    })
-                    .collect();
-                pool.run_batch(jobs);
-            }
-            per_instance.into_iter().flatten().collect()
+        let mut stream = if sorted {
+            SliceArrivalStream::from_sorted(arrivals)
         } else {
-            // The identical routing pass feeds one global event loop: decisions are
-            // a pure function of the window-start snapshot, so pre-routing changes
-            // nothing relative to routing at event-pop time.
-            let mut events: EventQueue<Event> = EventQueue::new();
-            for (idx, arrival) in arrivals.iter().enumerate() {
-                events.push(arrival.arrival, Event::Arrival(idx));
-            }
-            let mut records: Vec<RequestRecord> = Vec::with_capacity(arrivals.len());
-            self.run_global_events_until(
-                arrivals,
-                &routed.decisions,
-                &mut routed.hashes,
-                &mut events,
-                &mut records,
-                None,
-            );
-            records
+            SliceArrivalStream::sorting(arrivals)
         };
-
-        self.merge_net_snapshots();
-        self.finish_report(records, offered_qps)
+        let clock = self.needs_boundaries().then(|| self.stream_clock());
+        self.run_stream_core(&mut stream, offered_qps, parallel, clock)
+            .expect("feasibility is checked before streaming a slice")
     }
 
-    /// The streaming replay loop shared by both flavours (see the module docs,
-    /// "Streaming replay"): pull one epoch of arrivals, route it, simulate strictly
-    /// to the epoch boundary, repeat.  Epoch-sharing deployments additionally
-    /// install/merge tier snapshots at every boundary; everything else installs
-    /// once up front and merges once at the end (chunk boundaries are then only a
-    /// routing-snapshot and barrier cadence).
+    /// The replay loop behind every entry point, in both flavours (see the module
+    /// docs, "Streaming replay"): pull one epoch of arrivals, route it, simulate
+    /// strictly to the epoch boundary, repeat.  Epoch-sharing deployments
+    /// additionally install/merge tier snapshots at every boundary; everything else
+    /// installs once up front and merges once at the end (chunk boundaries are then
+    /// only a routing-snapshot and barrier cadence).
+    ///
+    /// `clock: None` replays a single window with no boundary at all: the whole
+    /// stream is routed against one window-start snapshot and simulated to
+    /// completion, with no barrier work.  Only fixed, colocated fleets without
+    /// propagation epochs may replay so.
     fn run_stream_core<S: ArrivalStream + ?Sized>(
         &mut self,
         stream: &mut S,
         offered_qps: f64,
         parallel: bool,
+        mut clock: Option<EpochClock>,
     ) -> Result<RunReport, RunError> {
+        debug_assert!(
+            clock.is_some() || !self.needs_boundaries(),
+            "only fixed, colocated, epoch-free fleets replay as a single window"
+        );
         let num_instances = self.instances.len();
         let epoch_sharing = self.uses_propagation_epochs();
-        let mut clock = self.stream_clock();
         if epoch_sharing {
             // Spills of earlier windows have long since crossed the fabric: only
             // this window's spills are subject to the propagation delay (and
@@ -1049,15 +964,8 @@ impl Cluster {
         let mut lookahead = stream.next_arrival();
         let mut last_arrival_time = SimTime::ZERO;
         let mut epoch_start = SimTime::ZERO;
-        // The probe-reuse guard: `(visible_at, generation, meta_generation)` of the
-        // previous epoch's installs.  If the shared pool's content and publication
-        // metadata are untouched since, and no publish timestamp lies in
-        // `(previous visible_at, this visible_at]`, then every instance's visible
-        // entry set *and* propagation flags are identical to the previous epoch —
-        // so the installs may keep probe memoisation warm.
-        let mut last_install: Option<(SimTime, u64, u64)> = None;
         loop {
-            let boundary = clock.boundary();
+            let boundary = clock.as_ref().map(EpochClock::boundary);
             // Membership changes (scheduled and autoscaled) apply at the epoch
             // boundary — the one barrier where no instance is mid-simulation —
             // so they are a pure function of the trace and the completed epochs.
@@ -1071,7 +979,7 @@ impl Cluster {
             }
             epoch_buf.clear();
             while let Some(streamed) = lookahead.take() {
-                if streamed.arrival.arrival >= boundary {
+                if boundary.is_some_and(|b| streamed.arrival.arrival >= b) {
                     lookahead = Some(streamed);
                     break;
                 }
@@ -1103,21 +1011,10 @@ impl Cluster {
             let stream_done = lookahead.is_none();
             let disaggregated = self.fleet_disaggregated();
             let final_epoch = stream_done && !disaggregated;
-            let sim_boundary = (!final_epoch).then_some(boundary);
+            let sim_boundary = if final_epoch { None } else { boundary };
 
             if epoch_sharing {
-                let content_unchanged = match (&self.net_pool, last_install) {
-                    (Some(pool), Some((previous_at, generation, meta))) => {
-                        pool.generation() == generation
-                            && pool.meta_generation() == meta
-                            && !pool.published_in(previous_at, epoch_start)
-                    }
-                    _ => false,
-                };
-                if let Some(pool) = &self.net_pool {
-                    last_install = Some((epoch_start, pool.generation(), pool.meta_generation()));
-                }
-                self.install_net_snapshots_visible(epoch_start, content_unchanged);
+                self.install_net_snapshots_visible(epoch_start);
             }
             self.route_stream_epoch(&epoch_buf, &mut scratch);
 
@@ -1138,7 +1035,6 @@ impl Cluster {
                         user_id: streamed.arrival.template.user_id,
                         tokens: Arc::clone(&streamed.arrival.template.tokens),
                         decode_tokens: streamed.arrival.template.decode_tokens,
-                        arrival: streamed.arrival.arrival,
                     });
                     queues[decision.instance].push(
                         streamed.arrival.arrival,
@@ -1191,6 +1087,11 @@ impl Cluster {
                 );
             }
 
+            // A single window has no boundary, hence no barrier: it ends here.
+            let Some(clock) = clock.as_mut() else {
+                break;
+            };
+            let boundary = clock.boundary();
             // The handoff plane: collect every KV handoff the epoch's prefill
             // passes emitted (slot-index order, on this thread — a barrier
             // action exactly like the snapshot merge below) and admit the ones
@@ -1384,9 +1285,12 @@ impl Cluster {
         .with_routable_slots(routable)
     }
 
-    /// The sequential streaming event loop of one epoch: like
-    /// [`Self::run_global_events_until`], but arrival events index the epoch's
-    /// batch (ids come from the stream) and decisions/hashes live in the scratch.
+    /// Runs the global (all-instance) event loop of one epoch strictly up to
+    /// `boundary` (forever when `None`) — the sequential reference the parallel
+    /// [`Self::simulate_instance_until`] is pinned against.  Arrival events index
+    /// the epoch's batch (ids come from the stream), decisions and hashes live in
+    /// the scratch, and events at or past the boundary stay queued for the next
+    /// epoch.
     fn run_stream_events_until(
         &mut self,
         batch: &[StreamedArrival],
@@ -1440,179 +1344,6 @@ impl Cluster {
         }
     }
 
-    /// Runs the global (all-instance) event loop strictly up to `boundary` (forever
-    /// when `None`) — the sequential analogue of [`Self::simulate_instance_until`]:
-    /// events scheduled at or past the boundary stay queued for the next
-    /// propagation epoch.
-    fn run_global_events_until(
-        &mut self,
-        arrivals: &[ArrivalPattern],
-        decisions: &[RoutingDecision],
-        routed_hashes: &mut [Option<Arc<Vec<kvcache::TokenBlockHash>>>],
-        events: &mut EventQueue<Event>,
-        records: &mut Vec<RequestRecord>,
-        boundary: Option<SimTime>,
-    ) {
-        while let Some(at) = events.peek_time() {
-            if boundary.is_some_and(|b| at >= b) {
-                break;
-            }
-            let scheduled = events.pop().expect("peeked event");
-            let now = scheduled.at;
-            match scheduled.event {
-                Event::Arrival(idx) => {
-                    let arrival = &arrivals[idx];
-                    let decision = decisions[idx];
-                    let instance_idx = decision.instance;
-                    let request = PrefillRequest {
-                        id: idx as u64,
-                        user_id: arrival.template.user_id,
-                        tokens: Arc::clone(&arrival.template.tokens),
-                        decode_tokens: arrival.template.decode_tokens,
-                        allowed_outputs: Vec::new(),
-                        arrival: now,
-                        routing: decision.reason,
-                    };
-                    self.instances[instance_idx].enqueue_with_hashes(
-                        request,
-                        routed_hashes.get_mut(idx).and_then(Option::take),
-                        now,
-                    );
-                    Self::admit(&mut self.instances[instance_idx], instance_idx, now, events);
-                }
-                Event::Admit(instance_idx) => {
-                    Self::admit(&mut self.instances[instance_idx], instance_idx, now, events);
-                }
-                Event::Complete {
-                    instance,
-                    request_id,
-                } => {
-                    if let Some(record) = self.instances[instance].complete(request_id, now) {
-                        records.push(record);
-                    }
-                    Self::admit(&mut self.instances[instance], instance, now, events);
-                }
-            }
-        }
-    }
-
-    /// Routes one replay window's arrivals (see the module docs): captures the
-    /// deterministic [`RouterSnapshot`] of the window-start state and runs the
-    /// configured policy over every arrival in `(arrival time, trace index)` order,
-    /// folding each decision back into the snapshot's load model so balancing works
-    /// within the window.
-    ///
-    /// State-independent policies can skip the pass entirely: on an arrival-sorted
-    /// trace stamped with [`workload::StickySeq`], the sticky policy partitions
-    /// arithmetically via [`RoutingPolicy::route_sorted_trace`].
-    ///
-    /// `sorted` is carried in from the caller's single feasibility scan
-    /// ([`Self::scan_trace`], or the construction-time property of a
-    /// [`SortedTrace`]) — the window pass no longer re-derives it per call.
-    fn route_window(&mut self, arrivals: &[ArrivalPattern], sorted: bool) -> RoutedWindow {
-        let num_instances = self.instances.len();
-        if sorted {
-            if let Some(decisions) = self.router.route_sorted_trace(arrivals, num_instances) {
-                debug_assert_eq!(decisions.len(), arrivals.len());
-                return RoutedWindow {
-                    decisions,
-                    order: None,
-                    hashes: Vec::new(),
-                };
-            }
-        }
-        let mut order: Vec<usize> = (0..arrivals.len()).collect();
-        if !sorted {
-            order.sort_by_key(|&idx| (arrivals[idx].arrival, idx));
-        }
-
-        let (mut decisions, mut routed_hashes) = self.routing_buffers(arrivals.len());
-        self.route_ordered(arrivals, &order, &mut decisions, &mut routed_hashes);
-        RoutedWindow {
-            decisions,
-            order: Some(order),
-            hashes: routed_hashes,
-        }
-    }
-
-    /// Allocates the per-window routing buffers [`Self::route_ordered`] fills in: a
-    /// decision per trace index (defaulted to `Direct`, overwritten by the pass) and
-    /// — only when the policy probes — a hash-chain slot per trace index.
-    #[allow(clippy::type_complexity)]
-    fn routing_buffers(
-        &self,
-        num_arrivals: usize,
-    ) -> (
-        Vec<RoutingDecision>,
-        Vec<Option<Arc<Vec<kvcache::TokenBlockHash>>>>,
-    ) {
-        let decisions = vec![
-            RoutingDecision {
-                instance: 0,
-                reason: RoutingReason::Direct,
-            };
-            num_arrivals
-        ];
-        let hashes = vec![
-            None;
-            if self.router.needs_prefix_probe() {
-                num_arrivals
-            } else {
-                0
-            }
-        ];
-        (decisions, hashes)
-    }
-
-    /// The core routing pass shared by the whole-window slow path and the per-epoch
-    /// path: captures a [`RouterSnapshot`] of the *current* instance state and routes
-    /// the arrivals listed in `order` (which must already be sorted by
-    /// `(arrival time, trace index)`), writing each decision — and the hash chain
-    /// computed for probing, if any — at its trace index.
-    fn route_ordered(
-        &mut self,
-        arrivals: &[ArrivalPattern],
-        order: &[usize],
-        decisions: &mut [RoutingDecision],
-        routed_hashes: &mut [Option<Arc<Vec<kvcache::TokenBlockHash>>>],
-    ) {
-        let num_instances = self.instances.len();
-        let needs_probe = self.router.needs_prefix_probe();
-        let block_size = self.config.block_size;
-        let mut snapshot = Self::capture_snapshot(
-            &self.instances,
-            block_size,
-            needs_probe,
-            self.prefill_capable_slots(),
-            Vec::new(),
-        );
-
-        // Same cold-fleet fast path as `route_stream_epoch`: no resident block
-        // anywhere means every chain walk is 0, so the chains need not exist.
-        let hashing = needs_probe && snapshot.has_prefix_residency();
-        for &idx in order {
-            let arrival = &arrivals[idx];
-            let hashes =
-                hashing.then(|| Arc::new(hash_token_blocks(&arrival.template.tokens, block_size)));
-            let query = RouteQuery {
-                user_id: arrival.template.user_id,
-                num_tokens: arrival.template.num_tokens(),
-                hashes: hashes.as_deref().map_or(&[], Vec::as_slice),
-            };
-            let decision = self.router.route(&query, &snapshot);
-            assert!(
-                decision.instance < num_instances,
-                "routing policy chose instance {} of {num_instances}",
-                decision.instance
-            );
-            snapshot.note_routed(decision.instance, arrival.template.num_tokens());
-            decisions[idx] = decision;
-            if let Some(hashes) = hashes {
-                routed_hashes[idx] = Some(hashes);
-            }
-        }
-    }
-
     /// Whether replay windows are subdivided into propagation epochs.  The delay is
     /// a property of the shared network tier, so with the tier disabled the knob is
     /// inert — there is nothing to propagate, and taking the epoch path anyway
@@ -1630,6 +1361,13 @@ impl Cluster {
         self.membership_cursor < self.membership.len()
             || self.config.autoscaler.is_some()
             || self.slot_states.iter().any(|state| !state.is_active())
+    }
+
+    /// Whether a replay must cut epoch boundaries: propagation epochs, membership
+    /// changes and the handoff plane all act at boundaries.  Everything else may
+    /// replay a materialised trace as a single window.
+    fn needs_boundaries(&self) -> bool {
+        self.uses_propagation_epochs() || self.elastic_replay() || self.fleet_disaggregated()
     }
 
     /// Indices of the routable slots, ascending.
@@ -1911,7 +1649,7 @@ impl Cluster {
                 // joiner its window-start view now.
                 if attached && !epoch_sharing {
                     if let Some(pool) = &self.net_pool {
-                        self.instances[slot].install_net_view(pool.view(), false);
+                        self.instances[slot].install_net_view(pool.view());
                     }
                 }
                 self.membership_log.push(AppliedMembership {
@@ -1994,16 +1732,16 @@ impl Cluster {
     }
 
     /// Installs an append-only view of the shared network tier into every
-    /// instance.  Both replay paths call this before simulating, so an instance
-    /// sees the cluster tier as of the window's start plus its own contributions —
-    /// and the parallel path has no mid-run cross-thread state to race on (each
-    /// view's overlay is private; the shared base is immutable while views are
-    /// out).
+    /// instance.  Replays without propagation epochs call this once before
+    /// simulating, so an instance sees the cluster tier as of the window's start
+    /// plus its own contributions — and the parallel flavour has no mid-run
+    /// cross-thread state to race on (each view's overlay is private; the shared
+    /// base is immutable while views are out).
     fn install_net_snapshots(&mut self) {
         if let Some(pool) = &self.net_pool {
             for (slot, instance) in self.instances.iter_mut().enumerate() {
                 if self.slot_states[slot].attached() {
-                    instance.install_net_view(pool.view(), false);
+                    instance.install_net_view(pool.view());
                 }
             }
         }
@@ -2011,15 +1749,12 @@ impl Cluster {
 
     /// Installs the publish-time-filtered view of the shared tier for the
     /// propagation epoch starting at `visible_at` (see [`NetKvPool::view_at`] and
-    /// the legacy [`NetKvPool::visible_snapshot`] it replaces).  When the caller
-    /// proved the boundary changed nobody's visible set (`content_unchanged`, see
-    /// [`Self::run_stream_core`]'s guard), the installs keep every instance's
-    /// scheduler probe memoisation warm.
-    fn install_net_snapshots_visible(&mut self, visible_at: SimTime, content_unchanged: bool) {
+    /// the legacy [`NetKvPool::visible_snapshot`] it replaces).
+    fn install_net_snapshots_visible(&mut self, visible_at: SimTime) {
         if let Some(pool) = &self.net_pool {
             for (id, instance) in self.instances.iter_mut().enumerate() {
                 if self.slot_states[id].attached() {
-                    instance.install_net_view(pool.view_at(visible_at, id), content_unchanged);
+                    instance.install_net_view(pool.view_at(visible_at, id));
                 }
             }
         }
@@ -2071,20 +1806,6 @@ impl Cluster {
             });
         }
         Ok(())
-    }
-
-    /// Runs one instance's private event loop over its arrival partition.
-    fn simulate_instance(
-        instance: &mut EngineInstance,
-        partition: &[PartitionEntry],
-    ) -> Vec<RequestRecord> {
-        let mut events: EventQueue<InstanceEvent> = EventQueue::new();
-        for (pos, entry) in partition.iter().enumerate() {
-            events.push(entry.arrival, InstanceEvent::Arrival(pos));
-        }
-        let mut records = Vec::with_capacity(partition.len());
-        Self::simulate_instance_until(instance, partition, &mut events, &mut records, None);
-        records
     }
 
     /// Runs one instance's private event loop strictly up to `boundary` (forever
@@ -3746,5 +3467,20 @@ mod tests {
         let prom = report.prometheus_window_series();
         assert!(prom.contains("prefillonly_handoff_records_total"));
         assert!(prom.contains("role=\"decode\""));
+
+        // A fixed, tierless, colocated fleet replays a materialised trace as one
+        // window with no boundary, so tracking samples nothing and perturbs nothing.
+        let ds = small_post_rec_dataset();
+        let arrivals = assign_poisson_arrivals(&ds, 5.0, &mut SimRng::seed_from_u64(1));
+        let single = self::config(EngineKind::prefillonly_default());
+        let untracked = Cluster::new(&single).run(&arrivals, 5.0).unwrap();
+        let tracked = Cluster::new(&single.with_window_metrics())
+            .run(&arrivals, 5.0)
+            .unwrap();
+        assert!(
+            tracked.windows.is_empty(),
+            "a single window has no boundary to sample"
+        );
+        assert_eq!(tracked.records, untracked.records);
     }
 }

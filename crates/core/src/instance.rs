@@ -495,11 +495,9 @@ impl EngineInstance {
     }
 
     /// Installs an append-only view of the cluster-shared network KV tier (see
-    /// [`kvcache::NetPoolView`]); `content_unchanged` forwards the cluster's proof
-    /// that this install is observationally identical to the previous one, keeping
-    /// the scheduler's probe memoisation warm across the boundary.
-    pub fn install_net_view(&mut self, view: kvcache::NetPoolView, content_unchanged: bool) {
-        self.kv.install_net_view(view, content_unchanged);
+    /// [`kvcache::NetPoolView`]).
+    pub fn install_net_view(&mut self, view: kvcache::NetPoolView) {
+        self.kv.install_net_view(view);
     }
 
     /// Harvests the shared-tier view for the barrier merge; a private pool stays

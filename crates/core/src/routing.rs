@@ -11,31 +11,33 @@
 //! # Windowed routing and determinism
 //!
 //! State-dependent routing breaks the instance-independence the parallel replay relies
-//! on — a decision taken mid-window would have to observe another thread's simulation
+//! on — a decision taken mid-epoch would have to observe another thread's simulation
 //! state.  The routing layer therefore mirrors the network tier's snapshot-merge
-//! discipline: at the start of each replay window or propagation epoch the cluster
-//! builds a [`RouterSnapshot`] — per-instance queue depth and outstanding tokens, plus
-//! (for policies that ask) a shared borrow of each instance's live KV manager — and
-//! routes *every* arrival of the window against it, in `(arrival time, trace index)`
-//! order, on the main thread and before any instance simulates.  The snapshot's load
-//! half is updated with the policy's own decisions as the pass proceeds (so balancing
-//! works within a window); the residency half cannot change during the pass, because
-//! the borrow keeps every manager immutable until the snapshot is dropped (cache
-//! effects propagate between windows, exactly like the shared network pool).  Both
-//! replay paths call the same pass, so the partition — and hence the replay — is
-//! byte-identical no matter how many threads simulate it.
+//! discipline: at the start of each epoch (a replay without boundaries is a single
+//! epoch) the cluster builds a [`RouterSnapshot`] — per-instance queue depth and
+//! outstanding tokens, plus (for policies that ask) a shared borrow of each
+//! instance's live KV manager — and routes *every* arrival of the epoch against it,
+//! in `(arrival time, request id)` order, on the main thread and before any instance
+//! simulates.  The snapshot's load half is updated with the policy's own decisions as
+//! the pass proceeds (so balancing works within an epoch); the residency half cannot
+//! change during the pass, because the borrow keeps every manager immutable until the
+//! snapshot is dropped (cache effects propagate between epochs, exactly like the
+//! shared network pool).  The parallel and sequential replay flavours call the same
+//! pass, so the partition — and hence the replay — is byte-identical no matter how
+//! many threads simulate it.
 //!
 //! Sticky routing needs no snapshot at all: it is a pure function of user
 //! first-appearance order, which trace generation precomputes
-//! ([`workload::StickySeq`]).  On a stamped, arrival-sorted trace the sticky policy
-//! partitions with plain arithmetic and skips the windowed pass entirely.
+//! ([`workload::StickySeq`]).  On a stamped batch whose stamps extend the router's
+//! history, the sticky policy partitions with plain arithmetic and skips the snapshot
+//! pass entirely.
 
 use std::collections::{HashMap, HashSet};
 
 use serde::{Deserialize, Serialize};
 
 use kvcache::{KvCacheManager, TokenBlockHash};
-use workload::{ArrivalPattern, StreamedArrival};
+use workload::StreamedArrival;
 
 /// Why routing could not be set up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,8 +123,8 @@ pub struct RoutingDecision {
     pub reason: RoutingReason,
 }
 
-/// Modelled load of one instance, as captured at window start and updated with the
-/// window's own routing decisions.
+/// Modelled load of one instance, as captured at epoch start and updated with the
+/// epoch's own routing decisions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InstanceLoad {
     /// Requests waiting or running on the instance.
@@ -131,14 +133,11 @@ pub struct InstanceLoad {
     pub outstanding_tokens: u64,
 }
 
-/// The deterministic per-window view routing policies decide against (see the module
-/// docs for the lifecycle).  Loads are copied at capture time; prefix residency is
-/// read from the borrowed KV managers, which cannot change while the snapshot lives.
-///
-/// In the current full-drain replay windows every instance is idle between `run`
-/// calls, so the *captured* loads are zero and the load signal is driven entirely by
-/// [`Self::note_routed`] within the window; the capture exists so mid-trace windowing
-/// (and tests) see real queue state without an API change.
+/// The deterministic per-epoch view routing policies decide against (see the module
+/// docs for the lifecycle).  Loads are copied at capture time, so they carry work
+/// queued in earlier epochs, and [`Self::note_routed`] adds the pass's own decisions
+/// on top; prefix residency is read from the borrowed KV managers, which cannot
+/// change while the snapshot lives.
 ///
 /// ```
 /// use kvcache::{hash_token_blocks, KvCacheManager, RetentionPolicy};
@@ -256,14 +255,14 @@ impl<'a> RouterSnapshot<'a> {
         &self.slots
     }
 
-    /// The modelled load of one instance (window-start state plus this window's
+    /// The modelled load of one instance (epoch-start state plus this epoch's
     /// earlier routing decisions).
     pub fn load(&self, instance: usize) -> InstanceLoad {
         self.loads[instance]
     }
 
     /// Accounts a routed arrival into the instance's modelled load, so later
-    /// decisions of the same window see the induced pressure.
+    /// decisions of the same epoch see the induced pressure.
     pub fn note_routed(&mut self, instance: usize, tokens: u64) {
         self.loads[instance].queued_requests += 1;
         self.loads[instance].outstanding_tokens += tokens;
@@ -324,7 +323,7 @@ pub struct RouteQuery<'a> {
     pub hashes: &'a [TokenBlockHash],
 }
 
-/// A routing policy: maps arrivals onto instances against a per-window
+/// A routing policy: maps arrivals onto instances against a per-epoch
 /// [`RouterSnapshot`] (see the module docs for the determinism contract).
 ///
 /// Policies may keep internal state across windows (sticky assignments persist for
@@ -342,29 +341,17 @@ pub trait RoutingPolicy: Send {
         false
     }
 
-    /// Routes one arrival.  Called once per arrival of the window, in
-    /// `(arrival time, trace index)` order; the caller folds each decision into the
+    /// Routes one arrival.  Called once per arrival of the epoch, in
+    /// `(arrival time, request id)` order; the caller folds each decision into the
     /// snapshot's load model via [`RouterSnapshot::note_routed`].
     fn route(&mut self, query: &RouteQuery<'_>, snapshot: &RouterSnapshot) -> RoutingDecision;
 
-    /// Whole-trace fast path for state-independent policies: given an
-    /// arrival-sorted trace, return every decision at once, or `None` to take the
-    /// windowed [`Self::route`] pass.  The default has no fast path.
-    fn route_sorted_trace(
-        &mut self,
-        _arrivals: &[ArrivalPattern],
-        _num_instances: usize,
-    ) -> Option<Vec<RoutingDecision>> {
-        None
-    }
-
-    /// Per-epoch batch fast path, the streaming counterpart of
-    /// [`Self::route_sorted_trace`]: route one arrival-sorted epoch of a stream at
-    /// once, writing into `decisions[..batch.len()]`, or return `false` to take
-    /// the windowed [`Self::route`] pass.  Unlike the whole-trace path, the stamps
-    /// of a batch may *extend* history the policy accumulated from earlier epochs
-    /// of the same stream — this is what keeps the arithmetic partition alive
-    /// across epoch boundaries.  The default has no fast path.
+    /// Batch fast path for state-independent policies: route one arrival-sorted
+    /// epoch at once, writing into `decisions[..batch.len()]`, or return `false`
+    /// to take the snapshot [`Self::route`] pass.  The stamps of a batch may
+    /// *extend* history the policy accumulated from earlier epochs and replays —
+    /// this is what keeps the arithmetic partition alive across epoch boundaries.
+    /// The default has no fast path.
     fn route_stamped_batch(
         &mut self,
         _batch: &[StreamedArrival],
@@ -389,7 +376,7 @@ pub trait RoutingPolicy: Send {
 struct StickyUserPolicy {
     router: UserRouter,
     /// Users in order of first appearance — the rank → user table the stamp fast
-    /// paths validate against.  Maintained by *every* routing path (slow-path
+    /// path validates against.  Maintained by *every* routing path (slow-path
     /// `route` included), which is sound because round-robin assignment in
     /// first-appearance order always pins the `r`-th distinct user to
     /// `r % num_instances`; epoch batches whose stamps extend this history can
@@ -411,14 +398,11 @@ impl StickyUserPolicy {
     /// pointing at its own user's rank.  Returns the new first-appearing users in
     /// order, without mutating anything — a spliced or hand-edited trace fails
     /// here and takes the slow path from an untouched router.
-    fn validate_stamps<'b>(
-        &self,
-        arrivals: impl Iterator<Item = &'b ArrivalPattern>,
-    ) -> Option<Vec<u64>> {
+    fn validate_stamps(&self, batch: &[StreamedArrival]) -> Option<Vec<u64>> {
         let known = self.rank_users.len();
         let mut new_firsts: Vec<u64> = Vec::new();
         let mut distinct_firsts: HashSet<u64> = HashSet::new();
-        for arrival in arrivals {
+        for StreamedArrival { arrival, .. } in batch {
             let sticky = arrival.sticky?;
             let user = arrival.template.user_id;
             if sticky.first_of_user {
@@ -497,37 +481,12 @@ impl RoutingPolicy for StickyUserPolicy {
         RoutingDecision { instance, reason }
     }
 
-    /// The arrival-partitioning fast path: on a trace where every arrival carries a
-    /// [`workload::StickySeq`] stamp consistent with the router's accumulated
+    /// The arrival-partitioning fast path: on a batch where every arrival carries
+    /// a [`workload::StickySeq`] stamp consistent with the router's accumulated
     /// first-appearance history, the assignment of every request is
     /// `user_seq % num_instances` — no per-request hash-map traffic, just one seed
-    /// insert per *new* distinct user so later windows (and unstamped traces)
+    /// insert per *new* distinct user so later epochs (and unstamped traces)
     /// continue from exactly the state the slow path would have left.
-    fn route_sorted_trace(
-        &mut self,
-        arrivals: &[ArrivalPattern],
-        num_instances: usize,
-    ) -> Option<Vec<RoutingDecision>> {
-        if self.elastic {
-            return None;
-        }
-        let new_firsts = self.validate_stamps(arrivals.iter())?;
-        let decisions = arrivals
-            .iter()
-            .map(|arrival| {
-                let sticky = arrival.sticky.expect("validated above");
-                Self::arithmetic_decision(sticky, num_instances)
-            })
-            .collect();
-        for user in new_firsts {
-            self.seed_first(user);
-        }
-        Some(decisions)
-    }
-
-    /// The epoch-batch counterpart of [`Self::route_sorted_trace`]: same
-    /// validation, but stamps may extend earlier epochs' history, so the second
-    /// and later epochs of a stamped stream keep the arithmetic partition.
     fn route_stamped_batch(
         &mut self,
         batch: &[StreamedArrival],
@@ -538,7 +497,7 @@ impl RoutingPolicy for StickyUserPolicy {
         if self.elastic {
             return false;
         }
-        let Some(new_firsts) = self.validate_stamps(batch.iter().map(|s| &s.arrival)) else {
+        let Some(new_firsts) = self.validate_stamps(batch) else {
             return false;
         };
         for (streamed, slot) in batch.iter().zip(decisions.iter_mut()) {
@@ -940,15 +899,15 @@ mod tests {
                 shared.absorb(view.into_delta());
             }
             for (slot, kv) in managers.iter_mut().enumerate() {
-                kv.install_net_view(shared.view_at(at, slot), false);
+                kv.install_net_view(shared.view_at(at, slot));
             }
         };
 
         // Slot 0 spills the chain at `t`; it publishes at `t + delay`.
         let mut view = shared.view_at(t, 0);
         view.offload(&hashes, t);
-        managers[0].install_net_view(view, false);
-        managers[1].install_net_view(shared.view_at(t, 1), false);
+        managers[0].install_net_view(view);
+        managers[1].install_net_view(shared.view_at(t, 1));
         assert_eq!(
             credited(&managers),
             vec![32, 0],
@@ -1116,6 +1075,34 @@ mod tests {
         }
     }
 
+    /// Offers `trace` to [`RoutingPolicy::route_stamped_batch`] as one batch (ids
+    /// are trace indices): the decisions when the fast path takes it, `None` when
+    /// it falls back to the slow path.
+    fn route_as_batch(
+        policy: &mut dyn RoutingPolicy,
+        trace: &[workload::ArrivalPattern],
+        num_instances: usize,
+    ) -> Option<Vec<RoutingDecision>> {
+        let batch: Vec<StreamedArrival> = trace
+            .iter()
+            .enumerate()
+            .map(|(id, arrival)| StreamedArrival {
+                id: id as u64,
+                arrival: arrival.clone(),
+            })
+            .collect();
+        let mut decisions = vec![
+            RoutingDecision {
+                instance: 0,
+                reason: RoutingReason::Direct,
+            };
+            batch.len()
+        ];
+        policy
+            .route_stamped_batch(&batch, num_instances, &mut decisions)
+            .then_some(decisions)
+    }
+
     #[test]
     fn sticky_fast_path_accepts_consistent_stamps_and_rejects_inconsistent_ones() {
         use simcore::SimTime;
@@ -1146,8 +1133,7 @@ mod tests {
             arrival(7, 20, stamp(0, false)),
         ];
         let mut policy = RoutingPolicyKind::StickyUser.build(2).unwrap();
-        let decisions = policy
-            .route_sorted_trace(&good, 2)
+        let decisions = route_as_batch(policy.as_mut(), &good, 2)
             .expect("consistent stamps take the fast path");
         assert_eq!(
             decisions.iter().map(|d| d.instance).collect::<Vec<_>>(),
@@ -1161,9 +1147,9 @@ mod tests {
             arrival(7, 10, stamp(1, true)),
         ];
         let mut policy = RoutingPolicyKind::StickyUser.build(2).unwrap();
-        assert!(policy.route_sorted_trace(&duplicate_first, 2).is_none());
+        assert!(route_as_batch(policy.as_mut(), &duplicate_first, 2).is_none());
         // ... and because nothing was seeded, a later window still fast-paths.
-        assert!(policy.route_sorted_trace(&good, 2).is_some());
+        assert!(route_as_batch(policy.as_mut(), &good, 2).is_some());
 
         // A repeat stamped with another user's rank is likewise refused.
         let wrong_rank = vec![
@@ -1172,12 +1158,12 @@ mod tests {
             arrival(9, 20, stamp(0, false)),
         ];
         let mut policy = RoutingPolicyKind::StickyUser.build(2).unwrap();
-        assert!(policy.route_sorted_trace(&wrong_rank, 2).is_none());
+        assert!(route_as_batch(policy.as_mut(), &wrong_rank, 2).is_none());
 
         // Unstamped arrivals always take the slow path.
         let unstamped = vec![arrival(7, 0, None)];
         let mut policy = RoutingPolicyKind::StickyUser.build(2).unwrap();
-        assert!(policy.route_sorted_trace(&unstamped, 2).is_none());
+        assert!(route_as_batch(policy.as_mut(), &unstamped, 2).is_none());
     }
 
     /// Spliced/truncated-trace edges of the arithmetic fast path: every stamp
@@ -1257,22 +1243,20 @@ mod tests {
         for (name, trace) in cases {
             let mut policy = RoutingPolicyKind::StickyUser.build(2).unwrap();
             assert!(
-                policy.route_sorted_trace(&trace, 2).is_none(),
+                route_as_batch(policy.as_mut(), &trace, 2).is_none(),
                 "{name} must fall back to the slow path"
             );
             // Rejection must not have seeded anything: a later consistent window
             // still takes the fast path from rank 0.
             assert!(
-                policy.route_sorted_trace(&consistent, 2).is_some(),
+                route_as_batch(policy.as_mut(), &consistent, 2).is_some(),
                 "{name} must leave the router untouched"
             );
         }
     }
 
-    /// The streaming counterpart of the whole-trace fast path: a stamped stream
-    /// split into epochs must keep the arithmetic partition across epoch
-    /// boundaries (where the whole-trace path would bail because users are
-    /// already pinned), and the decisions must match the slow path's.
+    /// A stamped stream split into epochs must keep the arithmetic partition
+    /// across epoch boundaries, and the decisions must match the slow path's.
     #[test]
     fn sticky_batch_fast_path_extends_across_epochs() {
         use simcore::SimTime;
@@ -1451,9 +1435,6 @@ mod tests {
             !policy.route_stamped_batch(&epoch2, 2, &mut decisions),
             "resized fleets must take the slot-aware slow path"
         );
-        assert!(policy
-            .route_sorted_trace(&[epoch2[0].arrival.clone()], 2)
-            .is_none());
 
         // Slow path: user 20's pin (slot 1) is gone → re-pinned to a routable slot,
         // still labelled an existing user; user 10 keeps slot 0.

@@ -328,7 +328,7 @@ pub struct KvCacheManager {
     /// statistics must stay cumulative; only the `net_*` and `declined_*` fields are
     /// used.
     net_stats: OffloadStats,
-    /// Bumped on every observable network-tier install: two installed views can
+    /// Bumped on every network-tier install: two installed views can
     /// share a content generation while holding different entries (the cluster
     /// filters by publish time), so probe memoisation must also key on *which*
     /// view is installed.
@@ -432,19 +432,16 @@ impl KvCacheManager {
     /// tier): one no barrier merges, so it evicts in place — a standalone
     /// instance's tier, or a test fixture.
     pub fn install_net_pool(&mut self, pool: NetKvPool) {
-        self.install_net_view(NetPoolView::private(pool), false);
+        self.install_net_view(NetPoolView::private(pool));
     }
 
-    /// Installs an append-only view of the cluster-shared network tier.  When the
-    /// cluster can prove this install exposes exactly the entry set and propagation
-    /// flags of the previous one (`content_unchanged`), the swap generation is left
-    /// alone so probe memoisation survives the boundary; any real change bumps it
-    /// as before.
-    pub fn install_net_view(&mut self, view: NetPoolView, content_unchanged: bool) {
+    /// Installs an append-only view of the cluster-shared network tier.  Every
+    /// install bumps the swap generation: two views can share a content
+    /// generation yet expose different entries, so a probe memoised under one
+    /// view is never reused under the next.
+    pub fn install_net_view(&mut self, view: NetPoolView) {
         self.net = Some(view);
-        if !content_unchanged {
-            self.net_swap_generation += 1;
-        }
+        self.net_swap_generation += 1;
     }
 
     /// Harvests the installed view of the shared tier for the barrier merge; the
@@ -452,7 +449,7 @@ impl KvCacheManager {
     /// pool ([`Self::install_net_pool`]) is never merged: it stays installed and
     /// this returns `None`.  Deliberately does *not* bump the swap generation:
     /// nothing probes the manager between a boundary's take and the next install,
-    /// and the install decides whether the boundary was observable.
+    /// which bumps it.
     pub fn take_net_view(&mut self) -> Option<NetPoolView> {
         self.net.take_if(|view| !view.is_private())
     }
@@ -479,7 +476,7 @@ impl KvCacheManager {
         self.net.as_ref().map_or(0, NetPoolView::generation)
     }
 
-    /// Counter that changes on every network-tier snapshot install or take.  Two
+    /// Counter that changes on every network-tier install (not on a take).  Two
     /// probes are comparable only while *both* [`Self::net_generation`] and this
     /// counter are unchanged: the cluster may install snapshots of the same content
     /// generation whose visible entry sets differ (publish-time filtering).

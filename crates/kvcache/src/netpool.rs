@@ -58,13 +58,6 @@
 //! test fixture's — is installed as a *private* view ([`NetPoolView::private`])
 //! and evicts in place like the shared pool.
 //!
-//! To let the scheduler's probe memoisation ([`ProbeCache`](crate::ProbeCache))
-//! survive boundaries, the pool also keeps a publish-ordered log of unsettled
-//! publications: [`NetKvPool::published_in`] answers "did any entry's visibility
-//! flip between these two epoch starts?" in O(log n), and
-//! [`NetKvPool::meta_generation`] tracks publication-metadata changes the content
-//! [`NetKvPool::generation`] deliberately ignores.
-//!
 //! Unlike [`CpuKvPool`](crate::CpuKvPool), the pool keeps no statistics of its own:
 //! it is swapped in and out of managers every window, so the owning
 //! [`KvCacheManager`](crate::KvCacheManager) accounts spills, reloads and evictions in
@@ -72,7 +65,6 @@
 
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
-use std::ops::Bound;
 use std::sync::Arc;
 
 use simcore::{SimDuration, SimTime};
@@ -130,20 +122,9 @@ struct NetState {
     entries: HashMap<TokenBlockHash, NetEntry>,
     /// Eviction order: `(last_used, hash)` for every entry, oldest first.
     lru: BTreeSet<(SimTime, TokenBlockHash)>,
-    /// Publish order: `(published, hash)` for every entry with a non-zero publish
-    /// timestamp (settled entries are not logged).  Lets the cluster ask in
-    /// O(log n) whether any entry's visibility flips between two epoch starts.
-    publish_log: BTreeSet<(SimTime, TokenBlockHash)>,
     /// Bumped whenever an entry is inserted or removed (recency refreshes do not
     /// count), so probe memoisation can extend to the network tier.
     generation: u64,
-    /// Bumped whenever publication *metadata* changes in a way that can alter some
-    /// instance's visible set or propagation flags: an entry's publish timestamp
-    /// moving earlier, its origin set growing while still unsettled, or a
-    /// [`NetKvPool::settle`].  Origin growth on settled (publish-zero) entries is
-    /// deliberately not counted — such entries are already visible to everyone and
-    /// can never be flagged as propagated.
-    meta_generation: u64,
 }
 
 impl NetState {
@@ -155,22 +136,8 @@ impl NetState {
     fn touch(&mut self, hash: TokenBlockHash, now: SimTime, publication: Option<(SimTime, u64)>) {
         if let Some(entry) = self.entries.get_mut(&hash) {
             if let Some((published, origins)) = publication {
-                if published < entry.published {
-                    if entry.published > SimTime::ZERO {
-                        self.publish_log.remove(&(entry.published, hash));
-                    }
-                    entry.published = published;
-                    if published > SimTime::ZERO {
-                        self.publish_log.insert((published, hash));
-                    }
-                    self.meta_generation += 1;
-                }
-                if entry.origins | origins != entry.origins {
-                    entry.origins |= origins;
-                    if entry.published > SimTime::ZERO {
-                        self.meta_generation += 1;
-                    }
-                }
+                entry.published = entry.published.min(published);
+                entry.origins |= origins;
             }
             let previous = entry.last_used;
             if previous < now {
@@ -198,11 +165,7 @@ impl NetState {
         let mut evicted = 0;
         if self.entries.len() as u64 >= capacity_blocks {
             if let Some((_, victim)) = self.lru.pop_first() {
-                if let Some(old) = self.entries.remove(&victim) {
-                    if old.published > SimTime::ZERO {
-                        self.publish_log.remove(&(old.published, victim));
-                    }
-                }
+                self.entries.remove(&victim);
                 self.generation += 1;
                 evicted += 1;
             }
@@ -217,9 +180,6 @@ impl NetState {
             },
         );
         self.lru.insert((last_used, hash));
-        if published > SimTime::ZERO {
-            self.publish_log.insert((published, hash));
-        }
         self.generation += 1;
         evicted
     }
@@ -314,32 +274,6 @@ impl NetKvPool {
     /// remains valid (the contract probe memoisation relies on).
     pub fn generation(&self) -> u64 {
         self.state.generation
-    }
-
-    /// Monotonically increasing counter that changes when publication *metadata*
-    /// changes in a visibility-relevant way (publication-time lowering, origin
-    /// growth on an unsettled entry, settling).  Together with
-    /// [`Self::generation`] and [`Self::published_in`] it lets the cluster prove
-    /// a propagation-epoch boundary changed nobody's visible set.
-    pub fn meta_generation(&self) -> u64 {
-        self.state.meta_generation
-    }
-
-    /// Whether any resident entry's publish timestamp lies in `(after, upto]` —
-    /// i.e. whether an epoch boundary moving the visibility horizon from `after`
-    /// to `upto` surfaces anything new.  O(log n).
-    pub fn published_in(&self, after: SimTime, upto: SimTime) -> bool {
-        if upto <= after {
-            return false;
-        }
-        self.state
-            .publish_log
-            .range((
-                Bound::Excluded((after, TokenBlockHash(u64::MAX))),
-                Bound::Included((upto, TokenBlockHash(u64::MAX))),
-            ))
-            .next()
-            .is_some()
     }
 
     /// Publication metadata of one resident entry — `(published, origins)` — or
@@ -525,7 +459,6 @@ impl NetKvPool {
     pub fn visible_snapshot(&self, visible_at: SimTime, owner: usize) -> NetKvPool {
         let mut state = NetState {
             generation: self.state.generation,
-            meta_generation: self.state.meta_generation,
             ..NetState::default()
         };
         for (hash, entry) in &self.state.entries {
@@ -537,9 +470,6 @@ impl NetKvPool {
                 };
                 state.entries.insert(*hash, entry);
                 state.lru.insert((entry.last_used, *hash));
-                if entry.published > SimTime::ZERO {
-                    state.publish_log.insert((entry.published, *hash));
-                }
             }
         }
         NetKvPool {
@@ -580,13 +510,9 @@ impl NetKvPool {
             entry.origins = 0;
             entry.propagated = false;
         }
-        if !state.publish_log.is_empty() {
-            state.publish_log.clear();
-            state.meta_generation += 1;
-        }
     }
 
-    /// Debug-only structural check of the LRU and publish-log index invariants.
+    /// Debug-only structural check of the LRU index invariant.
     #[cfg(test)]
     fn assert_lru_invariant(&self) {
         let expected: BTreeSet<(SimTime, TokenBlockHash)> = self
@@ -596,17 +522,6 @@ impl NetKvPool {
             .map(|(h, e)| (e.last_used, *h))
             .collect();
         assert_eq!(expected, self.state.lru, "net LRU index out of sync");
-        let expected: BTreeSet<(SimTime, TokenBlockHash)> = self
-            .state
-            .entries
-            .iter()
-            .filter(|(_, e)| e.published > SimTime::ZERO)
-            .map(|(h, e)| (e.published, *h))
-            .collect();
-        assert_eq!(
-            expected, self.state.publish_log,
-            "net publish log out of sync"
-        );
     }
 }
 
@@ -1238,59 +1153,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn published_in_tracks_the_publish_log() {
-        let delay = simcore::SimDuration::from_millis(500);
-        let mut pool = NetKvPool::new(1 << 20, BLOCK_BYTES).with_propagation_delay(delay);
-        assert!(!pool.published_in(SimTime::ZERO, SimTime::from_secs(10)));
-        pool.offload(&hashes(0, 160), SimTime::ZERO); // publishes at 500ms
-        assert!(pool.published_in(SimTime::ZERO, SimTime::from_millis(500)));
-        assert!(pool.published_in(SimTime::from_millis(499), SimTime::from_millis(500)));
-        // The interval is (after, upto]: a boundary exactly at the publish time
-        // already surfaced the entry, so the *next* one sees nothing new.
-        assert!(!pool.published_in(SimTime::from_millis(500), SimTime::from_secs(10)));
-        assert!(!pool.published_in(SimTime::ZERO, SimTime::from_millis(499)));
-        // Degenerate and reversed intervals are empty.
-        assert!(!pool.published_in(SimTime::from_millis(500), SimTime::from_millis(500)));
-        assert!(!pool.published_in(SimTime::from_secs(2), SimTime::from_secs(1)));
-        // Settling clears the log (and bumps the meta generation).
-        let meta = pool.meta_generation();
-        pool.settle();
-        assert!(pool.meta_generation() > meta);
-        assert!(!pool.published_in(SimTime::ZERO, SimTime::from_secs(10)));
-        pool.assert_lru_invariant();
-    }
-
-    #[test]
-    fn meta_generation_moves_with_visibility_relevant_changes_only() {
-        let delay = simcore::SimDuration::from_secs(1);
-        let mut shared = NetKvPool::new(1 << 20, BLOCK_BYTES).with_propagation_delay(delay);
-        let chain = hashes(0, 160);
-        shared.offload(&chain, SimTime::ZERO);
-        shared.settle();
-        let meta = shared.meta_generation();
-
-        // A reload only refreshes recency: nobody's visible set moves.
-        shared.reload_prefix(&chain, 10, SimTime::from_secs(1));
-        assert_eq!(shared.meta_generation(), meta);
-
-        // Re-spilling settled content keeps publication at zero (already visible to
-        // all, never flaggable): the origin-set growth is visibility-irrelevant.
-        shared.offload(&chain, SimTime::from_secs(2));
-        assert_eq!(shared.meta_generation(), meta);
-
-        // A merge that *lowers* a publish timestamp flips future visibility.
-        let mut snap = shared.visible_snapshot(SimTime::ZERO, 0);
-        snap.offload(&hashes(90_000, 16), SimTime::from_secs(3)); // publishes at 4s
-        shared.merge_from(&snap);
-        let meta_after_insert = shared.meta_generation();
-        let mut earlier = shared.visible_snapshot(SimTime::from_secs(10), 1);
-        earlier.offload(&hashes(90_000, 16), SimTime::from_secs(1)); // publishes at 2s
-        shared.merge_from(&earlier);
-        assert!(shared.meta_generation() > meta_after_insert);
-        shared.assert_lru_invariant();
-    }
-
     /// Shared-state plumbing: a view is O(1) to take, reads through to the base,
     /// and its mere existence never perturbs the pool it was taken from.
     #[test]
@@ -1458,14 +1320,6 @@ mod tests {
                 }
             }
         }
-
-        fn publish_log(&self) -> BTreeSet<(SimTime, TokenBlockHash)> {
-            self.entries
-                .iter()
-                .filter(|(_, e)| e.published > SimTime::ZERO)
-                .map(|(hash, e)| (e.published, *hash))
-                .collect()
-        }
     }
 
     /// A view in the flat model: the legacy dense install of the epoch start
@@ -1566,7 +1420,7 @@ mod tests {
     /// (the legacy [`NetKvPool::visible_snapshot`] is the read oracle) plus their
     /// own overlay, step for step, and never evict; and the barrier's slot-order
     /// absorb leaves the shared pool identical to the [`FlatTier`] reference —
-    /// entries, LRU, publish log, generation and eviction count.  Runs an ample
+    /// entries, LRU, generation and eviction count.  Runs an ample
     /// pool (no eviction anywhere) and a squeezed one, where views must read past
     /// the pool's capacity and the barrier must evict.
     #[test]
@@ -1711,11 +1565,6 @@ mod tests {
                 );
                 assert_eq!(shared.state.entries, flat.entries, "{at}: entries");
                 assert_eq!(shared.state.lru, flat.lru, "{at}: LRU");
-                assert_eq!(
-                    shared.state.publish_log,
-                    flat.publish_log(),
-                    "{at}: publish log"
-                );
                 assert_eq!(shared.generation(), flat.generation, "{at}: generation");
                 assert!(shared.resident_blocks() <= capacity, "{at}: over capacity");
                 shared.assert_lru_invariant();
