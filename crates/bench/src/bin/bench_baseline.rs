@@ -10,9 +10,10 @@
 //! Pass `--check` to run the regression guard instead of emitting the file: the
 //! routing-pass and epoch-barrier groups are re-measured and compared against the
 //! committed `BENCH_baseline.json` medians, and the process exits non-zero if any
-//! entry is more than [`REGRESSION_FACTOR`]× worse.  The guard re-measures the
-//! *full* workload shapes (sample counts aside, a `--smoke`-shaped workload would
-//! not be comparable to the committed medians), so `--check` rejects `--smoke`.
+//! entry is more than [`REGRESSION_FACTOR`]× worse or has no committed median.
+//! The guard re-measures the *full* workload shapes (sample counts aside, a
+//! `--smoke`-shaped workload would not be comparable to the committed medians),
+//! so `--check` rejects `--smoke`.
 
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
@@ -464,9 +465,9 @@ fn streaming_replay_baselines(out: &mut Vec<BaselinePoint>) {
 
 /// Routing-pass cost at fleet depth: one epoch batch of 4096 arrivals routed
 /// against 64 instances via [`Cluster::route_preview`], reported per arrival.
-/// The sticky entry exercises the stamped arithmetic fast path; the cache-aware
-/// entry runs against a cold fleet, so the pass skips hashing and falls back to
-/// load.
+/// Both entries run the snapshot pass: the sticky entry pins each new user
+/// round-robin over the routable slots; the cache-aware entry runs against a
+/// cold fleet, so the pass skips hashing and falls back to load.
 fn routing_pass_baselines(out: &mut Vec<BaselinePoint>) {
     let spec = SharedPrefixFleetSpec {
         num_cohorts: 64,
@@ -483,7 +484,7 @@ fn routing_pass_baselines(out: &mut Vec<BaselinePoint>) {
     };
     for (name, routing) in [
         (
-            "serving/routing_pass/sticky_stamped_64i_per_arrival",
+            "serving/routing_pass/sticky_64i_per_arrival",
             prefillonly::RoutingPolicyKind::StickyUser,
         ),
         (
@@ -494,7 +495,7 @@ fn routing_pass_baselines(out: &mut Vec<BaselinePoint>) {
         let config = fleet_config(routing, 640);
         let mut scoped = Vec::new();
         // A fresh cluster per sample: route_preview advances router state, and the
-        // sticky fast path must see the batch's stamps as a fresh history.
+        // sticky entry must see every user of the batch as new.
         measure(
             &mut scoped,
             name,
@@ -841,8 +842,9 @@ fn committed_medians(json: &str) -> Vec<(String, f64)> {
 
 /// The CI regression guard: re-measures the routing-pass, epoch-barrier and
 /// KV-handoff groups (the per-epoch machinery this repo optimises hardest) and
-/// compares each median against the committed `BENCH_baseline.json`.  Returns the
-/// process exit code.
+/// compares each median against the committed `BENCH_baseline.json`.  An entry
+/// without a committed median fails too, so a renamed or new entry is guarded
+/// from the commit that introduces it.  Returns the process exit code.
 fn regression_check() -> i32 {
     let path = workspace_root().join("BENCH_baseline.json");
     let json = match std::fs::read_to_string(&path) {
@@ -868,9 +870,11 @@ fn regression_check() -> i32 {
 
     println!();
     let mut failures = 0usize;
+    let mut unmatched = 0usize;
     for point in &results {
         let Some((_, committed_ns)) = committed.iter().find(|(name, _)| name == &point.name) else {
-            println!("{:<55} (no committed median, skipped)", point.name);
+            unmatched += 1;
+            println!("{:<55} NO COMMITTED MEDIAN", point.name);
             continue;
         };
         let ratio = point.median_ns / committed_ns;
@@ -882,6 +886,14 @@ fn regression_check() -> i32 {
         };
         println!("{:<55} {ratio:>6.2}x committed  {verdict}", point.name);
     }
+    if unmatched > 0 {
+        eprintln!(
+            "\nerror: {unmatched} checked entr{} no committed median in {}; \
+             regenerate it with `cargo run --release --bin bench_baseline` and commit it",
+            if unmatched == 1 { "y has" } else { "ies have" },
+            path.display()
+        );
+    }
     if failures > 0 {
         eprintln!(
             "\nerror: {failures} entr{} regressed more than {REGRESSION_FACTOR}x past \
@@ -889,6 +901,8 @@ fn regression_check() -> i32 {
              with `cargo run --release --bin bench_baseline` if the change is intended",
             if failures == 1 { "y" } else { "ies" }
         );
+    }
+    if unmatched > 0 || failures > 0 {
         1
     } else {
         println!("\nall checked entries within {REGRESSION_FACTOR}x of the committed baseline");

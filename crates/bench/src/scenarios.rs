@@ -97,7 +97,6 @@ pub fn elastic_fleet_handoff() -> (EngineConfig, Vec<ArrivalPattern>) {
                 decode_tokens: 0,
             },
             arrival: SimTime::from_millis(at_ms),
-            sticky: None,
         }
     };
 

@@ -81,7 +81,7 @@
 //! # Streaming replay
 //!
 //! [`Cluster::run_stream`] replays an [`ArrivalStream`] — a generator of
-//! event-time-ordered, stamped arrivals — without ever materialising the trace:
+//! event-time-ordered, identified arrivals — without ever materialising the trace:
 //! arrivals are pulled lazily, buffered one epoch at a time, routed per epoch
 //! (reusing one [`RoutingScratch`]'s buffers across epochs), and simulated
 //! strictly to the epoch boundary.  Peak arrival memory is O(largest epoch),
@@ -647,21 +647,10 @@ impl Cluster {
                 .with_propagation_delay(SimDuration::from_millis(config.net_propagation_ms))
         });
         let attached = net_pool.is_some();
-        let mut router = config
+        let router = config
             .routing
             .build(num_instances)
             .expect("validate() guarantees at least one instance");
-        if config.disaggregated() {
-            // Dedicated roles make the routable set a strict subset of the fleet
-            // from the very first arrival: retire the stamped arithmetic fast
-            // paths (which partition modulo *all* slots and would route onto
-            // decode-only instances) exactly as a membership event would, and
-            // pin routing to the prefill-capable slots.
-            let routable: Vec<usize> = (0..num_instances)
-                .filter(|&slot| config.role_of(slot).can_prefill())
-                .collect();
-            router.note_membership_change(&routable);
-        }
         Ok(Cluster {
             config,
             instances,
@@ -1172,9 +1161,8 @@ impl Cluster {
     }
 
     /// Routes one epoch's batch into `scratch` (a decision per batch position, plus
-    /// the hash chains computed for probing): tries the stamped arithmetic fast
-    /// path first, then falls back to the snapshot pass — reusing the scratch's
-    /// load buffer across epochs.
+    /// the hash chains computed for probing) with one snapshot pass over the
+    /// prefill-capable slots, reusing the scratch's load buffer across epochs.
     fn route_stream_epoch(&mut self, batch: &[StreamedArrival], scratch: &mut RoutingScratch) {
         let num_instances = self.instances.len();
         let needs_probe = self.router.needs_prefix_probe();
@@ -1192,12 +1180,6 @@ impl Cluster {
             .hashes
             .resize(if needs_probe { batch.len() } else { 0 }, None);
         if batch.is_empty() {
-            return;
-        }
-        if self
-            .router
-            .route_stamped_batch(batch, num_instances, &mut scratch.decisions)
-        {
             return;
         }
 
@@ -1240,8 +1222,8 @@ impl Cluster {
     /// Runs one routing pass over a batch without simulating it — the benchmark
     /// hook behind the `routing_pass` µs/arrival metric.  Reuses `scratch` exactly
     /// as replay does, so the measurement sees steady-state allocation behaviour.
-    /// Note that the router's persistent state (sticky pins, rank history) advances
-    /// with every call, exactly as it would during replay.
+    /// Note that the router's persistent state (sticky pins) advances with every
+    /// call, exactly as it would during replay.
     pub fn route_preview(&mut self, batch: &[StreamedArrival], scratch: &mut RoutingScratch) {
         self.route_stream_epoch(batch, scratch);
     }
@@ -1560,10 +1542,6 @@ impl Cluster {
                     self.reset_autoscaler_cooldown();
                 }
             }
-        }
-        if changed {
-            let routable = self.prefill_capable_slots();
-            self.router.note_membership_change(&routable);
         }
         changed
     }
@@ -2464,31 +2442,16 @@ mod tests {
     }
 
     /// Regression pin: the refactored `StickyUser` policy reproduces the
-    /// pre-refactor `UserRouter` byte for byte on an existing e2e trace — the same
-    /// per-user instance assignment (round-robin in order of first appearance) with
-    /// both the stamped fast path and the hash-map slow path, which must also agree
-    /// with each other record-for-record.
+    /// pre-refactor `UserRouter` on an existing e2e trace — the same per-user
+    /// instance assignment (round-robin in order of first appearance).
     #[test]
     fn sticky_policy_is_byte_identical_to_the_pre_refactor_router() {
         let ds = small_post_rec_dataset();
         let arrivals = assign_poisson_arrivals(&ds, 5.0, &mut SimRng::seed_from_u64(2));
-        assert!(arrivals.iter().all(|a| a.sticky.is_some()));
-
-        // The slow path: strip the trace-generation stamps so the policy must run
-        // its windowed UserRouter pass.
-        let mut unstamped = arrivals.clone();
-        for arrival in &mut unstamped {
-            arrival.sticky = None;
-        }
-
         let config = config(EngineKind::prefillonly_default());
-        let fast = Cluster::new(&config).run(&arrivals, 5.0).unwrap();
-        let slow = Cluster::new(&config).run(&unstamped, 5.0).unwrap();
-        assert_eq!(fast.records, slow.records);
-        assert_eq!(fast.cache, slow.cache);
-        assert_eq!(fast.makespan, slow.makespan);
+        let report = Cluster::new(&config).run(&arrivals, 5.0).unwrap();
 
-        // Both must equal the §7.1 reference router applied in `(arrival, idx)`
+        // It must equal the §7.1 reference router applied in `(arrival, idx)`
         // order — the exact pre-refactor routing.
         let mut reference = UserRouter::new(config.num_instances() as usize).unwrap();
         let mut expected: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
@@ -2499,7 +2462,8 @@ mod tests {
             let instance = reference.route(user);
             expected.insert(idx as u64, instance);
         }
-        for record in &fast.records {
+        assert_eq!(report.records.len(), arrivals.len());
+        for record in &report.records {
             assert_eq!(record.instance, expected[&record.request_id]);
             assert!(matches!(
                 record.routing,
@@ -2690,72 +2654,6 @@ mod tests {
         assert!(Cluster::try_with_warm_net_pool(&enabled, warm()).is_ok());
         let cluster = Cluster::with_warm_net_pool(&enabled, warm());
         assert_eq!(cluster.net_pool().unwrap().resident_blocks(), 0);
-    }
-
-    /// Spliced/truncated traces silently leave the sticky arithmetic fast path:
-    /// whatever inconsistency the stamps carry — duplicated ranks, a cut-out user,
-    /// a stamped head on an unstamped tail — the fallback must replay
-    /// record-identical to the same trace with every stamp stripped (the slow
-    /// path), because stamps are a routing accelerator, never a routing *input*.
-    #[test]
-    fn sticky_fallback_on_inconsistent_stamps_is_record_identical_to_the_slow_path() {
-        let ds = small_post_rec_dataset();
-        let arrivals = assign_poisson_arrivals(&ds, 5.0, &mut SimRng::seed_from_u64(2));
-        assert!(arrivals.iter().all(|a| a.sticky.is_some()));
-
-        let splice = |mutate: &dyn Fn(&mut Vec<ArrivalPattern>)| {
-            let mut spliced = arrivals.clone();
-            mutate(&mut spliced);
-            spliced
-        };
-        let cases: Vec<(&str, Vec<ArrivalPattern>)> = vec![
-            (
-                "duplicate user_seq",
-                splice(&|trace| {
-                    // Re-stamp the second distinct user's arrivals with rank 0, as a
-                    // head-on splice of two traces would.
-                    let first_user = trace[0].template.user_id;
-                    for arrival in trace.iter_mut() {
-                        if arrival.template.user_id != first_user {
-                            if let Some(sticky) = &mut arrival.sticky {
-                                sticky.user_seq = 0;
-                            }
-                        }
-                    }
-                }),
-            ),
-            (
-                "non-contiguous ranks",
-                splice(&|trace| {
-                    // Drop every arrival of the rank-0 user — a truncated trace whose
-                    // remaining firsts start at rank 1.
-                    let first_user = trace[0].template.user_id;
-                    trace.retain(|a| a.template.user_id != first_user);
-                }),
-            ),
-            (
-                "stamped-then-unstamped",
-                splice(&|trace| {
-                    let half = trace.len() / 2;
-                    for arrival in &mut trace[half..] {
-                        arrival.sticky = None;
-                    }
-                }),
-            ),
-        ];
-
-        let config = config(EngineKind::prefillonly_default());
-        for (name, spliced) in cases {
-            let mut unstamped = spliced.clone();
-            for arrival in &mut unstamped {
-                arrival.sticky = None;
-            }
-            let fallback = Cluster::new(&config).run(&spliced, 5.0).unwrap();
-            let slow = Cluster::new(&config).run(&unstamped, 5.0).unwrap();
-            assert_eq!(fallback.records, slow.records, "{name}");
-            assert_eq!(fallback.cache, slow.cache, "{name}");
-            assert_eq!(fallback.makespan, slow.makespan, "{name}");
-        }
     }
 
     /// The configuration validation boundary: a deployment with zero instances is a
@@ -3248,42 +3146,27 @@ mod tests {
         }
     }
 
-    /// Regression (the sticky fast-path bug): `user_seq % n` arithmetic silently
-    /// misroutes once `n` changes mid-trace, so a membership event must retire
-    /// both sticky fast paths permanently.  Pinned by replaying a fully stamped
-    /// trace across a drain and requiring record-identity with the same trace
-    /// stripped of every stamp (the slow path), plus the direct property that no
-    /// post-drain arrival lands on the drained slot.
+    /// Sticky routing across a drain: once the drain applies, no arrival routes to
+    /// the drained slot (a modulus over the original fleet size would keep sending
+    /// every second user there), and the surviving slots keep serving.
     #[test]
-    fn membership_retires_the_sticky_fast_paths_record_identical_to_the_slow_path() {
+    fn sticky_routing_never_sends_post_drain_arrivals_to_the_drained_slot() {
         use workload::MembershipEvent;
         let ds = small_post_rec_dataset();
         let arrivals = assign_poisson_arrivals(&ds, 5.0, &mut SimRng::seed_from_u64(2));
-        assert!(arrivals.iter().all(|a| a.sticky.is_some()));
-        let mut unstamped = arrivals.clone();
-        for arrival in &mut unstamped {
-            arrival.sticky = None;
-        }
         let schedule = MembershipSchedule::new(vec![MembershipEvent {
             at: SimTime::ZERO + SimDuration::from_millis(2_000),
             change: MembershipChange::Drain { spill: false },
         }]);
 
         let config = config(EngineKind::prefillonly_default());
-        let mut fast = Cluster::new(&config);
-        fast.schedule_membership(schedule.clone());
-        let a = fast.run(&arrivals, 5.0).unwrap();
-        let mut slow = Cluster::new(&config);
-        slow.schedule_membership(schedule);
-        let b = slow.run(&unstamped, 5.0).unwrap();
-        assert_eq!(a.records, b.records);
-        assert_eq!(a.cache, b.cache);
-        assert_eq!(a.makespan, b.makespan);
+        let mut cluster = Cluster::new(&config);
+        cluster.schedule_membership(schedule);
+        let a = cluster.run(&arrivals, 5.0).unwrap();
 
-        // The drain actually bit mid-trace, and nothing was misrouted onto the
-        // drained slot afterwards (the bug would keep sending `user_seq % 2 == 1`
-        // users there).
-        let log = fast.membership_log();
+        // The drain actually bit mid-trace, and nothing was routed onto the
+        // drained slot afterwards.
+        let log = cluster.membership_log();
         assert_eq!(log.len(), 1);
         let (applied, drained) = (log[0].at, log[0].slot);
         let post_drain: Vec<_> = a.records.iter().filter(|r| r.arrival >= applied).collect();
@@ -3356,47 +3239,69 @@ mod tests {
     /// With slot 0 prefill-only and slot 1 decode-only — every request prefills on
     /// one slot, crosses the fabric as a KV handoff and decodes on the other —
     /// all four replay paths produce byte-identical records, cache, offload and
-    /// handoff accounting.
+    /// handoff accounting, under cache-aware and sticky routing alike (sticky
+    /// routing must read the routable slots too, never the decode-only one).
     #[test]
     fn disaggregated_replay_is_byte_identical_across_all_four_replay_paths() {
         use workload::{conversation_trace, ConversationStream};
-        let (config, spec) = disaggregated_conversation_scenario();
-        let qps = 1.0;
-        let seed = 77;
+        for policy in [
+            crate::routing::RoutingPolicyKind::CacheAware,
+            crate::routing::RoutingPolicyKind::StickyUser,
+        ] {
+            let (config, spec) = disaggregated_conversation_scenario();
+            let config = config.with_routing(policy);
+            let qps = 1.0;
+            let seed = 77;
 
-        let trace = conversation_trace(&spec, qps, seed);
-        let mut parallel = Cluster::new(&config);
-        assert!(parallel.instances().len() > 1);
-        let a = parallel.run_sorted(&trace, qps).unwrap();
-        let mut sequential = Cluster::new(&config);
-        let b = sequential.run_sorted_sequential(&trace, qps).unwrap();
-        let mut streamed = Cluster::new(&config);
-        let c = streamed
-            .run_stream(&mut ConversationStream::new(spec, qps, seed), qps)
-            .unwrap();
-        let mut streamed_seq = Cluster::new(&config);
-        let d = streamed_seq
-            .run_stream_sequential(&mut ConversationStream::new(spec, qps, seed), qps)
-            .unwrap();
+            let trace = conversation_trace(&spec, qps, seed);
+            let mut parallel = Cluster::new(&config);
+            assert!(parallel.instances().len() > 1);
+            let a = parallel.run_sorted(&trace, qps).unwrap();
+            let mut sequential = Cluster::new(&config);
+            let b = sequential.run_sorted_sequential(&trace, qps).unwrap();
+            let mut streamed = Cluster::new(&config);
+            let c = streamed
+                .run_stream(&mut ConversationStream::new(spec, qps, seed), qps)
+                .unwrap();
+            let mut streamed_seq = Cluster::new(&config);
+            let d = streamed_seq
+                .run_stream_sequential(&mut ConversationStream::new(spec, qps, seed), qps)
+                .unwrap();
 
-        // Non-vacuity: every request prefilled on slot 0, decoded on slot 1, and
-        // paid a real fabric transfer.
-        assert_eq!(a.records.len() as u64, spec.num_requests());
-        assert_eq!(a.handed_off_requests(), spec.num_requests());
-        assert!(a.handoff_bytes() > 0);
-        for r in &a.records {
-            assert_eq!(r.instance, 0, "arrivals must route to the prefill slot");
-            assert_eq!(r.decode_instance, Some(1));
-            assert!(r.handoff_bytes > 0);
-            assert!(r.first_token < r.completed);
-            assert!(r.tpot().is_some());
-        }
+            // Non-vacuity: every request prefilled on slot 0, decoded on slot 1, and
+            // paid a real fabric transfer.
+            assert_eq!(a.records.len() as u64, spec.num_requests(), "{policy:?}");
+            assert_eq!(a.handed_off_requests(), spec.num_requests(), "{policy:?}");
+            assert!(a.handoff_bytes() > 0, "{policy:?}");
+            for r in &a.records {
+                assert_eq!(
+                    r.instance, 0,
+                    "{policy:?}: arrivals must route to the prefill slot"
+                );
+                assert_eq!(r.decode_instance, Some(1), "{policy:?}");
+                assert!(r.handoff_bytes > 0, "{policy:?}");
+                assert!(r.first_token < r.completed, "{policy:?}");
+                assert!(r.tpot().is_some(), "{policy:?}");
+            }
 
-        for (label, other) in [("sequential", &b), ("streamed", &c), ("streamed seq", &d)] {
-            assert_eq!(a.records, other.records, "{label} records diverged");
-            assert_eq!(a.makespan, other.makespan, "{label} makespan diverged");
-            assert_eq!(a.cache, other.cache, "{label} cache stats diverged");
-            assert_eq!(a.offload, other.offload, "{label} offload stats diverged");
+            for (label, other) in [("sequential", &b), ("streamed", &c), ("streamed seq", &d)] {
+                assert_eq!(
+                    a.records, other.records,
+                    "{policy:?}: {label} records diverged"
+                );
+                assert_eq!(
+                    a.makespan, other.makespan,
+                    "{policy:?}: {label} makespan diverged"
+                );
+                assert_eq!(
+                    a.cache, other.cache,
+                    "{policy:?}: {label} cache stats diverged"
+                );
+                assert_eq!(
+                    a.offload, other.offload,
+                    "{policy:?}: {label} offload stats diverged"
+                );
+            }
         }
     }
 

@@ -26,18 +26,16 @@
 //! pass, so the partition — and hence the replay — is byte-identical no matter how
 //! many threads simulate it.
 //!
-//! Sticky routing needs no snapshot at all: it is a pure function of user
-//! first-appearance order, which trace generation precomputes
-//! ([`workload::StickySeq`]).  On a stamped batch whose stamps extend the router's
-//! history, the sticky policy partitions with plain arithmetic and skips the snapshot
-//! pass entirely.
+//! Sticky routing runs the same pass.  It reads only the snapshot's routable slots,
+//! so one path pins users on fixed, elastic and role-split fleets alike: on a fixed,
+//! colocated fleet the routable slots are `0..n` and the pass is plain §7.1
+//! round-robin in order of first appearance.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
 use kvcache::{KvCacheManager, TokenBlockHash};
-use workload::StreamedArrival;
 
 /// Why routing could not be set up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,8 +84,6 @@ impl RoutingPolicyKind {
         Ok(match self {
             RoutingPolicyKind::StickyUser => Box::new(StickyUserPolicy {
                 router: UserRouter::new(num_instances).expect("checked above"),
-                rank_users: Vec::new(),
-                elastic: false,
             }),
             RoutingPolicyKind::LeastLoaded => Box::new(LeastLoadedPolicy),
             RoutingPolicyKind::CacheAware => Box::new(CacheAwarePolicy),
@@ -345,107 +341,12 @@ pub trait RoutingPolicy: Send {
     /// `(arrival time, request id)` order; the caller folds each decision into the
     /// snapshot's load model via [`RouterSnapshot::note_routed`].
     fn route(&mut self, query: &RouteQuery<'_>, snapshot: &RouterSnapshot) -> RoutingDecision;
-
-    /// Batch fast path for state-independent policies: route one arrival-sorted
-    /// epoch at once, writing into `decisions[..batch.len()]`, or return `false`
-    /// to take the snapshot [`Self::route`] pass.  The stamps of a batch may
-    /// *extend* history the policy accumulated from earlier epochs and replays —
-    /// this is what keeps the arithmetic partition alive across epoch boundaries.
-    /// The default has no fast path.
-    fn route_stamped_batch(
-        &mut self,
-        _batch: &[StreamedArrival],
-        _num_instances: usize,
-        _decisions: &mut [RoutingDecision],
-    ) -> bool {
-        false
-    }
-
-    /// Notifies the policy that the fleet's routable slots changed (a membership
-    /// event was applied at an epoch boundary).  `routable` is the new ascending
-    /// slot list.  Stateless policies need nothing — they read
-    /// [`RouterSnapshot::routable`] each pass; the sticky policy uses this to
-    /// *permanently* retire its arithmetic `user_seq % n` fast path, whose modulus
-    /// silently diverges from round-robin over a resized fleet.
-    fn note_membership_change(&mut self, _routable: &[usize]) {}
 }
 
 /// The [`RoutingPolicyKind::StickyUser`] policy: §7.1 user-id routing over a
-/// [`UserRouter`], with the arithmetic fast path over traces stamped with
-/// [`workload::StickySeq`].
+/// [`UserRouter`], restricted to the snapshot's routable slots.
 struct StickyUserPolicy {
     router: UserRouter,
-    /// Users in order of first appearance — the rank → user table the stamp fast
-    /// path validates against.  Maintained by *every* routing path (slow-path
-    /// `route` included), which is sound because round-robin assignment in
-    /// first-appearance order always pins the `r`-th distinct user to
-    /// `r % num_instances`; epoch batches whose stamps extend this history can
-    /// therefore keep fast-pathing after a slow-path window.
-    rank_users: Vec<u64>,
-    /// Set (permanently) by the first membership event.  The arithmetic fast path
-    /// computes `user_seq % num_instances` — the round-robin outcome over the fleet
-    /// the trace was *stamped* for.  Once the fleet has resized, that modulus
-    /// silently disagrees with round-robin over the surviving slots (and can even
-    /// name a drained instance), so every later epoch must take the slot-aware
-    /// slow path.
-    elastic: bool,
-}
-
-impl StickyUserPolicy {
-    /// Validates that every arrival is stamped and that the stamps consistently
-    /// *extend* the router's first-appearance history: new firsts ranked
-    /// `known, known+1, ...` in order by distinct unseen users, and every repeat
-    /// pointing at its own user's rank.  Returns the new first-appearing users in
-    /// order, without mutating anything — a spliced or hand-edited trace fails
-    /// here and takes the slow path from an untouched router.
-    fn validate_stamps(&self, batch: &[StreamedArrival]) -> Option<Vec<u64>> {
-        let known = self.rank_users.len();
-        let mut new_firsts: Vec<u64> = Vec::new();
-        let mut distinct_firsts: HashSet<u64> = HashSet::new();
-        for StreamedArrival { arrival, .. } in batch {
-            let sticky = arrival.sticky?;
-            let user = arrival.template.user_id;
-            if sticky.first_of_user {
-                if sticky.user_seq != (known + new_firsts.len()) as u64
-                    || self.router.is_known(user)
-                    || !distinct_firsts.insert(user)
-                {
-                    return None;
-                }
-                new_firsts.push(user);
-            } else {
-                let rank = sticky.user_seq as usize;
-                let expected = if rank < known {
-                    self.rank_users.get(rank)
-                } else {
-                    new_firsts.get(rank - known)
-                };
-                if expected != Some(&user) {
-                    return None;
-                }
-            }
-        }
-        Some(new_firsts)
-    }
-
-    /// Pins a newly first-appearing user at the next rank (the arithmetic
-    /// round-robin outcome) and records it in the rank table.
-    fn seed_first(&mut self, user: u64) {
-        let instance = self.rank_users.len() % self.router.num_instances();
-        self.router.seed(user, instance);
-        self.rank_users.push(user);
-    }
-
-    fn arithmetic_decision(sticky: workload::StickySeq, num_instances: usize) -> RoutingDecision {
-        RoutingDecision {
-            instance: (sticky.user_seq % num_instances as u64) as usize,
-            reason: if sticky.first_of_user {
-                RoutingReason::StickyNew
-            } else {
-                RoutingReason::StickyExisting
-            },
-        }
-    }
 }
 
 impl RoutingPolicy for StickyUserPolicy {
@@ -454,68 +355,16 @@ impl RoutingPolicy for StickyUserPolicy {
     }
 
     fn route(&mut self, query: &RouteQuery<'_>, snapshot: &RouterSnapshot) -> RoutingDecision {
-        if self.elastic {
-            // Slot-aware stickiness over a resized fleet: users keep their pin
-            // while it stays routable; users pinned to a drained slot (and new
-            // users) take the next routable slot round-robin.
-            let known = self.router.is_known(query.user_id);
-            let instance = self.router.route_slots(query.user_id, snapshot.routable());
-            let reason = if known {
-                RoutingReason::StickyExisting
-            } else {
-                self.rank_users.push(query.user_id);
-                RoutingReason::StickyNew
-            };
-            debug_assert_eq!(self.rank_users.len(), self.router.known_users());
-            return RoutingDecision { instance, reason };
-        }
+        // Re-pinning a user whose slot drained leaves the user count unchanged, so
+        // only a first appearance grows it.
         let known = self.router.known_users();
-        let instance = self.router.route(query.user_id);
+        let instance = self.router.route_slots(query.user_id, snapshot.routable());
         let reason = if self.router.known_users() > known {
-            self.rank_users.push(query.user_id);
             RoutingReason::StickyNew
         } else {
             RoutingReason::StickyExisting
         };
-        debug_assert_eq!(self.rank_users.len(), self.router.known_users());
         RoutingDecision { instance, reason }
-    }
-
-    /// The arrival-partitioning fast path: on a batch where every arrival carries
-    /// a [`workload::StickySeq`] stamp consistent with the router's accumulated
-    /// first-appearance history, the assignment of every request is
-    /// `user_seq % num_instances` — no per-request hash-map traffic, just one seed
-    /// insert per *new* distinct user so later epochs (and unstamped traces)
-    /// continue from exactly the state the slow path would have left.
-    fn route_stamped_batch(
-        &mut self,
-        batch: &[StreamedArrival],
-        num_instances: usize,
-        decisions: &mut [RoutingDecision],
-    ) -> bool {
-        debug_assert_eq!(batch.len(), decisions.len());
-        if self.elastic {
-            return false;
-        }
-        let Some(new_firsts) = self.validate_stamps(batch) else {
-            return false;
-        };
-        for (streamed, slot) in batch.iter().zip(decisions.iter_mut()) {
-            let sticky = streamed.arrival.sticky.expect("validated above");
-            *slot = Self::arithmetic_decision(sticky, num_instances);
-        }
-        for user in new_firsts {
-            self.seed_first(user);
-        }
-        true
-    }
-
-    /// The sticky fast-path fix for elastic fleets: `user_seq % n` was stamped for
-    /// the fleet the trace was generated against; after the first resize it would
-    /// silently misroute (or target a drained slot), so the arithmetic path is
-    /// retired for good and every later arrival takes the slot-aware slow path.
-    fn note_membership_change(&mut self, _routable: &[usize]) {
-        self.elastic = true;
     }
 }
 
@@ -581,9 +430,10 @@ impl RoutingPolicy for CacheAwarePolicy {
     }
 }
 
-/// Sticky round-robin router keyed by user id (the engine of the
-/// [`RoutingPolicyKind::StickyUser`] policy, kept public as the §7.1 reference
-/// implementation).
+/// Sticky round-robin router keyed by user id: the engine of the
+/// [`RoutingPolicyKind::StickyUser`] policy, which routes every arrival through
+/// [`Self::route_slots`].  [`Self::route`] is kept public as the §7.1 reference
+/// implementation over a fixed fleet.
 #[derive(Debug, Clone)]
 pub struct UserRouter {
     num_instances: usize,
@@ -624,11 +474,10 @@ impl UserRouter {
     }
 
     /// Routes `user_id` over an explicit routable-slot list (ascending instance
-    /// indices, non-empty) — the elastic-fleet counterpart of [`Self::route`].  A
-    /// user pinned to a still-routable slot keeps it; a new user, or one whose slot
-    /// has drained out of the fleet, is (re-)pinned to the next routable slot in
-    /// round-robin order.  On the identity slot list `0..n` this behaves exactly
-    /// like [`Self::route`].
+    /// indices, non-empty) — the only path the sticky policy uses.  A user pinned to
+    /// a still-routable slot keeps it; a new user, or one whose slot has drained out
+    /// of the fleet, is (re-)pinned to the next routable slot in round-robin order.
+    /// On the identity slot list `0..n` this behaves exactly like [`Self::route`].
     ///
     /// # Panics
     ///
@@ -649,15 +498,6 @@ impl UserRouter {
         slot
     }
 
-    /// Pins a new user to an instance directly (the sticky fast path, which already
-    /// knows the round-robin outcome from the trace's first-appearance ranks) and
-    /// advances the round-robin cursor exactly as [`Self::route`] would have.
-    fn seed(&mut self, user_id: u64, instance: usize) {
-        debug_assert_eq!(instance, self.next, "seeded order must match round-robin");
-        self.assignment.insert(user_id, instance);
-        self.next = (self.next + 1) % self.num_instances;
-    }
-
     /// Number of instances behind the router.
     pub fn num_instances(&self) -> usize {
         self.num_instances
@@ -666,11 +506,6 @@ impl UserRouter {
     /// Number of distinct users seen so far.
     pub fn known_users(&self) -> usize {
         self.assignment.len()
-    }
-
-    /// Whether `user_id` is already pinned to an instance.
-    pub fn is_known(&self, user_id: u64) -> bool {
-        self.assignment.contains_key(&user_id)
     }
 }
 
@@ -1075,270 +910,6 @@ mod tests {
         }
     }
 
-    /// Offers `trace` to [`RoutingPolicy::route_stamped_batch`] as one batch (ids
-    /// are trace indices): the decisions when the fast path takes it, `None` when
-    /// it falls back to the slow path.
-    fn route_as_batch(
-        policy: &mut dyn RoutingPolicy,
-        trace: &[workload::ArrivalPattern],
-        num_instances: usize,
-    ) -> Option<Vec<RoutingDecision>> {
-        let batch: Vec<StreamedArrival> = trace
-            .iter()
-            .enumerate()
-            .map(|(id, arrival)| StreamedArrival {
-                id: id as u64,
-                arrival: arrival.clone(),
-            })
-            .collect();
-        let mut decisions = vec![
-            RoutingDecision {
-                instance: 0,
-                reason: RoutingReason::Direct,
-            };
-            batch.len()
-        ];
-        policy
-            .route_stamped_batch(&batch, num_instances, &mut decisions)
-            .then_some(decisions)
-    }
-
-    #[test]
-    fn sticky_fast_path_accepts_consistent_stamps_and_rejects_inconsistent_ones() {
-        use simcore::SimTime;
-        use std::sync::Arc;
-        use workload::{ArrivalPattern, RequestTemplate, StickySeq};
-
-        let arrival = |user: u64, at_ms: u64, sticky: Option<StickySeq>| ArrivalPattern {
-            template: RequestTemplate {
-                user_id: user,
-                tokens: Arc::new(vec![0; 32]),
-                shared_prefix_tokens: 0,
-                decode_tokens: 0,
-            },
-            arrival: SimTime::from_millis(at_ms),
-            sticky,
-        };
-        let stamp = |user_seq: u64, first_of_user: bool| {
-            Some(StickySeq {
-                user_seq,
-                first_of_user,
-            })
-        };
-
-        // Consistent: firsts ranked 0, 1 and repeats pointing at their own rank.
-        let good = vec![
-            arrival(7, 0, stamp(0, true)),
-            arrival(9, 10, stamp(1, true)),
-            arrival(7, 20, stamp(0, false)),
-        ];
-        let mut policy = RoutingPolicyKind::StickyUser.build(2).unwrap();
-        let decisions = route_as_batch(policy.as_mut(), &good, 2)
-            .expect("consistent stamps take the fast path");
-        assert_eq!(
-            decisions.iter().map(|d| d.instance).collect::<Vec<_>>(),
-            vec![0, 1, 0]
-        );
-
-        // A user stamped "first" twice would split their requests across instances;
-        // the fast path must refuse and leave the router untouched.
-        let duplicate_first = vec![
-            arrival(7, 0, stamp(0, true)),
-            arrival(7, 10, stamp(1, true)),
-        ];
-        let mut policy = RoutingPolicyKind::StickyUser.build(2).unwrap();
-        assert!(route_as_batch(policy.as_mut(), &duplicate_first, 2).is_none());
-        // ... and because nothing was seeded, a later window still fast-paths.
-        assert!(route_as_batch(policy.as_mut(), &good, 2).is_some());
-
-        // A repeat stamped with another user's rank is likewise refused.
-        let wrong_rank = vec![
-            arrival(7, 0, stamp(0, true)),
-            arrival(9, 10, stamp(1, true)),
-            arrival(9, 20, stamp(0, false)),
-        ];
-        let mut policy = RoutingPolicyKind::StickyUser.build(2).unwrap();
-        assert!(route_as_batch(policy.as_mut(), &wrong_rank, 2).is_none());
-
-        // Unstamped arrivals always take the slow path.
-        let unstamped = vec![arrival(7, 0, None)];
-        let mut policy = RoutingPolicyKind::StickyUser.build(2).unwrap();
-        assert!(route_as_batch(policy.as_mut(), &unstamped, 2).is_none());
-    }
-
-    /// Spliced/truncated-trace edges of the arithmetic fast path: every stamp
-    /// inconsistency a cut-and-paste of generated traces can produce must be
-    /// detected *before* anything is seeded, so the slow path starts from a clean
-    /// router.
-    #[test]
-    fn sticky_fast_path_rejects_spliced_and_truncated_stamps() {
-        use simcore::SimTime;
-        use std::sync::Arc;
-        use workload::{ArrivalPattern, RequestTemplate, StickySeq};
-
-        let arrival = |user: u64, at_ms: u64, sticky: Option<StickySeq>| ArrivalPattern {
-            template: RequestTemplate {
-                user_id: user,
-                tokens: Arc::new(vec![0; 32]),
-                shared_prefix_tokens: 0,
-                decode_tokens: 0,
-            },
-            arrival: SimTime::from_millis(at_ms),
-            sticky,
-        };
-        let stamp = |user_seq: u64, first_of_user: bool| {
-            Some(StickySeq {
-                user_seq,
-                first_of_user,
-            })
-        };
-
-        let cases: Vec<(&str, Vec<ArrivalPattern>)> = vec![
-            (
-                // Two *different* users stamped first with the same rank (a splice
-                // of two traces' heads): rank 0 repeats.
-                "duplicate user_seq across distinct users",
-                vec![
-                    arrival(7, 0, stamp(0, true)),
-                    arrival(9, 10, stamp(0, true)),
-                ],
-            ),
-            (
-                // The same user stamped first twice (their requests would split).
-                "duplicate first stamp of one user",
-                vec![
-                    arrival(7, 0, stamp(0, true)),
-                    arrival(7, 10, stamp(1, true)),
-                ],
-            ),
-            (
-                // A trace whose middle user was cut out: ranks jump 0 → 2.
-                "non-contiguous first-appearance ranks",
-                vec![
-                    arrival(7, 0, stamp(0, true)),
-                    arrival(9, 10, stamp(2, true)),
-                ],
-            ),
-            (
-                // A truncated trace that lost a user's first arrival: the repeat
-                // points at a rank nobody claimed.
-                "repeat stamp without its first",
-                vec![arrival(9, 0, stamp(0, false))],
-            ),
-            (
-                // Stamped head spliced onto an unstamped tail.
-                "stamped-then-unstamped arrivals",
-                vec![
-                    arrival(7, 0, stamp(0, true)),
-                    arrival(9, 10, stamp(1, true)),
-                    arrival(7, 20, None),
-                ],
-            ),
-        ];
-        let consistent = vec![
-            arrival(7, 0, stamp(0, true)),
-            arrival(9, 10, stamp(1, true)),
-            arrival(7, 20, stamp(0, false)),
-        ];
-        for (name, trace) in cases {
-            let mut policy = RoutingPolicyKind::StickyUser.build(2).unwrap();
-            assert!(
-                route_as_batch(policy.as_mut(), &trace, 2).is_none(),
-                "{name} must fall back to the slow path"
-            );
-            // Rejection must not have seeded anything: a later consistent window
-            // still takes the fast path from rank 0.
-            assert!(
-                route_as_batch(policy.as_mut(), &consistent, 2).is_some(),
-                "{name} must leave the router untouched"
-            );
-        }
-    }
-
-    /// A stamped stream split into epochs must keep the arithmetic partition
-    /// across epoch boundaries, and the decisions must match the slow path's.
-    #[test]
-    fn sticky_batch_fast_path_extends_across_epochs() {
-        use simcore::SimTime;
-        use std::sync::Arc;
-        use workload::{ArrivalPattern, RequestTemplate, StickySeq, StreamedArrival};
-
-        let streamed =
-            |id: u64, user: u64, at_ms: u64, user_seq: u64, first: bool| StreamedArrival {
-                id,
-                arrival: ArrivalPattern {
-                    template: RequestTemplate {
-                        user_id: user,
-                        tokens: Arc::new(vec![0; 32]),
-                        shared_prefix_tokens: 0,
-                        decode_tokens: 0,
-                    },
-                    arrival: SimTime::from_millis(at_ms),
-                    sticky: Some(StickySeq {
-                        user_seq,
-                        first_of_user: first,
-                    }),
-                },
-            };
-        let epoch1 = vec![
-            streamed(0, 70, 0, 0, true),
-            streamed(1, 90, 5, 1, true),
-            streamed(2, 70, 9, 0, false),
-        ];
-        // Epoch 2 extends the history: a repeat of rank 1 plus a new user at rank 2.
-        let epoch2 = vec![streamed(3, 90, 20, 1, false), streamed(4, 55, 24, 2, true)];
-
-        let mut policy = RoutingPolicyKind::StickyUser.build(2).unwrap();
-        let noop = RoutingDecision {
-            instance: 0,
-            reason: RoutingReason::Direct,
-        };
-        let mut decisions = vec![noop; epoch1.len()];
-        assert!(policy.route_stamped_batch(&epoch1, 2, &mut decisions));
-        assert_eq!(
-            decisions.iter().map(|d| d.instance).collect::<Vec<_>>(),
-            vec![0, 1, 0]
-        );
-
-        let mut decisions = vec![noop; epoch2.len()];
-        assert!(
-            policy.route_stamped_batch(&epoch2, 2, &mut decisions),
-            "stamps extending earlier epochs' history must keep the fast path"
-        );
-        assert_eq!(
-            decisions
-                .iter()
-                .map(|d| (d.instance, d.reason))
-                .collect::<Vec<_>>(),
-            vec![
-                (1, RoutingReason::StickyExisting),
-                (0, RoutingReason::StickyNew),
-            ]
-        );
-
-        // A batch restarting ranks at 0 (a fresh trace) must fall back...
-        let fresh = vec![streamed(5, 7_000, 30, 0, true)];
-        let mut decisions = vec![noop; fresh.len()];
-        assert!(!policy.route_stamped_batch(&fresh, 2, &mut decisions));
-
-        // ... and after slow-path routing, stamps that extend the *combined*
-        // history (3 firsts so far + slow-routed user 7000 = next rank 4) still
-        // fast-path: the rank table is maintained by every routing path.
-        let snapshot = snapshot_with_loads(vec![InstanceLoad::default(); 2]);
-        let d = policy.route(&query(7_000, 32), &snapshot);
-        assert_eq!((d.instance, d.reason), (1, RoutingReason::StickyNew));
-        let resumed = vec![
-            streamed(6, 11, 40, 4, true),
-            streamed(7, 7_000, 44, 3, false),
-        ];
-        let mut decisions = vec![noop; resumed.len()];
-        assert!(policy.route_stamped_batch(&resumed, 2, &mut decisions));
-        assert_eq!(
-            decisions.iter().map(|d| d.instance).collect::<Vec<_>>(),
-            vec![0, 1]
-        );
-    }
-
     #[test]
     fn load_policies_route_only_over_routable_slots() {
         use kvcache::hash_token_blocks;
@@ -1388,55 +959,20 @@ mod tests {
         assert_eq!((d.instance, d.reason), (1, RoutingReason::DeepestPrefix));
     }
 
+    /// A membership change re-pins only the users whose slot left the routable
+    /// list; new users keep going round-robin over the slots that remain.
     #[test]
     fn membership_change_retires_the_sticky_fast_path_and_repins_drained_users() {
-        use simcore::SimTime;
-        use std::sync::Arc;
-        use workload::{ArrivalPattern, RequestTemplate, StickySeq, StreamedArrival};
-
-        let streamed =
-            |id: u64, user: u64, at_ms: u64, user_seq: u64, first: bool| StreamedArrival {
-                id,
-                arrival: ArrivalPattern {
-                    template: RequestTemplate {
-                        user_id: user,
-                        tokens: Arc::new(vec![0; 32]),
-                        shared_prefix_tokens: 0,
-                        decode_tokens: 0,
-                    },
-                    arrival: SimTime::from_millis(at_ms),
-                    sticky: Some(StickySeq {
-                        user_seq,
-                        first_of_user: first,
-                    }),
-                },
-            };
         let mut policy = RoutingPolicyKind::StickyUser.build(2).unwrap();
-        let noop = RoutingDecision {
-            instance: 0,
-            reason: RoutingReason::Direct,
-        };
 
-        // Pre-resize: users 10 → slot 0, 20 → slot 1 via the arithmetic fast path.
-        let epoch1 = vec![streamed(0, 10, 0, 0, true), streamed(1, 20, 5, 1, true)];
-        let mut decisions = vec![noop; epoch1.len()];
-        assert!(policy.route_stamped_batch(&epoch1, 2, &mut decisions));
-        assert_eq!(
-            decisions.iter().map(|d| d.instance).collect::<Vec<_>>(),
-            vec![0, 1]
-        );
+        // Before the resize: users 10 → slot 0, 20 → slot 1.
+        let snapshot = snapshot_with_loads(vec![InstanceLoad::default(); 2]);
+        let d = policy.route(&query(10, 32), &snapshot);
+        assert_eq!((d.instance, d.reason), (0, RoutingReason::StickyNew));
+        let d = policy.route(&query(20, 32), &snapshot);
+        assert_eq!((d.instance, d.reason), (1, RoutingReason::StickyNew));
 
-        // Slot 1 drains out.  Even perfectly consistent stamps must now refuse the
-        // fast path — `user_seq % n` would route rank-1 users onto the leaver.
-        policy.note_membership_change(&[0]);
-        let epoch2 = vec![streamed(2, 20, 10, 1, false), streamed(3, 30, 12, 2, true)];
-        let mut decisions = vec![noop; epoch2.len()];
-        assert!(
-            !policy.route_stamped_batch(&epoch2, 2, &mut decisions),
-            "resized fleets must take the slot-aware slow path"
-        );
-
-        // Slow path: user 20's pin (slot 1) is gone → re-pinned to a routable slot,
+        // Slot 1 drains out: user 20's pin is gone → re-pinned to a routable slot,
         // still labelled an existing user; user 10 keeps slot 0.
         let snapshot =
             snapshot_with_loads(vec![InstanceLoad::default(); 2]).with_routable_slots(vec![0]);

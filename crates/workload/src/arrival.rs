@@ -26,23 +26,6 @@ pub enum ArrivalGranularity {
     PerRequest,
 }
 
-/// Sticky-routing metadata precomputed at trace generation.
-///
-/// Sticky user-id routing (§7.1) is a pure function of the order in which users first
-/// appear in the trace — it never consults instance state.  Computing that order here,
-/// while the trace is being generated anyway, lets the cluster's sticky policy
-/// partition arrivals with plain arithmetic (`user_seq % num_instances`) instead of a
-/// per-request hash-map pass over millions of arrivals; only state-dependent policies
-/// (least-loaded, cache-aware) pay a windowed routing pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StickySeq {
-    /// Rank of this arrival's user in order of first appearance within the trace
-    /// (0-based: the first distinct user is 0, the second 1, ...).
-    pub user_seq: u64,
-    /// Whether this arrival is the user's first in the trace.
-    pub first_of_user: bool,
-}
-
 /// A request template stamped with its arrival time.
 #[derive(Debug, Clone)]
 pub struct ArrivalPattern {
@@ -50,9 +33,6 @@ pub struct ArrivalPattern {
     pub template: RequestTemplate,
     /// When the request reaches the serving system.
     pub arrival: SimTime,
-    /// Sticky-routing metadata ([`StickySeq`]); `None` for hand-built patterns, in
-    /// which case the sticky policy falls back to its hash-map pass.
-    pub sticky: Option<StickySeq>,
 }
 
 /// Assigns Poisson arrival times at [`ArrivalGranularity::PerUser`] granularity such
@@ -92,29 +72,7 @@ pub fn assign_poisson_arrivals_with(
         ArrivalGranularity::PerRequest => per_request(dataset, qps, rng),
     };
     arrivals.sort_by_key(|a| a.arrival);
-    stamp_sticky_seq(&mut arrivals);
     arrivals
-}
-
-/// Stamps every arrival with its user's first-appearance rank (see [`StickySeq`]).
-/// The ranks are computed over the final, arrival-sorted order — the order any router
-/// processes the trace in.
-fn stamp_sticky_seq(arrivals: &mut [ArrivalPattern]) {
-    let mut seq_of_user: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-    for arrival in arrivals.iter_mut() {
-        let next = seq_of_user.len() as u64;
-        let mut first_of_user = false;
-        let user_seq = *seq_of_user
-            .entry(arrival.template.user_id)
-            .or_insert_with(|| {
-                first_of_user = true;
-                next
-            });
-        arrival.sticky = Some(StickySeq {
-            user_seq,
-            first_of_user,
-        });
-    }
 }
 
 fn per_user(dataset: &Dataset, qps: f64, rng: &mut SimRng) -> Vec<ArrivalPattern> {
@@ -134,7 +92,6 @@ fn per_user(dataset: &Dataset, qps: f64, rng: &mut SimRng) -> Vec<ArrivalPattern
             arrivals.push(ArrivalPattern {
                 template: template.clone(),
                 arrival: at,
-                sticky: None,
             });
         }
     }
@@ -150,7 +107,6 @@ fn per_request(dataset: &Dataset, qps: f64, rng: &mut SimRng) -> Vec<ArrivalPatt
         .map(|idx| ArrivalPattern {
             template: dataset.requests()[idx].clone(),
             arrival: process.next_arrival(),
-            sticky: None,
         })
         .collect()
 }
@@ -230,33 +186,6 @@ mod tests {
                 (observed - qps).abs() / qps < 0.25,
                 "{granularity:?}: observed {observed:.1} qps vs requested {qps}"
             );
-        }
-    }
-
-    #[test]
-    fn sticky_seq_ranks_users_by_first_appearance() {
-        let ds = Dataset::generate(WorkloadKind::PostRecommendation, &mut rng());
-        for granularity in [ArrivalGranularity::PerUser, ArrivalGranularity::PerRequest] {
-            let arrivals = assign_poisson_arrivals_with(&ds, 10.0, granularity, &mut rng());
-            let mut seen: Vec<u64> = Vec::new();
-            let mut firsts = 0u64;
-            for arrival in &arrivals {
-                let sticky = arrival.sticky.expect("generated traces are stamped");
-                match seen.iter().position(|&u| u == arrival.template.user_id) {
-                    None => {
-                        assert!(sticky.first_of_user);
-                        assert_eq!(sticky.user_seq, seen.len() as u64);
-                        seen.push(arrival.template.user_id);
-                        firsts += 1;
-                    }
-                    Some(rank) => {
-                        assert!(!sticky.first_of_user);
-                        assert_eq!(sticky.user_seq, rank as u64);
-                    }
-                }
-            }
-            assert_eq!(firsts, seen.len() as u64, "one first per distinct user");
-            assert!(seen.len() > 1);
         }
     }
 

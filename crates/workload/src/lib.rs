@@ -24,7 +24,6 @@ mod stream;
 
 pub use arrival::{
     assign_poisson_arrivals, assign_poisson_arrivals_with, ArrivalGranularity, ArrivalPattern,
-    StickySeq,
 };
 pub use dataset::{Dataset, DatasetSummary, RequestTemplate};
 pub use membership::{InstanceRole, MembershipChange, MembershipEvent, MembershipSchedule};

@@ -15,10 +15,7 @@
 //! 2. **Deterministic.**  A stream is a pure function of its constructor arguments
 //!    (spec + seed); two streams built the same way yield byte-identical sequences.
 //!    This is what keeps parallel and sequential replay byte-identical.
-//! 3. **Stamped.**  Generated arrivals carry [`StickySeq`] metadata consistent with
-//!    first-appearance order across the *whole* stream, so the sticky
-//!    arithmetic-partition fast path survives streaming.
-//! 4. **Identified.**  Each arrival carries a stable `id` used as the replay's
+//! 3. **Identified.**  Each arrival carries a stable `id` used as the replay's
 //!    request id.  The slice adapter preserves original trace indices so streamed
 //!    and materialised replays of the same trace produce identical records.
 
@@ -28,7 +25,7 @@ use std::sync::Arc;
 
 use simcore::{PoissonProcess, SimDuration, SimRng, SimTime};
 
-use crate::arrival::{ArrivalGranularity, ArrivalPattern, StickySeq};
+use crate::arrival::{ArrivalGranularity, ArrivalPattern};
 use crate::dataset::{
     conversation_input, conversation_reply, system_prompt_tokens, user_tokens, Dataset,
     RequestTemplate,
@@ -41,14 +38,14 @@ pub struct StreamedArrival {
     /// Stable request id: the trace index for slice-backed streams, the emission
     /// sequence number for generators.
     pub id: u64,
-    /// The arriving request, stamped and timed.
+    /// The arriving request and its arrival time.
     pub arrival: ArrivalPattern,
 }
 
 /// A source of arrivals in non-decreasing event-time order.
 ///
 /// See the module docs above for the full contract (sorted, deterministic,
-/// stamped, identified).
+/// identified).
 pub trait ArrivalStream {
     /// Yields the next arrival, or `None` when the trace is exhausted.
     fn next_arrival(&mut self) -> Option<StreamedArrival>;
@@ -236,33 +233,11 @@ impl ArrivalStream for SliceArrivalStream<'_> {
     }
 }
 
-/// Incremental [`StickySeq`] stamping: first-appearance ranks over the emission
-/// order, identical to `stamp_sticky_seq` on the materialised trace.
-#[derive(Debug, Default)]
-struct StickyStamper {
-    seq_of_user: HashMap<u64, u64>,
-}
-
-impl StickyStamper {
-    fn stamp(&mut self, user_id: u64) -> StickySeq {
-        let next = self.seq_of_user.len() as u64;
-        let mut first_of_user = false;
-        let user_seq = *self.seq_of_user.entry(user_id).or_insert_with(|| {
-            first_of_user = true;
-            next
-        });
-        StickySeq {
-            user_seq,
-            first_of_user,
-        }
-    }
-}
-
 /// Streaming twin of
 /// [`assign_poisson_arrivals_with`](crate::assign_poisson_arrivals_with): yields
-/// the **byte-identical** arrival sequence (same times, same order, same
-/// [`StickySeq`] stamps, ids equal to the materialised trace's indices) without
-/// ever materialising the `Vec<ArrivalPattern>`.
+/// the **byte-identical** arrival sequence (same times, same order, ids equal to
+/// the materialised trace's indices) without ever materialising the
+/// `Vec<ArrivalPattern>`.
 ///
 /// Equality holds because the generator emits in sorted order by construction:
 /// Poisson arrival times are non-decreasing, and the materialised path's stable
@@ -272,7 +247,6 @@ impl StickyStamper {
 pub struct PoissonArrivalStream<'a> {
     dataset: &'a Dataset,
     plan: Plan,
-    stamper: StickyStamper,
     emitted: u64,
 }
 
@@ -356,7 +330,6 @@ impl<'a> PoissonArrivalStream<'a> {
         PoissonArrivalStream {
             dataset,
             plan,
-            stamper: StickyStamper::default(),
             emitted: 0,
         }
     }
@@ -400,7 +373,6 @@ impl ArrivalStream for PoissonArrivalStream<'_> {
             }
             Plan::Empty => return None,
         };
-        let sticky = self.stamper.stamp(template.user_id);
         let id = self.emitted;
         self.emitted += 1;
         Some(StreamedArrival {
@@ -408,7 +380,6 @@ impl ArrivalStream for PoissonArrivalStream<'_> {
             arrival: ArrivalPattern {
                 template: template.clone(),
                 arrival: at,
-                sticky: Some(sticky),
             },
         })
     }
@@ -429,9 +400,7 @@ impl ArrivalStream for PoissonArrivalStream<'_> {
 /// access pattern that makes the network KV tier measurable.
 ///
 /// Token content matches [`Dataset::shared_prefix_fleet`] per `(user, round)`
-/// pair, and [`StickySeq`] stamps are arithmetic by construction (`user_seq ==
-/// user_id`, first in round 0), so the sticky fast path engages with zero
-/// routing-state growth.
+/// pair.
 #[derive(Debug)]
 pub struct SharedPrefixFleetStream {
     spec: SharedPrefixFleetSpec,
@@ -494,10 +463,6 @@ impl ArrivalStream for SharedPrefixFleetStream {
                     decode_tokens: 0,
                 },
                 arrival: at,
-                sticky: Some(StickySeq {
-                    user_seq: user,
-                    first_of_user: round == 0,
-                }),
             },
         })
     }
@@ -536,7 +501,6 @@ pub struct ConversationStream {
     /// Rolling sequence history of each open session (system prompt, inputs and
     /// replies of completed turns).
     histories: HashMap<u64, Vec<u32>>,
-    stamper: StickyStamper,
     emitted: u64,
     total: u64,
 }
@@ -564,7 +528,6 @@ impl ConversationStream {
             next_start: None,
             heap: BinaryHeap::new(),
             histories: HashMap::new(),
-            stamper: StickyStamper::default(),
             emitted: 0,
             total,
         }
@@ -635,7 +598,6 @@ impl ArrivalStream for ConversationStream {
             self.histories.remove(&session);
         }
 
-        let sticky = self.stamper.stamp(session);
         let id = self.emitted;
         self.emitted += 1;
         Some(StreamedArrival {
@@ -648,7 +610,6 @@ impl ArrivalStream for ConversationStream {
                     decode_tokens: self.spec.decode_tokens_per_turn,
                 },
                 arrival: at,
-                sticky: Some(sticky),
             },
         })
     }
@@ -660,9 +621,9 @@ impl ArrivalStream for ConversationStream {
 
 /// Materialised twin of [`ConversationStream`]: generates the same sessions
 /// eagerly from [`Dataset::conversation`], assigns the same Poisson session
-/// starts and think-time offsets, sorts by the stream's `(arrival, session,
-/// turn)` emission key and stamps first-appearance [`StickySeq`] ranks in that
-/// order — byte-identical to draining the stream (pinned by property test).
+/// starts and think-time offsets and sorts by the stream's `(arrival, session,
+/// turn)` emission key — byte-identical to draining the stream (pinned by
+/// property test).
 pub fn conversation_trace(spec: &ConversationSpec, session_qps: f64, seed: u64) -> SortedTrace {
     let dataset = Dataset::conversation(spec);
     if dataset.is_empty() {
@@ -684,16 +645,13 @@ pub fn conversation_trace(spec: &ConversationSpec, session_qps: f64, seed: u64) 
     }
     order.sort_unstable();
 
-    let mut stamper = StickyStamper::default();
     let arrivals = order
         .into_iter()
         .map(|(at, session, turn)| {
             let idx = (session * spec.turns_per_session + turn) as usize;
-            let sticky = stamper.stamp(session);
             ArrivalPattern {
                 template: dataset.requests()[idx].clone(),
                 arrival: at,
-                sticky: Some(sticky),
             }
         })
         .collect();
@@ -720,7 +678,6 @@ mod tests {
         assert_eq!(streamed.len(), materialised.len());
         for (s, m) in streamed.iter().zip(materialised) {
             assert_eq!(s.arrival, m.arrival);
-            assert_eq!(s.sticky, m.sticky);
             assert_eq!(s.template.user_id, m.template.user_id);
             assert_eq!(
                 s.template.shared_prefix_tokens,
@@ -891,14 +848,6 @@ mod tests {
             // Arrival order is round-robin over users; times strictly advance.
             assert!(streamed.arrival.arrival > last);
             last = streamed.arrival.arrival;
-            // Stamps are arithmetic: rank == user id, first in round 0.
-            assert_eq!(
-                streamed.arrival.sticky,
-                Some(StickySeq {
-                    user_seq: user,
-                    first_of_user: round == 0,
-                })
-            );
             // Token content matches the materialised dataset's (user, round) request.
             let materialised = dataset
                 .requests()

@@ -430,7 +430,6 @@ fn cache_aware_routing_beats_sticky_on_a_shared_prefix_multi_user_trace() {
                 decode_tokens: 0,
             },
             arrival: SimTime::from_millis(at_ms),
-            sticky: None,
         }
     };
 
@@ -554,7 +553,6 @@ fn cache_aware_routing_beats_sticky_on_mean_ttft_on_a_multi_turn_decode_trace() 
                 decode_tokens: u64::from(REPLY_TOKENS),
             },
             arrival: SimTime::from_millis(at_ms),
-            sticky: None,
         }
     };
 
