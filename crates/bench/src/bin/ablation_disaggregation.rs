@@ -131,7 +131,7 @@ fn main() {
                 config = config.with_window_metrics();
             }
             let report = Cluster::new(&config)
-                .run_sorted(&trace, session_qps)
+                .run(&trace, session_qps)
                 .expect("conversation trace feasible");
             assert_eq!(report.records.len() as u64, spec.num_requests());
             if dump_windows {

@@ -8,9 +8,10 @@
 //! generatable on every PR without paying full measurement time.
 //!
 //! Pass `--check` to run the regression guard instead of emitting the file: the
-//! routing-pass and epoch-barrier groups are re-measured and compared against the
-//! committed `BENCH_baseline.json` medians, and the process exits non-zero if any
-//! entry is more than [`REGRESSION_FACTOR`]× worse or has no committed median.
+//! materialised-replay, decode, handoff, routing-pass and epoch-barrier groups are
+//! re-measured and compared against the committed `BENCH_baseline.json` medians,
+//! and the process exits non-zero if any entry is more than [`REGRESSION_FACTOR`]×
+//! worse or has no committed median.
 //! The guard re-measures the *full* workload shapes (sample counts aside, a
 //! `--smoke`-shaped workload would not be comparable to the committed medians),
 //! so `--check` rejects `--smoke`.
@@ -731,7 +732,7 @@ fn decode_baselines(out: &mut Vec<BaselinePoint>) {
         samples(9),
         || Cluster::new(&config),
         |mut cluster| {
-            let report = cluster.run_sorted(&trace, qps).expect("feasible");
+            let report = cluster.run(&trace, qps).expect("feasible");
             assert!(report.decode_tokens() > 0);
             std::hint::black_box(report.records.len());
             cluster
@@ -743,9 +744,7 @@ fn decode_baselines(out: &mut Vec<BaselinePoint>) {
         samples(9),
         || Cluster::new(&config),
         |mut cluster| {
-            let report = cluster
-                .run_sorted_sequential(&trace, qps)
-                .expect("feasible");
+            let report = cluster.run_sequential(&trace, qps).expect("feasible");
             assert!(report.decode_tokens() > 0);
             std::hint::black_box(report.records.len());
             cluster
@@ -790,9 +789,9 @@ fn handoff_baselines(out: &mut Vec<BaselinePoint>) {
             || Cluster::new(&config),
             |mut cluster| {
                 let report = if sequential {
-                    cluster.run_sorted_sequential(&trace, qps)
+                    cluster.run_sequential(&trace, qps)
                 } else {
-                    cluster.run_sorted(&trace, qps)
+                    cluster.run(&trace, qps)
                 }
                 .expect("feasible");
                 assert_eq!(report.handed_off_requests(), spec.num_requests());
@@ -840,11 +839,13 @@ fn committed_medians(json: &str) -> Vec<(String, f64)> {
     pairs
 }
 
-/// The CI regression guard: re-measures the routing-pass, epoch-barrier and
-/// KV-handoff groups (the per-epoch machinery this repo optimises hardest) and
-/// compares each median against the committed `BENCH_baseline.json`.  An entry
-/// without a committed median fails too, so a renamed or new entry is guarded
-/// from the commit that introduces it.  Returns the process exit code.
+/// The CI regression guard: re-measures the materialised replays of both
+/// flavours (colocated and decode-enabled), the KV-handoff plane, and the
+/// routing-pass and epoch-barrier groups (the per-epoch machinery this repo
+/// optimises hardest), and compares each median against the committed
+/// `BENCH_baseline.json`.  An entry without a committed median fails too, so a
+/// renamed or new entry is guarded from the commit that introduces it.  Returns
+/// the process exit code.
 fn regression_check() -> i32 {
     let path = workspace_root().join("BENCH_baseline.json");
     let json = match std::fs::read_to_string(&path) {
@@ -861,9 +862,12 @@ fn regression_check() -> i32 {
     }
 
     println!(
-        "Regression guard: routing pass + epoch barriers + handoff plane vs committed medians\n"
+        "Regression guard: replays + handoff plane + routing pass + epoch barriers \
+         vs committed medians\n"
     );
     let mut results = Vec::new();
+    cluster_baselines(&mut results);
+    decode_baselines(&mut results);
     routing_pass_baselines(&mut results);
     epoch_barrier_baselines(&mut results);
     handoff_baselines(&mut results);

@@ -8,14 +8,16 @@
 //!
 //! # Parallel replay and epoch routing
 //!
-//! No event ever crosses instances: an `Admit` or `Complete` event only touches the
-//! instance that produced it.  Replicated deployments therefore factor into
-//! independent per-instance event loops, and [`Cluster::run`] simulates them on
-//! parallel OS threads — one per instance — then merges the per-instance records
-//! deterministically.  The result is *identical* (records, makespan, cache
-//! statistics) to the single-threaded interleaved loop, which is kept as
-//! [`Cluster::run_sequential`] and enforced by the
-//! `parallel_run_is_identical_to_sequential` test.
+//! No event ever crosses instances: every event sits in one slot's queue and only
+//! touches that slot's instance.  Replicated deployments therefore factor into
+//! independent per-slot event loops.  The routing pass pushes each routed arrival
+//! straight into its slot's queue, and [`Cluster::run`] serves the queues on a pool
+//! of worker threads, then merges the per-slot records deterministically.
+//! [`Cluster::run_sequential`], the single-threaded reference, serves the same
+//! queues on one thread in one global time order (the earliest queue head across
+//! all slots, ties by slot index).  The two produce *identical* records, makespan
+//! and cache statistics, enforced by the `parallel_run_is_identical_to_sequential`
+//! test.
 //!
 //! Routing is what could break that factoring: a policy that consults instance state
 //! mid-epoch would couple the per-instance loops.  Instead, every replay is cut into
@@ -25,15 +27,16 @@
 //! pass's own decisions; for cache-aware policies, a borrow of every instance's KV
 //! manager, which nothing can mutate until the pass ends) — mirroring the
 //! snapshot-install/merge discipline of the shared network KV tier.  Both flavours
-//! run the identical pass, so the partition, and hence the replay, is
+//! run the identical pass and fill the identical slot queues, so the replay is
 //! byte-identical.
 //!
 //! Every entry point drives the same replay loop (see "Streaming replay").  The
-//! materialised ones — [`Cluster::run`] and its siblings — stream their slice in
-//! `(arrival time, trace index)` order, with trace indices as request ids.  On a
-//! fixed, colocated fleet without propagation epochs, a materialised trace replays
-//! as a single *replay window*: one epoch with no boundary, routed against the
-//! window-start snapshot and simulated to completion, with no barrier work.
+//! materialised ones — [`Cluster::run`] and [`Cluster::run_sequential`] — stream
+//! their slice in `(arrival time, trace index)` order, with trace indices as
+//! request ids.  On a fixed, colocated fleet without propagation epochs, a
+//! materialised trace replays as a single *replay window*: one epoch with no
+//! boundary, routed against the window-start snapshot and simulated to
+//! completion, with no barrier work.
 //!
 //! # Propagation epochs (`net_propagation_ms > 0`)
 //!
@@ -100,12 +103,14 @@
 //! snapshots are installed once up front and merged once at the end, exactly as
 //! in a single window.
 //!
-//! Why the per-instance loops are sound: within one instance, the global loop pops
-//! that instance's events in `(time, push order)` — and the per-instance loop pushes
-//! the same events in the same relative order, because an instance's pushes happen
-//! only while handling that same instance's events.  Projecting the global
-//! FIFO-within-timestamp order onto one instance therefore yields exactly the
-//! per-instance order.
+//! Why the per-slot loops are sound: both flavours keep their replay state in the
+//! same slot queues, and the one per-event step gets only one slot's `&mut`
+//! instance, queue and records.  Each slot's queue is served in `(time, push
+//! order)` by either flavour, and an event can push only into its own slot's
+//! queue, so the order in which the flavours interleave *different* slots — the
+//! only thing they differ in — cannot change a record.  Everything that does cross
+//! slots (routing, handoff dispatch, membership, tier merges) runs on the calling
+//! thread at the epoch barrier, identically in both flavours.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
@@ -118,7 +123,7 @@ use kvcache::{
 };
 use workload::{
     ArrivalPattern, ArrivalStream, InstanceRole, MembershipChange, MembershipSchedule,
-    SliceArrivalStream, SortedTrace, StreamedArrival,
+    SliceArrivalStream, StreamedArrival,
 };
 
 use crate::baselines::engine_display_name;
@@ -171,43 +176,18 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    /// The request at this position of the current epoch's batch arrives.
-    Arrival(usize),
-    /// An instance may be able to admit another request.
-    Admit(usize),
-    /// A running request finishes on an instance.
-    Complete { instance: usize, request_id: u64 },
-}
-
-/// Event of one instance's private loop (the instance is implicit).
-#[derive(Debug, Clone, Copy)]
+/// One event of a slot's event queue (the slot is implicit).
+#[derive(Debug)]
 enum InstanceEvent {
-    /// The request at this index of the instance's partition arrives.
-    Arrival(usize),
+    /// A routed request arrives, with the routing pass's hash chain if it computed
+    /// one (reused at enqueue).  Owns what simulation needs (token ownership is an
+    /// `Arc` bump, not a copy), so the epoch's arrival buffer can be refilled while
+    /// the event is still queued.
+    Arrival(PrefillRequest, Option<Arc<Vec<kvcache::TokenBlockHash>>>),
     /// The instance may be able to admit another request.
     Admit,
     /// A running request finishes.
     Complete(u64),
-}
-
-/// One routed arrival of an instance's replay partition.  Owns what simulation
-/// needs (token ownership is an `Arc` bump, not a copy), so the streaming path
-/// can refill partitions per epoch without borrowing from an epoch-lived buffer.
-struct PartitionEntry {
-    /// Stream-wide request id (the arrival's trace index on the slice path).
-    request_id: u64,
-    /// Why routing placed it on this instance.
-    reason: RoutingReason,
-    /// The routing pass's hash chain, if it computed one (reused at enqueue).
-    hashes: Option<Arc<Vec<kvcache::TokenBlockHash>>>,
-    /// The user the request belongs to.
-    user_id: u64,
-    /// The request's full token sequence (prompt plus decoded reply).
-    tokens: Arc<Vec<u32>>,
-    /// Of `tokens`, the trailing count decoded iteratively (0 = prefill-only).
-    decode_tokens: u64,
 }
 
 /// Reusable buffers of a routing pass.  Epoch-driven replay routes thousands of
@@ -542,10 +522,7 @@ impl Drop for WorkerPool {
 
 /// A deployment of one engine kind on one hardware setup.
 pub struct Cluster {
-    /// Shared rather than owned: construction paths hand the same immutable
-    /// configuration to the cluster, its instances and its callers without
-    /// re-cloning it (see [`Self::new_shared`]).
-    config: Arc<EngineConfig>,
+    config: EngineConfig,
     instances: Vec<EngineInstance>,
     /// Lifecycle state of each slot of `instances` (same length, same order).
     slot_states: Vec<SlotState>,
@@ -619,28 +596,11 @@ impl Cluster {
     /// setup with zero instances, which no router can serve) as a typed
     /// [`ConfigError`] instead of a panic.
     pub fn try_new(config: &EngineConfig) -> Result<Cluster, ConfigError> {
-        Cluster::try_new_shared(Arc::new(config.clone()))
-    }
-
-    /// [`Self::new`] without the configuration clone: callers that own their
-    /// `EngineConfig` (or already share it) hand over an `Arc` and the cluster,
-    /// its accessor and every join-time instance build read the same allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`EngineConfig::validate`]; use
-    /// [`Self::try_new_shared`] to handle invalid configurations as values.
-    pub fn new_shared(config: Arc<EngineConfig>) -> Cluster {
-        Cluster::try_new_shared(config).expect("invalid deployment configuration")
-    }
-
-    /// [`Self::try_new`] over a shared configuration (no clone).
-    pub fn try_new_shared(config: Arc<EngineConfig>) -> Result<Cluster, ConfigError> {
         config.validate()?;
-        let profile = InstanceProfile::new(&config);
+        let profile = InstanceProfile::new(config);
         let num_instances = config.num_instances() as usize;
         let instances = (0..num_instances)
-            .map(|id| EngineInstance::with_profile(&config, &profile, id))
+            .map(|id| EngineInstance::with_profile(config, &profile, id))
             .collect();
         let net_pool = (config.net_kv_capacity_bytes > 0).then(|| {
             NetKvPool::new(config.net_kv_capacity_bytes, profile.kv_block_bytes())
@@ -652,7 +612,7 @@ impl Cluster {
             .build(num_instances)
             .expect("validate() guarantees at least one instance");
         Ok(Cluster {
-            config,
+            config: config.clone(),
             instances,
             slot_states: vec![SlotState::Active { attached }; num_instances],
             profile,
@@ -782,8 +742,10 @@ impl Cluster {
     /// `offered_qps` is recorded in the report for plotting; the arrival times
     /// themselves already encode the offered load.
     ///
-    /// Replicated deployments are simulated with one OS thread per instance (see the
-    /// module docs); the report is identical to [`Self::run_sequential`].
+    /// Replicated deployments simulate each slot's event loop as its own job on a
+    /// worker pool (see the module docs); the report is identical to
+    /// [`Self::run_sequential`].  A [`SortedTrace`](workload::SortedTrace) derefs to
+    /// its slice and replays here without a re-sort.
     pub fn run(
         &mut self,
         arrivals: &[ArrivalPattern],
@@ -794,10 +756,11 @@ impl Cluster {
         Ok(self.run_vec(arrivals, sorted, offered_qps, true))
     }
 
-    /// The single-threaded reference implementation of [`Self::run`]: one global event
-    /// loop interleaving all instances, exactly as the seed simulator ran.  Kept
-    /// public so tests (and sceptical experimenters) can verify that the parallel path
-    /// is behaviour-preserving.
+    /// The single-threaded reference implementation of [`Self::run`]: the same
+    /// per-slot event queues, served on one thread in one global time order (the
+    /// earliest queue head across all slots, ties by slot index).  Kept public so
+    /// tests (and sceptical experimenters) can verify that the parallel path is
+    /// behaviour-preserving.
     pub fn run_sequential(
         &mut self,
         arrivals: &[ArrivalPattern],
@@ -806,28 +769,6 @@ impl Cluster {
         let (max_request_tokens, sorted) = Self::scan_trace(arrivals);
         self.ensure_feasible(max_request_tokens)?;
         Ok(self.run_vec(arrivals, sorted, offered_qps, false))
-    }
-
-    /// [`Self::run`] over a [`SortedTrace`]: the trace carries its sortedness and
-    /// maximum request length as construction-time properties, so replay starts
-    /// with **zero** O(n) pre-work — no sortedness re-scan, no max-tokens pass.
-    pub fn run_sorted(
-        &mut self,
-        trace: &SortedTrace,
-        offered_qps: f64,
-    ) -> Result<RunReport, RunError> {
-        self.ensure_feasible(trace.max_request_tokens())?;
-        Ok(self.run_vec(trace.arrivals(), true, offered_qps, true))
-    }
-
-    /// The single-threaded reference flavour of [`Self::run_sorted`].
-    pub fn run_sorted_sequential(
-        &mut self,
-        trace: &SortedTrace,
-        offered_qps: f64,
-    ) -> Result<RunReport, RunError> {
-        self.ensure_feasible(trace.max_request_tokens())?;
-        Ok(self.run_vec(trace.arrivals(), true, offered_qps, false))
     }
 
     /// Replays an [`ArrivalStream`] without ever materialising the trace: arrivals
@@ -933,21 +874,12 @@ impl Cluster {
         let mut scratch = RoutingScratch::new();
         let mut epoch_buf: Vec<StreamedArrival> = Vec::new();
 
-        // Parallel flavour state: per-instance queues/partitions/records.
+        // The replay state of both flavours: one event queue and record list per
+        // slot.
         let mut queues: Vec<EventQueue<InstanceEvent>> =
             (0..num_instances).map(|_| EventQueue::new()).collect();
-        let mut partitions: Vec<Vec<PartitionEntry>> =
-            (0..num_instances).map(|_| Vec::new()).collect();
         let mut per_instance: Vec<Vec<RequestRecord>> =
             (0..num_instances).map(|_| Vec::new()).collect();
-        // Sequential flavour state: one global queue and record list.
-        let mut events: EventQueue<Event> = EventQueue::new();
-        let mut records: Vec<RequestRecord> = Vec::new();
-        if !parallel {
-            if let Some(hint) = stream.len_hint() {
-                records.reserve(hint as usize);
-            }
-        }
 
         let max_input_length = self.max_input_length();
         let mut lookahead = stream.next_arrival();
@@ -962,7 +894,6 @@ impl Cluster {
                 // A join may have grown the fleet: give new slots replay state.
                 while queues.len() < self.instances.len() {
                     queues.push(EventQueue::new());
-                    partitions.push(Vec::new());
                     per_instance.push(Vec::new());
                 }
             }
@@ -1006,74 +937,57 @@ impl Cluster {
                 self.install_net_snapshots_visible(epoch_start);
             }
             self.route_stream_epoch(&epoch_buf, &mut scratch);
+            for (pos, streamed) in epoch_buf.iter().enumerate() {
+                let decision = scratch.decisions[pos];
+                let template = &streamed.arrival.template;
+                let request = PrefillRequest {
+                    id: streamed.id,
+                    user_id: template.user_id,
+                    tokens: Arc::clone(&template.tokens),
+                    decode_tokens: template.decode_tokens,
+                    allowed_outputs: Vec::new(),
+                    arrival: streamed.arrival.arrival,
+                    routing: decision.reason,
+                };
+                queues[decision.instance].push(
+                    streamed.arrival.arrival,
+                    InstanceEvent::Arrival(request, scratch.take_hashes(pos)),
+                );
+            }
 
-            if parallel {
-                // Partitions are refilled per epoch (every prior arrival event was
-                // consumed before its boundary); Complete/Admit events crossing the
-                // boundary carry no partition positions, so clearing is safe.
-                for partition in &mut partitions {
-                    partition.clear();
-                }
-                for (pos, streamed) in epoch_buf.iter().enumerate() {
-                    let decision = scratch.decisions[pos];
-                    let partition = &mut partitions[decision.instance];
-                    partition.push(PartitionEntry {
-                        request_id: streamed.id,
-                        reason: decision.reason,
-                        hashes: scratch.take_hashes(pos),
-                        user_id: streamed.arrival.template.user_id,
-                        tokens: Arc::clone(&streamed.arrival.template.tokens),
-                        decode_tokens: streamed.arrival.template.decode_tokens,
-                    });
-                    queues[decision.instance].push(
-                        streamed.arrival.arrival,
-                        InstanceEvent::Arrival(partition.len() - 1),
-                    );
-                }
-                if self.instances.len() == 1 {
-                    Self::simulate_instance_until(
-                        &mut self.instances[0],
-                        &partitions[0],
-                        &mut queues[0],
-                        &mut per_instance[0],
-                        sim_boundary,
-                    );
-                } else {
-                    if self.worker_pool.is_none() {
-                        self.worker_pool = Some(WorkerPool::new());
-                    }
-                    let pool = self.worker_pool.as_ref().expect("just ensured above");
-                    let jobs: Vec<ScopedJob> = self
-                        .instances
-                        .iter_mut()
-                        .zip(&partitions)
-                        .zip(&mut queues)
-                        .zip(&mut per_instance)
-                        .map(|(((instance, partition), queue), instance_records)| {
-                            Box::new(move || {
-                                Self::simulate_instance_until(
-                                    instance,
-                                    partition,
-                                    queue,
-                                    instance_records,
-                                    sim_boundary,
-                                );
-                            }) as ScopedJob
-                        })
-                        .collect();
-                    pool.run_batch(jobs);
-                }
-            } else {
-                for (pos, streamed) in epoch_buf.iter().enumerate() {
-                    events.push(streamed.arrival.arrival, Event::Arrival(pos));
-                }
-                self.run_stream_events_until(
-                    &epoch_buf,
-                    &mut scratch,
-                    &mut events,
-                    &mut records,
+            if !parallel {
+                Self::simulate_interleaved_until(
+                    &mut self.instances,
+                    &mut queues,
+                    &mut per_instance,
                     sim_boundary,
                 );
+            } else if self.instances.len() == 1 {
+                Self::simulate_instance_until(
+                    &mut self.instances[0],
+                    &mut queues[0],
+                    &mut per_instance[0],
+                    sim_boundary,
+                );
+            } else {
+                let pool = self.worker_pool.get_or_insert_with(WorkerPool::new);
+                let jobs: Vec<ScopedJob> = self
+                    .instances
+                    .iter_mut()
+                    .zip(&mut queues)
+                    .zip(&mut per_instance)
+                    .map(|((instance, queue), instance_records)| {
+                        Box::new(move || {
+                            Self::simulate_instance_until(
+                                instance,
+                                queue,
+                                instance_records,
+                                sim_boundary,
+                            );
+                        }) as ScopedJob
+                    })
+                    .collect();
+                pool.run_batch(jobs);
             }
 
             // A single window has no boundary, hence no barrier: it ends here.
@@ -1087,7 +1001,7 @@ impl Cluster {
             // whose fabric transfer has completed onto decode-capable slots.
             if disaggregated {
                 self.collect_handoffs();
-                self.dispatch_ready_handoffs(boundary, parallel, &mut queues, &mut events);
+                self.dispatch_ready_handoffs(boundary, &mut queues);
             }
             // Draining slots that reached the boundary idle retire now: the
             // drain-to-net spill publishes into the slot's installed snapshot
@@ -1108,7 +1022,6 @@ impl Cluster {
             if stream_done
                 && self.handoff_ledger.is_empty()
                 && queues.iter().all(EventQueue::is_empty)
-                && events.is_empty()
                 && self
                     .instances
                     .iter()
@@ -1123,14 +1036,7 @@ impl Cluster {
             self.merge_net_snapshots();
         }
         debug_assert!(queues.iter().all(EventQueue::is_empty));
-        debug_assert!(events.is_empty());
-
-        let records = if parallel {
-            per_instance.into_iter().flatten().collect()
-        } else {
-            records
-        };
-        Ok(self.finish_report(records, offered_qps))
+        Ok(self.finish_report(per_instance.into_iter().flatten().collect(), offered_qps))
     }
 
     /// The epoch clock of one streamed replay: epoch-sharing deployments cut at the
@@ -1267,65 +1173,6 @@ impl Cluster {
         .with_routable_slots(routable)
     }
 
-    /// Runs the global (all-instance) event loop of one epoch strictly up to
-    /// `boundary` (forever when `None`) — the sequential reference the parallel
-    /// [`Self::simulate_instance_until`] is pinned against.  Arrival events index
-    /// the epoch's batch (ids come from the stream), decisions and hashes live in
-    /// the scratch, and events at or past the boundary stay queued for the next
-    /// epoch.
-    fn run_stream_events_until(
-        &mut self,
-        batch: &[StreamedArrival],
-        scratch: &mut RoutingScratch,
-        events: &mut EventQueue<Event>,
-        records: &mut Vec<RequestRecord>,
-        boundary: Option<SimTime>,
-    ) {
-        while let Some(at) = events.peek_time() {
-            if boundary.is_some_and(|b| at >= b) {
-                break;
-            }
-            let scheduled = events.pop().expect("peeked event");
-            let now = scheduled.at;
-            match scheduled.event {
-                Event::Arrival(pos) => {
-                    let streamed = &batch[pos];
-                    let decision = scratch.decisions[pos];
-                    let instance_idx = decision.instance;
-                    let request = PrefillRequest {
-                        id: streamed.id,
-                        user_id: streamed.arrival.template.user_id,
-                        tokens: Arc::clone(&streamed.arrival.template.tokens),
-                        decode_tokens: streamed.arrival.template.decode_tokens,
-                        allowed_outputs: Vec::new(),
-                        arrival: now,
-                        routing: decision.reason,
-                    };
-                    self.instances[instance_idx].enqueue_with_hashes(
-                        request,
-                        scratch.take_hashes(pos),
-                        now,
-                    );
-                    Self::admit(&mut self.instances[instance_idx], instance_idx, now, events);
-                }
-                Event::Admit(instance_idx) => {
-                    Self::admit(&mut self.instances[instance_idx], instance_idx, now, events);
-                }
-                Event::Complete {
-                    instance,
-                    request_id,
-                } => {
-                    // `None` = a prefill-role first token whose record surfaces
-                    // on the decode side after the KV handoff.
-                    if let Some(record) = self.instances[instance].complete(request_id, now) {
-                        records.push(record);
-                    }
-                    Self::admit(&mut self.instances[instance], instance, now, events);
-                }
-            }
-        }
-    }
-
     /// Whether replay windows are subdivided into propagation epochs.  The delay is
     /// a property of the shared network tier, so with the tier disabled the knob is
     /// inert — there is nothing to propagate, and taking the epoch path anyway
@@ -1412,9 +1259,7 @@ impl Cluster {
     fn dispatch_ready_handoffs(
         &mut self,
         boundary: SimTime,
-        parallel: bool,
         queues: &mut [EventQueue<InstanceEvent>],
-        events: &mut EventQueue<Event>,
     ) {
         let ready = self.handoff_ledger.take_ready(boundary);
         if ready.is_empty() {
@@ -1437,20 +1282,10 @@ impl Cluster {
             match self.instances[target].admit_handoff(payload, boundary) {
                 HandoffAdmission::Admitted(started) => {
                     assigned[target] += tokens;
-                    if parallel {
-                        queues[target].push(
-                            started.completion,
-                            InstanceEvent::Complete(started.request_id),
-                        );
-                    } else {
-                        events.push(
-                            started.completion,
-                            Event::Complete {
-                                instance: target,
-                                request_id: started.request_id,
-                            },
-                        );
-                    }
+                    queues[target].push(
+                        started.completion,
+                        InstanceEvent::Complete(started.request_id),
+                    );
                 }
                 HandoffAdmission::Retry(payload) => {
                     self.handoff_payloads.insert(record.request_id, payload);
@@ -1786,56 +1621,95 @@ impl Cluster {
         Ok(())
     }
 
-    /// Runs one instance's private event loop strictly up to `boundary` (forever
-    /// when `None`): events scheduled at or past the boundary stay queued for the
-    /// next propagation epoch.
+    /// Runs one slot's event loop strictly up to `boundary` (forever when `None`):
+    /// events scheduled at or past the boundary stay queued for the next epoch.
     fn simulate_instance_until(
         instance: &mut EngineInstance,
-        partition: &[PartitionEntry],
-        events: &mut EventQueue<InstanceEvent>,
+        queue: &mut EventQueue<InstanceEvent>,
         records: &mut Vec<RequestRecord>,
         boundary: Option<SimTime>,
     ) {
-        while let Some(at) = events.peek_time() {
+        while let Some(at) = queue.peek_time() {
             if boundary.is_some_and(|b| at >= b) {
                 break;
             }
-            let scheduled = events.pop().expect("peeked event");
-            let now = scheduled.at;
-            match scheduled.event {
-                InstanceEvent::Arrival(pos) => {
-                    let entry = &partition[pos];
-                    let request = PrefillRequest {
-                        id: entry.request_id,
-                        user_id: entry.user_id,
-                        tokens: Arc::clone(&entry.tokens),
-                        decode_tokens: entry.decode_tokens,
-                        allowed_outputs: Vec::new(),
-                        arrival: now,
-                        routing: entry.reason,
-                    };
-                    instance.enqueue_with_hashes(request, entry.hashes.clone(), now);
-                    Self::admit_local(instance, now, events);
+            let scheduled = queue.pop().expect("peeked event");
+            Self::handle(instance, queue, records, scheduled.at, scheduled.event);
+        }
+    }
+
+    /// The sequential reference of [`Self::simulate_instance_until`]: serves every
+    /// slot's events on this thread in one global time order — the earliest queue
+    /// head across all slots, ties by slot index — strictly up to `boundary`.
+    fn simulate_interleaved_until(
+        instances: &mut [EngineInstance],
+        queues: &mut [EventQueue<InstanceEvent>],
+        records: &mut [Vec<RequestRecord>],
+        boundary: Option<SimTime>,
+    ) {
+        while let Some((at, slot)) = queues
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, queue)| queue.peek_time().map(|at| (at, slot)))
+            .min()
+        {
+            if boundary.is_some_and(|b| at >= b) {
+                break;
+            }
+            let scheduled = queues[slot].pop().expect("peeked event");
+            Self::handle(
+                &mut instances[slot],
+                &mut queues[slot],
+                &mut records[slot],
+                scheduled.at,
+                scheduled.event,
+            );
+        }
+    }
+
+    /// Serves one event of one slot — enqueue, admit or complete — then pumps
+    /// admissions: starts as many requests as the policy admits, and schedules a
+    /// wake-up when the first stage frees if work is still waiting.  Touches only
+    /// that slot's instance, queue and records.
+    fn handle(
+        instance: &mut EngineInstance,
+        queue: &mut EventQueue<InstanceEvent>,
+        records: &mut Vec<RequestRecord>,
+        now: SimTime,
+        event: InstanceEvent,
+    ) {
+        match event {
+            InstanceEvent::Arrival(request, hashes) => {
+                instance.enqueue_with_hashes(request, hashes, now);
+            }
+            InstanceEvent::Admit => {}
+            InstanceEvent::Complete(request_id) => {
+                // `None` = a prefill-role first token whose record surfaces on
+                // the decode side after the KV handoff.
+                if let Some(record) = instance.complete(request_id, now) {
+                    records.push(record);
                 }
-                InstanceEvent::Admit => {
-                    Self::admit_local(instance, now, events);
-                }
-                InstanceEvent::Complete(request_id) => {
-                    if let Some(record) = instance.complete(request_id, now) {
-                        records.push(record);
-                    }
-                    Self::admit_local(instance, now, events);
-                }
+            }
+        }
+        while let Some(started) = instance.try_start(now) {
+            queue.push(
+                started.completion,
+                InstanceEvent::Complete(started.request_id),
+            );
+        }
+        if instance.queue_len() > 0 {
+            let wake = instance.next_admission_time();
+            if wake > now {
+                queue.push(wake, InstanceEvent::Admit);
             }
         }
     }
 
     /// Sorts records into the canonical report order and aggregates the run report.
     ///
-    /// Canonical order is `(completion time, request id)`.  The sequential loop pops
-    /// completions in `(completion time, push order)` — the same order up to ties in
-    /// completion time — so sorting both paths' records by the canonical key makes the
-    /// reports byte-identical.
+    /// Canonical order is `(completion time, request id)`.  Both flavours hand over
+    /// the same per-slot record lists, concatenated in slot order; the sort makes the
+    /// report independent of that order.
     fn finish_report(&mut self, mut records: Vec<RequestRecord>, offered_qps: f64) -> RunReport {
         records.sort_unstable_by_key(|r| (r.completed, r.request_id));
         let makespan = records
@@ -1852,58 +1726,6 @@ impl Cluster {
             offload: self.aggregate_offload_stats(),
             windows: std::mem::take(&mut self.window_metrics),
         }
-    }
-
-    /// The shared admission loop of both event-loop flavours: starts as many requests
-    /// as the policy admits, then schedules a wake-up when the first stage frees if
-    /// work is still waiting.  Event construction is parameterised so the global loop
-    /// (instance-tagged events) and the per-instance loop (untagged events) cannot
-    /// drift apart.
-    fn pump_admissions<E>(
-        instance: &mut EngineInstance,
-        now: SimTime,
-        events: &mut EventQueue<E>,
-        completion_event: impl Fn(u64) -> E,
-        admit_event: impl Fn() -> E,
-    ) {
-        while let Some(started) = instance.try_start(now) {
-            events.push(started.completion, completion_event(started.request_id));
-        }
-        // If requests are still waiting, wake up when the first stage frees.
-        if instance.queue_len() > 0 {
-            let wake = instance.next_admission_time();
-            if wake > now {
-                events.push(wake, admit_event());
-            }
-        }
-    }
-
-    fn admit(
-        instance: &mut EngineInstance,
-        instance_idx: usize,
-        now: SimTime,
-        events: &mut EventQueue<Event>,
-    ) {
-        Self::pump_admissions(
-            instance,
-            now,
-            events,
-            |request_id| Event::Complete {
-                instance: instance_idx,
-                request_id,
-            },
-            || Event::Admit(instance_idx),
-        );
-    }
-
-    fn admit_local(
-        instance: &mut EngineInstance,
-        now: SimTime,
-        events: &mut EventQueue<InstanceEvent>,
-    ) {
-        Self::pump_admissions(instance, now, events, InstanceEvent::Complete, || {
-            InstanceEvent::Admit
-        });
     }
 
     fn aggregate_offload_stats(&self) -> OffloadStats {
@@ -2379,7 +2201,7 @@ mod tests {
         let arrivals = assign_poisson_arrivals(&ds, 5.0, &mut SimRng::seed_from_u64(17));
         let mut shared = cluster;
         let mut unshared = Cluster {
-            config: Arc::new(config.clone()),
+            config: config.clone(),
             instances: (0..config.num_instances() as usize)
                 .map(|id| EngineInstance::new(&config, id))
                 .collect(),
@@ -2764,26 +2586,6 @@ mod tests {
         assert_eq!(b.cache, c.cache);
     }
 
-    /// [`Cluster::run_sorted`] replays a [`SortedTrace`] identically to [`Cluster::run`]
-    /// on its arrivals — the carried sortedness/max-length properties change the
-    /// pre-work, never the replay.
-    #[test]
-    fn run_sorted_matches_run_on_the_same_arrivals() {
-        let ds = small_post_rec_dataset();
-        let mut arrivals = assign_poisson_arrivals(&ds, 5.0, &mut SimRng::seed_from_u64(3));
-        arrivals.reverse(); // SortedTrace must restore order itself
-        let trace = SortedTrace::new(arrivals);
-        let config = config(EngineKind::prefillonly_default());
-        let a = Cluster::new(&config).run(trace.arrivals(), 5.0).unwrap();
-        let b = Cluster::new(&config).run_sorted(&trace, 5.0).unwrap();
-        let c = Cluster::new(&config)
-            .run_sorted_sequential(&trace, 5.0)
-            .unwrap();
-        assert_eq!(a.records, b.records);
-        assert_eq!(a.cache, b.cache);
-        assert_eq!(b.records, c.records);
-    }
-
     /// Scale smoke: thousands of requests flow through the streaming path with the
     /// arrival buffer bounded by the chunk clock, every request served exactly once.
     #[test]
@@ -2904,9 +2706,9 @@ mod tests {
         let trace = conversation_trace(&spec, qps, seed);
         let mut parallel = Cluster::new(&config);
         assert!(parallel.instances().len() > 1);
-        let a = parallel.run_sorted(&trace, qps).unwrap();
+        let a = parallel.run(&trace, qps).unwrap();
         let mut sequential = Cluster::new(&config);
-        let b = sequential.run_sorted_sequential(&trace, qps).unwrap();
+        let b = sequential.run_sequential(&trace, qps).unwrap();
 
         let mut streamed = Cluster::new(&config);
         let c = streamed
@@ -3240,15 +3042,26 @@ mod tests {
     /// one slot, crosses the fabric as a KV handoff and decodes on the other —
     /// all four replay paths produce byte-identical records, cache, offload and
     /// handoff accounting, under cache-aware and sticky routing alike (sticky
-    /// routing must read the routable slots too, never the decode-only one).
+    /// routing must read the routable slots too, never the decode-only one).  The
+    /// chunked-prefill engine keeps every prompt's full KV resident, so its decode
+    /// slot runs out of room and some handoffs take the retry path.
     #[test]
     fn disaggregated_replay_is_byte_identical_across_all_four_replay_paths() {
+        use crate::routing::RoutingPolicyKind;
         use workload::{conversation_trace, ConversationStream};
-        for policy in [
-            crate::routing::RoutingPolicyKind::CacheAware,
-            crate::routing::RoutingPolicyKind::StickyUser,
+        for (kind, policy) in [
+            (
+                EngineKind::prefillonly_default(),
+                RoutingPolicyKind::CacheAware,
+            ),
+            (
+                EngineKind::prefillonly_default(),
+                RoutingPolicyKind::StickyUser,
+            ),
+            (EngineKind::chunked_default(), RoutingPolicyKind::CacheAware),
         ] {
-            let (config, spec) = disaggregated_conversation_scenario();
+            let (mut config, spec) = disaggregated_conversation_scenario();
+            config.kind = kind;
             let config = config.with_routing(policy);
             let qps = 1.0;
             let seed = 77;
@@ -3256,9 +3069,9 @@ mod tests {
             let trace = conversation_trace(&spec, qps, seed);
             let mut parallel = Cluster::new(&config);
             assert!(parallel.instances().len() > 1);
-            let a = parallel.run_sorted(&trace, qps).unwrap();
+            let a = parallel.run(&trace, qps).unwrap();
             let mut sequential = Cluster::new(&config);
-            let b = sequential.run_sorted_sequential(&trace, qps).unwrap();
+            let b = sequential.run_sequential(&trace, qps).unwrap();
             let mut streamed = Cluster::new(&config);
             let c = streamed
                 .run_stream(&mut ConversationStream::new(spec, qps, seed), qps)
@@ -3270,36 +3083,44 @@ mod tests {
 
             // Non-vacuity: every request prefilled on slot 0, decoded on slot 1, and
             // paid a real fabric transfer.
-            assert_eq!(a.records.len() as u64, spec.num_requests(), "{policy:?}");
-            assert_eq!(a.handed_off_requests(), spec.num_requests(), "{policy:?}");
-            assert!(a.handoff_bytes() > 0, "{policy:?}");
+            assert_eq!(
+                a.records.len() as u64,
+                spec.num_requests(),
+                "{kind:?} {policy:?}"
+            );
+            assert_eq!(
+                a.handed_off_requests(),
+                spec.num_requests(),
+                "{kind:?} {policy:?}"
+            );
+            assert!(a.handoff_bytes() > 0, "{kind:?} {policy:?}");
             for r in &a.records {
                 assert_eq!(
                     r.instance, 0,
-                    "{policy:?}: arrivals must route to the prefill slot"
+                    "{kind:?} {policy:?}: arrivals must route to the prefill slot"
                 );
-                assert_eq!(r.decode_instance, Some(1), "{policy:?}");
-                assert!(r.handoff_bytes > 0, "{policy:?}");
-                assert!(r.first_token < r.completed, "{policy:?}");
-                assert!(r.tpot().is_some(), "{policy:?}");
+                assert_eq!(r.decode_instance, Some(1), "{kind:?} {policy:?}");
+                assert!(r.handoff_bytes > 0, "{kind:?} {policy:?}");
+                assert!(r.first_token < r.completed, "{kind:?} {policy:?}");
+                assert!(r.tpot().is_some(), "{kind:?} {policy:?}");
             }
 
             for (label, other) in [("sequential", &b), ("streamed", &c), ("streamed seq", &d)] {
                 assert_eq!(
                     a.records, other.records,
-                    "{policy:?}: {label} records diverged"
+                    "{kind:?} {policy:?}: {label} records diverged"
                 );
                 assert_eq!(
                     a.makespan, other.makespan,
-                    "{policy:?}: {label} makespan diverged"
+                    "{kind:?} {policy:?}: {label} makespan diverged"
                 );
                 assert_eq!(
                     a.cache, other.cache,
-                    "{policy:?}: {label} cache stats diverged"
+                    "{kind:?} {policy:?}: {label} cache stats diverged"
                 );
                 assert_eq!(
                     a.offload, other.offload,
-                    "{policy:?}: {label} offload stats diverged"
+                    "{kind:?} {policy:?}: {label} offload stats diverged"
                 );
             }
         }
@@ -3315,7 +3136,7 @@ mod tests {
         let (config, spec) = disaggregated_conversation_scenario();
         let trace = conversation_trace(&spec, 1.0, 21);
         let mut cluster = Cluster::new(&config);
-        let report = cluster.run_sorted(&trace, 1.0).unwrap();
+        let report = cluster.run(&trace, 1.0).unwrap();
 
         assert_eq!(report.records.len() as u64, spec.num_requests());
         let mut ids: Vec<u64> = report.records.iter().map(|r| r.request_id).collect();
@@ -3349,12 +3170,12 @@ mod tests {
         let (config, spec) = disaggregated_conversation_scenario();
         let trace = conversation_trace(&spec, 1.0, 21);
 
-        let untracked = Cluster::new(&config).run_sorted(&trace, 1.0).unwrap();
+        let untracked = Cluster::new(&config).run(&trace, 1.0).unwrap();
         assert!(untracked.windows.is_empty());
         assert_eq!(untracked.prometheus_window_series(), "");
 
         let config = config.with_window_metrics();
-        let report = Cluster::new(&config).run_sorted(&trace, 1.0).unwrap();
+        let report = Cluster::new(&config).run(&trace, 1.0).unwrap();
         assert_eq!(
             report.records, untracked.records,
             "observation must not perturb the replay"

@@ -67,16 +67,15 @@ impl<S: ArrivalStream + ?Sized> ArrivalStream for &mut S {
     }
 }
 
-/// A materialised trace whose sortedness and longest request are established once,
-/// at construction, and carried as properties of the type.
+/// A materialised trace whose sortedness is established once, at construction,
+/// and carried as a property of the type.
 ///
-/// Replaying the same trace many times (benchmark samples, parallel-vs-sequential
-/// comparisons) used to pay an O(n) sortedness re-check plus an O(n) feasibility
-/// scan per replay; `Cluster::run_sorted` accepts a `SortedTrace` and pays neither.
+/// Derefs to the sorted `[ArrivalPattern]` slice, so it replays through any entry
+/// point that takes a slice; [`Self::stream`] streams it without a sortedness
+/// re-scan.
 #[derive(Debug, Clone)]
 pub struct SortedTrace {
     arrivals: Vec<ArrivalPattern>,
-    max_request_tokens: u64,
 }
 
 impl SortedTrace {
@@ -86,25 +85,12 @@ impl SortedTrace {
         if !is_sorted(&arrivals) {
             arrivals.sort_by_key(|a| a.arrival);
         }
-        let max_request_tokens = arrivals
-            .iter()
-            .map(|a| a.template.num_tokens())
-            .max()
-            .unwrap_or(0);
-        SortedTrace {
-            arrivals,
-            max_request_tokens,
-        }
+        SortedTrace { arrivals }
     }
 
     /// The arrivals, sorted by arrival time.
     pub fn arrivals(&self) -> &[ArrivalPattern] {
         &self.arrivals
-    }
-
-    /// Length in tokens of the longest request (0 for an empty trace).
-    pub fn max_request_tokens(&self) -> u64 {
-        self.max_request_tokens
     }
 
     /// Streams the trace without copying it; ids are trace indices.
@@ -801,7 +787,7 @@ mod tests {
     }
 
     #[test]
-    fn sorted_trace_carries_max_tokens_and_sorts_once() {
+    fn sorted_trace_sorts_once_and_streams_every_arrival() {
         let dataset = Dataset::generate(
             WorkloadKind::PostRecommendation,
             &mut SimRng::seed_from_u64(6),
@@ -812,16 +798,13 @@ mod tests {
             ArrivalGranularity::PerRequest,
             &mut SimRng::seed_from_u64(6),
         );
-        let expected_max = trace.iter().map(|a| a.template.num_tokens()).max().unwrap();
         trace.reverse();
         let sorted = SortedTrace::new(trace);
-        assert_eq!(sorted.max_request_tokens(), expected_max);
         assert!(is_sorted(&sorted));
         let streamed = collect_stream(&mut sorted.stream());
         assert_eq!(streamed.len(), sorted.len());
 
         let empty = SortedTrace::new(Vec::new());
-        assert_eq!(empty.max_request_tokens(), 0);
         assert!(empty.stream().next_arrival().is_none());
     }
 
