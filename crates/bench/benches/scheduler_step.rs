@@ -5,14 +5,16 @@
 //! The `calibrated_probe` group is the tentpole measurement: a calibrated select over
 //! a *real* KV-cache-backed probe, comparing the seed's full hash-chain walk per
 //! request per step against the generation-memoised [`kvcache::ProbeCache`] when the
-//! cache contents are unchanged between steps (the common case).
+//! cache contents are unchanged between steps (the common case), and the memoised
+//! probe right after an eviction (`after_eviction`), when every request re-walks
+//! and the shared-prefix checkpoint memo walks each cohort's prefix once.
 
 use std::cell::RefCell;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kvcache::ProbeCache;
 use prefillonly_bench::hotpath::{
-    calibrated_queue as queue, cohort_cache, FullWalkProbe, MemoProbe,
+    calibrated_queue as queue, cohort_cache, AfterEviction, FullWalkProbe, MemoProbe,
 };
 use scheduler::{
     CacheProbe, FcfsPolicy, JctEstimator, SchedulingPolicy, SrjfPolicy, WaitingRequest,
@@ -87,6 +89,25 @@ fn bench_calibrated_probe(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(calibrated.select(q, now, &incremental)))
         });
     }
+
+    // One select right after an unrelated eviction, with the probe memo warmed
+    // before it: every memoised result is stale.  Copy and eviction are untimed.
+    let q = queue(512);
+    let scenario = AfterEviction::new(&calibrated, &q, now);
+    group.bench_with_input(BenchmarkId::new("after_eviction", 512), &q, |b, q| {
+        b.iter_with_setup(
+            || scenario.sample(now),
+            |(kv, memo)| {
+                let probe = MemoProbe {
+                    kv: &kv,
+                    hashes: &scenario.hashes,
+                    memo: &memo,
+                };
+                std::hint::black_box(calibrated.select(q, now, &probe));
+                (kv, memo)
+            },
+        )
+    });
     group.finish();
 }
 

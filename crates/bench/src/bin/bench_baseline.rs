@@ -8,10 +8,10 @@
 //! generatable on every PR without paying full measurement time.
 //!
 //! Pass `--check` to run the regression guard instead of emitting the file: the
-//! materialised-replay, decode, handoff, routing-pass and epoch-barrier groups are
-//! re-measured and compared against the committed `BENCH_baseline.json` medians,
-//! and the process exits non-zero if any entry is more than [`REGRESSION_FACTOR`]×
-//! worse or has no committed median.
+//! scheduling-step, materialised-replay, decode, handoff, routing-pass and
+//! epoch-barrier groups are re-measured and compared against the committed
+//! `BENCH_baseline.json` medians, and the process exits non-zero if any entry is
+//! more than [`REGRESSION_FACTOR`]× worse or has no committed median.
 //! The guard re-measures the *full* workload shapes (sample counts aside, a
 //! `--smoke`-shaped workload would not be comparable to the committed medians),
 //! so `--check` rejects `--smoke`.
@@ -26,7 +26,9 @@ use gpu::HardwareSetup;
 use kvcache::{KvCacheManager, ProbeCache, RetentionPolicy};
 use model::ModelPreset;
 use prefillonly::{Cluster, EngineConfig, EngineInstance, EngineKind, RoutingScratch};
-use prefillonly_bench::hotpath::{calibrated_queue, cohort_cache, FullWalkProbe, MemoProbe};
+use prefillonly_bench::hotpath::{
+    calibrated_queue, cohort_cache, AfterEviction, FullWalkProbe, MemoProbe,
+};
 use scheduler::{JctEstimator, SchedulingPolicy, SrjfPolicy};
 use simcore::{SimDuration, SimRng, SimTime};
 use workload::{
@@ -157,6 +159,27 @@ fn scheduler_baselines(out: &mut Vec<BaselinePoint>) {
         100,
         || {
             std::hint::black_box(calibrated.select(&queue, now, &incremental));
+        },
+    );
+
+    // One select right after an unrelated eviction: every memoised result is stale.
+    // The copy and the eviction stay in the untimed setup.  Each sample is one
+    // sub-millisecond select, so many samples keep the median from resting on one
+    // short burst of host noise.
+    let scenario = AfterEviction::new(&calibrated, &queue, now);
+    measure(
+        out,
+        "scheduler_step/calibrated_select_512/after_eviction",
+        samples(101),
+        || scenario.sample(now),
+        |(kv, memo)| {
+            let probe = MemoProbe {
+                kv: &kv,
+                hashes: &scenario.hashes,
+                memo: &memo,
+            };
+            std::hint::black_box(calibrated.select(&queue, now, &probe));
+            (kv, memo)
         },
     );
 }
@@ -862,10 +885,11 @@ fn regression_check() -> i32 {
     }
 
     println!(
-        "Regression guard: replays + handoff plane + routing pass + epoch barriers \
-         vs committed medians\n"
+        "Regression guard: scheduling step + replays + handoff plane + routing pass + \
+         epoch barriers vs committed medians\n"
     );
     let mut results = Vec::new();
+    scheduler_baselines(&mut results);
     cluster_baselines(&mut results);
     decode_baselines(&mut results);
     routing_pass_baselines(&mut results);

@@ -1,6 +1,8 @@
 //! Shared hot-path benchmark scenario: a deep calibrated-scheduling queue over a
 //! warmed prefix cache, plus the two [`CacheProbe`] adapters being compared (the
-//! seed's full hash-chain walk vs the generation-memoised incremental probe).
+//! seed's full hash-chain walk vs the generation-memoised incremental probe), and
+//! the same queue right after an unrelated eviction, when every memoised result is
+//! stale and only the shared-prefix checkpoint memo spares the re-walks.
 //!
 //! Used by both the `scheduler_step` criterion bench and the `bench_baseline`
 //! perf-trajectory emitter so the two always measure the same scenario.
@@ -9,7 +11,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 use kvcache::{hash_token_blocks, KvCacheManager, ProbeCache, RetentionPolicy, TokenBlockHash};
-use scheduler::{CacheProbe, WaitingRequest};
+use scheduler::{CacheProbe, SchedulingPolicy, WaitingRequest};
 use simcore::SimTime;
 
 /// KV block size used across the hot-path scenarios.
@@ -81,22 +83,94 @@ pub fn cohort_cache(
     now: SimTime,
 ) -> (KvCacheManager, HashMap<u64, Vec<TokenBlockHash>>) {
     let mut kv = KvCacheManager::new(64 * 1024, BLOCK_SIZE);
-    let mut hashes: HashMap<u64, Vec<TokenBlockHash>> = HashMap::new();
-    for request in queue {
-        let cohort = (request.id % COHORTS) as u32;
-        let mut tokens: Vec<u32> = (cohort * 1_000_000..cohort * 1_000_000 + 4_000).collect();
-        tokens.extend(
-            900_000_000 + request.id as u32 * 10_000
-                ..900_000_000 + request.id as u32 * 10_000 + request.total_tokens as u32 - 4_000,
-        );
-        hashes.insert(request.id, hash_token_blocks(&tokens, BLOCK_SIZE));
-    }
-    for cohort in 0..COHORTS as u32 {
-        let tokens: Vec<u32> = (cohort * 1_000_000..cohort * 1_000_000 + 4_000).collect();
+    warm_cohorts(&mut kv, now);
+    (kv, cohort_chains(queue))
+}
+
+/// The `after_eviction` scenario: [`cohort_cache`] in a pool that is full but for
+/// one block, whose least recently used entry is one unrelated block, and a probe
+/// memo warmed by one select before anything is evicted.  Each [`Self::sample`]
+/// evicts exactly that block from a copy of the pool, so every memoised probe result
+/// is stale while every cohort prefix stays resident.
+pub struct AfterEviction {
+    kv: KvCacheManager,
+    /// Per-request hash chains.
+    pub hashes: HashMap<u64, Vec<TokenBlockHash>>,
+    warm: RefCell<ProbeCache>,
+}
+
+impl AfterEviction {
+    /// Builds the pool for `queue` and warms the memo with one `policy` select.
+    pub fn new(
+        policy: &dyn SchedulingPolicy,
+        queue: &[WaitingRequest],
+        now: SimTime,
+    ) -> AfterEviction {
+        let prefix_blocks = COHORTS * COHORT_PREFIX_TOKENS as u64 / BLOCK_SIZE as u64;
+        let mut kv = KvCacheManager::new(prefix_blocks + 2, BLOCK_SIZE);
+        let unrelated: Vec<u32> = (3_000_000_000..3_000_000_000 + BLOCK_SIZE as u32).collect();
         let alloc = kv
-            .allocate(&tokens, now, RetentionPolicy::FullResidency)
+            .allocate(&unrelated, SimTime::ZERO, RetentionPolicy::FullResidency)
+            .expect("the pool holds the unrelated block");
+        kv.commit(alloc, SimTime::ZERO);
+        warm_cohorts(&mut kv, now);
+        let hashes = cohort_chains(queue);
+        let warm = RefCell::new(ProbeCache::new());
+        let probe = MemoProbe {
+            kv: &kv,
+            hashes: &hashes,
+            memo: &warm,
+        };
+        policy.select(queue, now, &probe);
+        AfterEviction { kv, hashes, warm }
+    }
+
+    /// The untimed set-up of one sample: a copy of the pool with the unrelated block
+    /// evicted, and a copy of the warm memo.  A two-block request needs one block
+    /// more than is free, so its allocation evicts the LRU entry; the request is then
+    /// released without caching anything.
+    pub fn sample(&self, now: SimTime) -> (KvCacheManager, RefCell<ProbeCache>) {
+        let mut kv = self.kv.clone();
+        let request: Vec<u32> = (3_100_000_000..3_100_000_000 + 2 * BLOCK_SIZE as u32).collect();
+        let alloc = kv
+            .allocate(&request, now, RetentionPolicy::FullResidency)
+            .expect("evicting the unrelated block makes room");
+        kv.release_uncommitted(alloc);
+        assert_eq!(
+            kv.stats().evicted_blocks,
+            self.kv.stats().evicted_blocks + 1,
+            "exactly the unrelated block leaves the cache"
+        );
+        (kv, self.warm.clone())
+    }
+}
+
+/// Tokens of each cohort's shared prefix.
+const COHORT_PREFIX_TOKENS: u32 = 4_000;
+
+fn cohort_prefix(cohort: u32) -> Vec<u32> {
+    (cohort * 1_000_000..cohort * 1_000_000 + COHORT_PREFIX_TOKENS).collect()
+}
+
+/// Each request's chain: its cohort's prefix, then tokens of its own.
+fn cohort_chains(queue: &[WaitingRequest]) -> HashMap<u64, Vec<TokenBlockHash>> {
+    queue
+        .iter()
+        .map(|request| {
+            let mut tokens = cohort_prefix((request.id % COHORTS) as u32);
+            let own = 900_000_000 + request.id as u32 * 10_000;
+            tokens.extend(own..own + request.total_tokens as u32 - COHORT_PREFIX_TOKENS);
+            (request.id, hash_token_blocks(&tokens, BLOCK_SIZE))
+        })
+        .collect()
+}
+
+/// Commits every cohort's prefix at `now`.
+fn warm_cohorts(kv: &mut KvCacheManager, now: SimTime) {
+    for cohort in 0..COHORTS as u32 {
+        let alloc = kv
+            .allocate(&cohort_prefix(cohort), now, RetentionPolicy::FullResidency)
             .expect("pool is large enough for every cohort prefix");
         kv.commit(alloc, now);
     }
-    (kv, hashes)
 }

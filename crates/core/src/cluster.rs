@@ -184,10 +184,24 @@ enum InstanceEvent {
     /// `Arc` bump, not a copy), so the epoch's arrival buffer can be refilled while
     /// the event is still queued.
     Arrival(PrefillRequest, Option<Arc<Vec<kvcache::TokenBlockHash>>>),
-    /// The instance may be able to admit another request.
+    /// The instance may be able to admit another request: its first pipeline
+    /// stage frees at this time.  Armed at most once per wake time (see
+    /// [`SlotQueue::armed_admit`]).
     Admit,
     /// A running request finishes.
     Complete(u64),
+}
+
+/// One slot's replay queue, shared by both replay flavours.
+#[derive(Debug, Default)]
+struct SlotQueue {
+    events: EventQueue<InstanceEvent>,
+    /// Wake time of the last `Admit` pushed.  Every push is strictly in the future
+    /// of the event being handled, so while a new wake time equals this one, that
+    /// `Admit` has not popped yet and a second one would be a no-op: it would pop
+    /// right behind the first, after the slot's last admission attempt at that time
+    /// already came back empty with nothing changed since.
+    armed_admit: Option<SimTime>,
 }
 
 /// Reusable buffers of a routing pass.  Epoch-driven replay routes thousands of
@@ -876,8 +890,7 @@ impl Cluster {
 
         // The replay state of both flavours: one event queue and record list per
         // slot.
-        let mut queues: Vec<EventQueue<InstanceEvent>> =
-            (0..num_instances).map(|_| EventQueue::new()).collect();
+        let mut queues: Vec<SlotQueue> = (0..num_instances).map(|_| SlotQueue::default()).collect();
         let mut per_instance: Vec<Vec<RequestRecord>> =
             (0..num_instances).map(|_| Vec::new()).collect();
 
@@ -893,7 +906,7 @@ impl Cluster {
             if self.apply_membership_at(epoch_start, epoch_sharing) {
                 // A join may have grown the fleet: give new slots replay state.
                 while queues.len() < self.instances.len() {
-                    queues.push(EventQueue::new());
+                    queues.push(SlotQueue::default());
                     per_instance.push(Vec::new());
                 }
             }
@@ -949,7 +962,7 @@ impl Cluster {
                     arrival: streamed.arrival.arrival,
                     routing: decision.reason,
                 };
-                queues[decision.instance].push(
+                queues[decision.instance].events.push(
                     streamed.arrival.arrival,
                     InstanceEvent::Arrival(request, scratch.take_hashes(pos)),
                 );
@@ -1021,7 +1034,7 @@ impl Cluster {
             // holding work — so later boundaries would be empty spins.
             if stream_done
                 && self.handoff_ledger.is_empty()
-                && queues.iter().all(EventQueue::is_empty)
+                && queues.iter().all(|queue| queue.events.is_empty())
                 && self
                     .instances
                     .iter()
@@ -1035,7 +1048,7 @@ impl Cluster {
         if !epoch_sharing {
             self.merge_net_snapshots();
         }
-        debug_assert!(queues.iter().all(EventQueue::is_empty));
+        debug_assert!(queues.iter().all(|queue| queue.events.is_empty()));
         Ok(self.finish_report(per_instance.into_iter().flatten().collect(), offered_qps))
     }
 
@@ -1256,11 +1269,7 @@ impl Cluster {
     /// and hence replay — identically.  Admissions the slot cannot hold yet are
     /// re-enqueued for the next boundary; chains larger than an empty pool are
     /// dropped (counted by the decode instance as rejected).
-    fn dispatch_ready_handoffs(
-        &mut self,
-        boundary: SimTime,
-        queues: &mut [EventQueue<InstanceEvent>],
-    ) {
+    fn dispatch_ready_handoffs(&mut self, boundary: SimTime, queues: &mut [SlotQueue]) {
         let ready = self.handoff_ledger.take_ready(boundary);
         if ready.is_empty() {
             return;
@@ -1282,7 +1291,7 @@ impl Cluster {
             match self.instances[target].admit_handoff(payload, boundary) {
                 HandoffAdmission::Admitted(started) => {
                     assigned[target] += tokens;
-                    queues[target].push(
+                    queues[target].events.push(
                         started.completion,
                         InstanceEvent::Complete(started.request_id),
                     );
@@ -1625,15 +1634,15 @@ impl Cluster {
     /// events scheduled at or past the boundary stay queued for the next epoch.
     fn simulate_instance_until(
         instance: &mut EngineInstance,
-        queue: &mut EventQueue<InstanceEvent>,
+        queue: &mut SlotQueue,
         records: &mut Vec<RequestRecord>,
         boundary: Option<SimTime>,
     ) {
-        while let Some(at) = queue.peek_time() {
+        while let Some(at) = queue.events.peek_time() {
             if boundary.is_some_and(|b| at >= b) {
                 break;
             }
-            let scheduled = queue.pop().expect("peeked event");
+            let scheduled = queue.events.pop().expect("peeked event");
             Self::handle(instance, queue, records, scheduled.at, scheduled.event);
         }
     }
@@ -1643,20 +1652,20 @@ impl Cluster {
     /// head across all slots, ties by slot index — strictly up to `boundary`.
     fn simulate_interleaved_until(
         instances: &mut [EngineInstance],
-        queues: &mut [EventQueue<InstanceEvent>],
+        queues: &mut [SlotQueue],
         records: &mut [Vec<RequestRecord>],
         boundary: Option<SimTime>,
     ) {
         while let Some((at, slot)) = queues
             .iter()
             .enumerate()
-            .filter_map(|(slot, queue)| queue.peek_time().map(|at| (at, slot)))
+            .filter_map(|(slot, queue)| queue.events.peek_time().map(|at| (at, slot)))
             .min()
         {
             if boundary.is_some_and(|b| at >= b) {
                 break;
             }
-            let scheduled = queues[slot].pop().expect("peeked event");
+            let scheduled = queues[slot].events.pop().expect("peeked event");
             Self::handle(
                 &mut instances[slot],
                 &mut queues[slot],
@@ -1668,12 +1677,14 @@ impl Cluster {
     }
 
     /// Serves one event of one slot — enqueue, admit or complete — then pumps
-    /// admissions: starts as many requests as the policy admits, and schedules a
-    /// wake-up when the first stage frees if work is still waiting.  Touches only
-    /// that slot's instance, queue and records.
+    /// admissions: starts as many requests as the policy admits, and, if work is
+    /// still waiting, arms an `Admit` for when the first stage frees — once per
+    /// wake time ([`SlotQueue::armed_admit`]), so a burst queued behind a busy slot
+    /// keeps one pending `Admit`, not one per event.  Touches only that slot's
+    /// instance, queue and records.
     fn handle(
         instance: &mut EngineInstance,
-        queue: &mut EventQueue<InstanceEvent>,
+        queue: &mut SlotQueue,
         records: &mut Vec<RequestRecord>,
         now: SimTime,
         event: InstanceEvent,
@@ -1692,15 +1703,16 @@ impl Cluster {
             }
         }
         while let Some(started) = instance.try_start(now) {
-            queue.push(
+            queue.events.push(
                 started.completion,
                 InstanceEvent::Complete(started.request_id),
             );
         }
         if instance.queue_len() > 0 {
             let wake = instance.next_admission_time();
-            if wake > now {
-                queue.push(wake, InstanceEvent::Admit);
+            if wake > now && queue.armed_admit != Some(wake) {
+                queue.armed_admit = Some(wake);
+                queue.events.push(wake, InstanceEvent::Admit);
             }
         }
     }
@@ -1803,6 +1815,54 @@ mod tests {
             kind,
             6_000,
         )
+    }
+
+    /// A burst of arrivals queued behind one busy slot arms each admission wake
+    /// time once: the slot's loop handles no more `Admit` events than it starts
+    /// requests (one pending `Admit` per wake time, not one per queued event).
+    #[test]
+    fn busy_slot_arms_each_admission_wake_once() {
+        let ds = small_post_rec_dataset();
+        let mut instance = EngineInstance::new(&config(EngineKind::prefillonly_default()), 0);
+        let mut queue = SlotQueue::default();
+        for (id, template) in ds.requests().iter().enumerate() {
+            let arrival = SimTime::from_millis(id as u64);
+            let request = PrefillRequest {
+                id: id as u64,
+                user_id: template.user_id,
+                tokens: Arc::clone(&template.tokens),
+                decode_tokens: template.decode_tokens,
+                allowed_outputs: Vec::new(),
+                arrival,
+                routing: RoutingReason::Direct,
+            };
+            queue
+                .events
+                .push(arrival, InstanceEvent::Arrival(request, None));
+        }
+        let mut records = Vec::new();
+        let mut admits = 0usize;
+        while let Some(scheduled) = queue.events.pop() {
+            admits += usize::from(matches!(scheduled.event, InstanceEvent::Admit));
+            Cluster::handle(
+                &mut instance,
+                &mut queue,
+                &mut records,
+                scheduled.at,
+                scheduled.event,
+            );
+        }
+        assert_eq!(
+            records.len(),
+            ds.len(),
+            "every request starts and completes"
+        );
+        assert!(admits > 0, "the burst must queue behind a busy slot");
+        assert!(
+            admits <= records.len(),
+            "{admits} Admit events for {} starts",
+            records.len()
+        );
     }
 
     #[test]

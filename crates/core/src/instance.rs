@@ -295,7 +295,9 @@ pub struct EngineInstance {
 /// The engine-side [`CacheProbe`]: answers "how many tokens of this waiting request
 /// currently hit the prefix cache" from the memoised [`ProbeCache`], which degrades to
 /// a hash-chain walk only when the cache contents actually changed (and only from the
-/// previously hit depth when nothing was evicted).
+/// previously hit depth when nothing was evicted).  Those walks share a checkpoint
+/// memo across the queue, so requests behind one long shared prefix — a user's burst
+/// behind its profile — walk that prefix once per cache generation, not once each.
 struct KvCacheProbe<'a> {
     kv: &'a KvCacheManager,
     hashes: &'a HashMap<u64, Arc<Vec<TokenBlockHash>>>,

@@ -13,10 +13,29 @@
 //! * only *commits* since the last probe → cached prefixes can only have grown, so the
 //!   walk resumes from the previously hit depth and pays only for *new* hits;
 //! * at least one *eviction* since the last probe → the previous prefix may be gone;
-//!   fall back to a full re-walk.
+//!   the walk restarts from block zero.
 //!
 //! Between consecutive scheduling steps the cache contents usually have not changed at
 //! all (nothing committed, nothing evicted), so the common case is the O(1) path.
+//!
+//! # The checkpoint memo
+//!
+//! The two walking cases share one more memo, across requests: every
+//! [`CHECKPOINT_BLOCKS`] blocks (checkpoints `c = 64, 128, …`), the chain hash of block
+//! `c − 1` maps to the first GPU miss in `[0, c)` — or to `c` when every block hits.
+//! A walk jumps from checkpoint to checkpoint through that memo and walks only the
+//! blocks no earlier walk of this cache generation covered, so a queue of requests
+//! behind one long shared prefix (a burst of one user's requests) walks that prefix
+//! once per generation instead of once per request.
+//!
+//! The memo is exact.  The rolling hash of block `c − 1` identifies the whole prefix
+//! `[0, c)` — the same key the manager caches that block under — so two chains with
+//! the same anchor agree on the first miss in `[0, c)` (barring a 64-bit collision,
+//! which would already alias cache blocks).  The memo is cleared whenever
+//! [`generation`](crate::KvCacheManager::generation) moves, which every commit and
+//! every eviction does, so each entry depends only on the cache contents it was
+//! walked against.  The CPU and network continuations are not memoised across
+//! requests: they start where the GPU walk stops.
 
 use std::collections::HashMap;
 
@@ -57,6 +76,63 @@ struct ProbeEntry {
 #[derive(Debug, Clone, Default)]
 pub struct ProbeCache {
     entries: HashMap<u64, ProbeEntry>,
+    checkpoints: CheckpointMemo,
+}
+
+/// Blocks between two checkpoints of the shared-prefix memo (see the module docs).
+/// A walk over a chain of `C` blocks costs at most `C / 64` memo lookups plus a tail
+/// of fewer than 64 blocks: a narrower stride would shorten the tail but grow the
+/// memo and the lookups, and chains shorter than one stride never touch the memo.
+const CHECKPOINT_BLOCKS: usize = 64;
+
+/// The cross-request checkpoint memo: chain hash of block `c − 1` → first GPU miss in
+/// `[0, c)` (or `c`), valid for one cache generation.
+#[derive(Debug, Clone, Default)]
+struct CheckpointMemo {
+    /// `KvCacheManager::generation()` the entries were walked against.
+    generation: u64,
+    reached: HashMap<TokenBlockHash, usize>,
+}
+
+impl CheckpointMemo {
+    /// GPU prefix hits of `hashes`, given that blocks `[0, start)` are known to hit.
+    ///
+    /// Each walked segment goes through
+    /// [`KvCacheManager::resume_cached_blocks_from_hashes`], whose debug assertion
+    /// re-checks every prefix the walk jumped over.
+    fn gpu_hits(&mut self, kv: &KvCacheManager, hashes: &[TokenBlockHash], start: usize) -> usize {
+        let mut hit = start;
+        let mut checkpoint = (start / CHECKPOINT_BLOCKS + 1) * CHECKPOINT_BLOCKS;
+        if checkpoint <= hashes.len() && self.generation != kv.generation() {
+            self.reached.clear();
+            self.generation = kv.generation();
+        }
+        while checkpoint <= hashes.len() {
+            let anchor = hashes[checkpoint - 1];
+            let reached = match self.reached.get(&anchor) {
+                Some(&reached) => {
+                    debug_assert!(
+                        reached == checkpoint
+                            || kv.resume_cached_blocks_from_hashes(&hashes[..=reached], reached)
+                                == reached,
+                        "checkpoint memo is stale: block {reached} hits"
+                    );
+                    reached
+                }
+                None => {
+                    let reached = kv.resume_cached_blocks_from_hashes(&hashes[..checkpoint], hit);
+                    self.reached.insert(anchor, reached);
+                    reached
+                }
+            };
+            if reached < checkpoint {
+                return reached;
+            }
+            hit = checkpoint;
+            checkpoint += CHECKPOINT_BLOCKS;
+        }
+        kv.resume_cached_blocks_from_hashes(hashes, hit)
+    }
 }
 
 impl ProbeCache {
@@ -120,7 +196,7 @@ impl ProbeCache {
                 // re-walked if its own contents changed or the GPU depth moved, and
                 // the network continuation if its contents changed or the CPU
                 // continuation's end moved.
-                let hit_blocks = kv.resume_cached_blocks_from_hashes(hashes, entry.hit_blocks);
+                let hit_blocks = self.checkpoints.gpu_hits(kv, hashes, entry.hit_blocks);
                 let cpu_moved =
                     hit_blocks != entry.hit_blocks || entry.cpu_generation != cpu_generation;
                 if cpu_moved {
@@ -145,7 +221,13 @@ impl ProbeCache {
                 }
             }
             _ => {
-                let hits = kv.lookup_tier_hits_from_hashes(hashes);
+                let gpu_blocks = self.checkpoints.gpu_hits(kv, hashes, 0);
+                let cpu_blocks = kv.cpu_prefix_blocks_after(hashes, gpu_blocks);
+                let hits = TierHits {
+                    gpu_blocks,
+                    cpu_blocks,
+                    net_blocks: kv.net_prefix_blocks_after(hashes, gpu_blocks + cpu_blocks),
+                };
                 self.entries.insert(
                     request_id,
                     ProbeEntry {
@@ -256,31 +338,50 @@ mod tests {
 
     /// Model check: under random interleavings of allocate/commit/release and probes,
     /// the memoising probe always agrees with a fresh full walk.
+    ///
+    /// Besides short per-user chains, the universe holds chains longer than two
+    /// checkpoints whose shared prefix ends before, at and after a checkpoint
+    /// boundary, each probed under several request ids at capacities that force
+    /// evictions — so stale or mis-keyed checkpoint entries surface as wrong counts.
     #[test]
     fn probe_always_matches_full_walk() {
-        for seed in 0..48u64 {
+        let mut deep_probes = 0usize;
+        for seed in 0..64u64 {
             let mut rng = SimRng::seed_from_u64(seed);
-            let capacity = rng.gen_range(8u64..64);
+            let capacity = rng.gen_range(8u64..400);
             let mut kv = KvCacheManager::new(capacity, BLOCK_SIZE);
             let mut probe = ProbeCache::new();
             // A small universe of chains sharing per-user prefixes.
-            let chains: Vec<Vec<TokenBlockHash>> = (0..6u32)
+            let mut chains: Vec<Vec<TokenBlockHash>> = (0..6u32)
                 .map(|user| {
                     let mut toks = tokens(user / 2 * 100_000, 16 * ((user as usize % 3) + 2));
                     toks.extend(tokens(900_000 + user * 10_000, 48));
                     hash_token_blocks(&toks, BLOCK_SIZE)
                 })
                 .collect();
+            // Long chains over one 200-block base, diverging at these block depths.
+            chains.push(hash_token_blocks(&tokens(0, 200 * BLOCK_SIZE), BLOCK_SIZE));
+            for diverge in [40usize, 64, 90, 128, 140] {
+                let mut toks = tokens(0, diverge * BLOCK_SIZE);
+                toks.extend(tokens(
+                    2_000_000 + diverge as u32 * 10_000,
+                    100 * BLOCK_SIZE,
+                ));
+                chains.push(hash_token_blocks(&toks, BLOCK_SIZE));
+            }
 
-            for step in 0..200 {
+            for step in 0..300 {
                 let now = SimTime::from_millis(step);
                 let idx = rng.gen_range(0usize..chains.len());
                 match rng.gen_range(0u32..3) {
                     0 => {
-                        // Probe a random chain and cross-check against the full walk.
-                        let got = probe.cached_blocks(&kv, idx as u64, &chains[idx]);
+                        // Probe a random chain under one of its request ids and
+                        // cross-check against the full walk.
+                        let request_id = idx as u64 + chains.len() as u64 * rng.gen_range(0u64..3);
+                        let got = probe.cached_blocks(&kv, request_id, &chains[idx]);
                         let want = kv.lookup_cached_blocks_from_hashes(&chains[idx]);
                         assert_eq!(got, want, "seed {seed} step {step}");
+                        deep_probes += usize::from(want >= CHECKPOINT_BLOCKS);
                     }
                     1 => {
                         let total = chains[idx].len() as u64 * BLOCK_SIZE as u64;
@@ -307,5 +408,10 @@ mod tests {
                 }
             }
         }
+        // Guard against vacuous agreement: many probes must reach past a checkpoint.
+        assert!(
+            deep_probes > 500,
+            "checkpoint memo under-exercised: {deep_probes}"
+        );
     }
 }

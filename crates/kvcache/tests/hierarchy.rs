@@ -534,16 +534,20 @@ fn hierarchical_shadow_model_agreement() {
 
 /// The memoising probe stays transparent when the full hierarchy is active: under
 /// random interleavings of hierarchical allocations over a pre-warmed network tier,
-/// `ProbeCache::tier_hits` always agrees with a fresh three-tier walk.
+/// `ProbeCache::tier_hits` always agrees with a fresh three-tier walk.  Chains longer
+/// than two 64-block checkpoints, sharing a prefix that ends before, at and after a
+/// checkpoint boundary, are probed under several request ids, so the cross-request
+/// checkpoint memo is exercised across commits, evictions and spills.
 #[test]
 fn probe_matches_tier_walk_under_offload() {
     use kvcache::ProbeCache;
 
+    let mut deep_probes = 0usize;
     for seed in 0..48u64 {
         let mut rng = SimRng::seed_from_u64(23_000 + seed);
-        let gpu_capacity = rng.gen_range(8u64..64);
-        let cpu_capacity = rng.gen_range(0u64..48);
-        let net_capacity = rng.gen_range(0u64..96);
+        let gpu_capacity = rng.gen_range(8u64..400);
+        let cpu_capacity = rng.gen_range(0u64..300);
+        let net_capacity = rng.gen_range(0u64..600);
         let mut kv = KvCacheManager::with_offload(
             gpu_capacity,
             BLOCK_SIZE,
@@ -551,7 +555,7 @@ fn probe_matches_tier_walk_under_offload() {
             BLOCK_BYTES,
         );
         let mut probe = ProbeCache::new();
-        let chains: Vec<Vec<TokenBlockHash>> = (0..6u32)
+        let mut chains: Vec<Vec<TokenBlockHash>> = (0..6u32)
             .map(|user| {
                 let mut toks: Vec<u32> =
                     (user / 2 * 100_000..user / 2 * 100_000 + 16 * ((user % 3) + 2)).collect();
@@ -559,20 +563,34 @@ fn probe_matches_tier_walk_under_offload() {
                 hash_token_blocks(&toks, BLOCK_SIZE)
             })
             .collect();
+        // Long chains over one 200-block base, diverging at these block depths.
+        let block = BLOCK_SIZE as u32;
+        chains.push(hash_token_blocks(
+            &(0..200 * block).collect::<Vec<u32>>(),
+            BLOCK_SIZE,
+        ));
+        for diverge in [40u32, 64, 90, 128, 140] {
+            let mut toks: Vec<u32> = (0..diverge * block).collect();
+            let suffix = 2_000_000 + diverge * 10_000;
+            toks.extend(suffix..suffix + 100 * block);
+            chains.push(hash_token_blocks(&toks, BLOCK_SIZE));
+        }
         // Pre-warm the shared tier with one chain (another instance's contribution),
         // so net hits occur even before the local cascade feeds the tier.
         let mut net = NetKvPool::new(net_capacity * BLOCK_BYTES, BLOCK_BYTES);
         net.offload(&chains[0], SimTime::ZERO);
         kv.install_net_pool(net);
 
-        for step in 0..200 {
+        for step in 0..300 {
             let now = SimTime::from_millis(step);
             let idx = rng.gen_range(0usize..chains.len());
             match rng.gen_range(0u32..3) {
                 0 => {
-                    let got = probe.tier_hits(&kv, idx as u64, &chains[idx]);
+                    let request_id = idx as u64 + chains.len() as u64 * rng.gen_range(0u64..3);
+                    let got = probe.tier_hits(&kv, request_id, &chains[idx]);
                     let want = kv.lookup_tier_hits_from_hashes(&chains[idx]);
                     assert_eq!(got, want, "seed {seed} step {step}");
+                    deep_probes += usize::from(want.gpu_blocks >= 64);
                 }
                 1 => {
                     let total = chains[idx].len() as u64 * BLOCK_SIZE as u64;
@@ -599,4 +617,9 @@ fn probe_matches_tier_walk_under_offload() {
             }
         }
     }
+    // Guard against vacuous agreement: many probes must reach past a checkpoint.
+    assert!(
+        deep_probes > 500,
+        "checkpoint memo under-exercised: {deep_probes}"
+    );
 }
