@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kvcache::{hash_token_blocks, KvCacheManager, RetentionPolicy};
+use prefillonly_bench::hotpath::WarmChain;
 use simcore::SimTime;
 
 const BLOCK_SIZE: usize = 16;
@@ -58,6 +59,12 @@ fn bench_allocate_commit(c: &mut Criterion) {
                 std::hint::black_box(manager.cached_blocks())
             },
         )
+    });
+    // The pin/unpin path: the same 1,000-block chain allocated again, fully cached,
+    // and committed, round after round on one manager.
+    let mut warm = WarmChain::new(1_000);
+    group.bench_function("warm_16k_request", |b| {
+        b.iter(|| std::hint::black_box(warm.allocate_commit()))
     });
     group.bench_function("eviction_pressure", |b| {
         b.iter_with_setup(

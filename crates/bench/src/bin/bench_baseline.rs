@@ -8,10 +8,10 @@
 //! generatable on every PR without paying full measurement time.
 //!
 //! Pass `--check` to run the regression guard instead of emitting the file: the
-//! scheduling-step, materialised-replay, decode, handoff, routing-pass and
-//! epoch-barrier groups are re-measured and compared against the committed
-//! `BENCH_baseline.json` medians, and the process exits non-zero if any entry is
-//! more than [`REGRESSION_FACTOR`]× worse or has no committed median.
+//! scheduling-step, KV pin/unpin, materialised-replay, decode, handoff,
+//! routing-pass and epoch-barrier groups are re-measured and compared against the
+//! committed `BENCH_baseline.json` medians, and the process exits non-zero if any
+//! entry is more than [`REGRESSION_FACTOR`]× worse or has no committed median.
 //! The guard re-measures the *full* workload shapes (sample counts aside, a
 //! `--smoke`-shaped workload would not be comparable to the committed medians),
 //! so `--check` rejects `--smoke`.
@@ -27,7 +27,7 @@ use kvcache::{KvCacheManager, ProbeCache, RetentionPolicy};
 use model::ModelPreset;
 use prefillonly::{Cluster, EngineConfig, EngineInstance, EngineKind, RoutingScratch};
 use prefillonly_bench::hotpath::{
-    calibrated_queue, cohort_cache, AfterEviction, FullWalkProbe, MemoProbe,
+    calibrated_queue, cohort_cache, AfterEviction, FullWalkProbe, MemoProbe, WarmChain,
 };
 use scheduler::{JctEstimator, SchedulingPolicy, SrjfPolicy};
 use simcore::{SimDuration, SimRng, SimTime};
@@ -221,6 +221,24 @@ fn kvcache_baselines(out: &mut Vec<BaselinePoint>) {
             },
         );
     }
+    warm_chain_baseline(out);
+}
+
+/// The KV manager's pin/unpin path ([`WarmChain`]): a cached 1,000-block chain
+/// allocated again and committed.  A round takes tens of microseconds, so each
+/// sample times a batch of 100 rounds — several milliseconds, long enough that one
+/// burst of host noise cannot set the median.
+fn warm_chain_baseline(out: &mut Vec<BaselinePoint>) {
+    let mut warm = WarmChain::new(1_000);
+    measure_batched(
+        out,
+        "kvcache_ops/allocate_commit/warm_1000_blocks",
+        samples(25),
+        100,
+        || {
+            std::hint::black_box(warm.allocate_commit());
+        },
+    );
 }
 
 /// Hierarchical-tier hot path: allocating a 100-block request whose prefix lives
@@ -862,13 +880,13 @@ fn committed_medians(json: &str) -> Vec<(String, f64)> {
     pairs
 }
 
-/// The CI regression guard: re-measures the materialised replays of both
-/// flavours (colocated and decode-enabled), the KV-handoff plane, and the
-/// routing-pass and epoch-barrier groups (the per-epoch machinery this repo
-/// optimises hardest), and compares each median against the committed
-/// `BENCH_baseline.json`.  An entry without a committed median fails too, so a
-/// renamed or new entry is guarded from the commit that introduces it.  Returns
-/// the process exit code.
+/// The CI regression guard: re-measures the scheduling step, the KV manager's
+/// pin/unpin path, the materialised replays of both flavours (colocated and
+/// decode-enabled), the KV-handoff plane, and the routing-pass and epoch-barrier
+/// groups (the per-epoch machinery this repo optimises hardest), and compares each
+/// median against the committed `BENCH_baseline.json`.  An entry without a
+/// committed median fails too, so a renamed or new entry is guarded from the commit
+/// that introduces it.  Returns the process exit code.
 fn regression_check() -> i32 {
     let path = workspace_root().join("BENCH_baseline.json");
     let json = match std::fs::read_to_string(&path) {
@@ -885,11 +903,12 @@ fn regression_check() -> i32 {
     }
 
     println!(
-        "Regression guard: scheduling step + replays + handoff plane + routing pass + \
-         epoch barriers vs committed medians\n"
+        "Regression guard: scheduling step + KV pin/unpin + replays + handoff plane + \
+         routing pass + epoch barriers vs committed medians\n"
     );
     let mut results = Vec::new();
     scheduler_baselines(&mut results);
+    warm_chain_baseline(&mut results);
     cluster_baselines(&mut results);
     decode_baselines(&mut results);
     routing_pass_baselines(&mut results);

@@ -2,17 +2,19 @@
 //! warmed prefix cache, plus the two [`CacheProbe`] adapters being compared (the
 //! seed's full hash-chain walk vs the generation-memoised incremental probe), and
 //! the same queue right after an unrelated eviction, when every memoised result is
-//! stale and only the shared-prefix checkpoint memo spares the re-walks.
+//! stale and only the shared-prefix checkpoint memo spares the re-walks.  Next to it
+//! sits the KV manager's pin/unpin path ([`WarmChain`]).
 //!
-//! Used by both the `scheduler_step` criterion bench and the `bench_baseline`
-//! perf-trajectory emitter so the two always measure the same scenario.
+//! Used by the `scheduler_step` and `kvcache_ops` criterion benches and the
+//! `bench_baseline` perf-trajectory emitter so they always measure the same
+//! scenarios.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 
 use kvcache::{hash_token_blocks, KvCacheManager, ProbeCache, RetentionPolicy, TokenBlockHash};
 use scheduler::{CacheProbe, SchedulingPolicy, WaitingRequest};
-use simcore::SimTime;
+use simcore::{SimDuration, SimTime};
 
 /// KV block size used across the hot-path scenarios.
 pub const BLOCK_SIZE: usize = 16;
@@ -142,6 +144,50 @@ impl AfterEviction {
             "exactly the unrelated block leaves the cache"
         );
         (kv, self.warm.clone())
+    }
+}
+
+/// The pin/unpin path of the KV manager: a chain of full blocks, already cached,
+/// allocated again one microsecond later than last time and committed, over and over
+/// on one manager.  Each round pins and unpins every block of the chain, and the
+/// LRU heap's rebuilds fall into the rounds they amortise over.  The chain is hashed
+/// once up front, so no round pays for hashing.
+pub struct WarmChain {
+    kv: KvCacheManager,
+    hashes: Vec<TokenBlockHash>,
+    now: SimTime,
+}
+
+impl WarmChain {
+    /// Caches a chain of `blocks` full blocks in a pool four times its size.
+    pub fn new(blocks: usize) -> WarmChain {
+        let tokens: Vec<u32> = (0..(blocks * BLOCK_SIZE) as u32).collect();
+        let mut chain = WarmChain {
+            kv: KvCacheManager::new(4 * blocks as u64, BLOCK_SIZE),
+            hashes: hash_token_blocks(&tokens, BLOCK_SIZE),
+            now: SimTime::ZERO,
+        };
+        chain.allocate_commit();
+        chain
+    }
+
+    /// One round: allocates the chain at the next microsecond and commits it.
+    /// Returns how many blocks the allocation found cached.
+    pub fn allocate_commit(&mut self) -> u64 {
+        self.now += SimDuration::from_micros(1);
+        let tokens = (self.hashes.len() * BLOCK_SIZE) as u64;
+        let alloc = self
+            .kv
+            .allocate_from_hashes(
+                &self.hashes,
+                tokens,
+                self.now,
+                RetentionPolicy::FullResidency,
+            )
+            .expect("the pool holds the chain");
+        let cached = alloc.cached_tokens() / BLOCK_SIZE as u64;
+        self.kv.commit(alloc, self.now);
+        cached
     }
 }
 

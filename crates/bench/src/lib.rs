@@ -9,8 +9,8 @@
 //!   the saturation throughput first and then sweeping ¼×, ½×, 1×, 2×, 3×, 4× of it.
 //! * [`output`] — fixed-width table printing and JSON export (every binary writes its
 //!   series to `results/<experiment>.json` so EXPERIMENTS.md can reference them).
-//! * [`hotpath`] — the shared scheduling-probe scenario measured by both the
-//!   `scheduler_step` criterion bench and the `bench_baseline` emitter.
+//! * [`hotpath`] — the shared scheduling-probe and KV pin/unpin scenarios measured
+//!   by both the criterion benches and the `bench_baseline` emitter.
 //! * [`scale`] — workload scaling: by default the binaries run a reduced copy of the
 //!   Table 1 datasets so the whole suite finishes in minutes on a laptop; set
 //!   `PREFILLONLY_FULL_EVAL=1` to replay the full-size datasets.

@@ -57,8 +57,9 @@ struct RunningRequest {
     completion: SimTime,
     /// Set on a `Prefill`-role instance: the request stops at its first token and
     /// emits a KV handoff instead of a record (it never decodes here, so it is not
-    /// a decode batchmate either).
-    emit_handoff: bool,
+    /// a decode batchmate either).  Holds the request's block-hash chain, which
+    /// ships with the handoff so the decode slot does not hash the tokens again.
+    handoff_chain: Option<Arc<Vec<TokenBlockHash>>>,
     /// Set on the decode side of a handoff: prefill-side residency stats and the
     /// bytes that crossed the fabric, folded into the final record.
     carried: Option<HandoffCarry>,
@@ -108,6 +109,9 @@ pub struct KvHandoff {
     pub net_reloaded_tokens: u64,
     /// The mid-window-propagation subset of `net_reloaded_tokens`.
     pub net_propagated_tokens: u64,
+    /// Block-hash chain of the request's full token sequence, as hashed on arrival
+    /// at the prefill slot; the decode slot reserves the chain from it.
+    pub hashes: Arc<Vec<TokenBlockHash>>,
 }
 
 /// Outcome of offering a [`KvHandoff`] to a decode-capable instance.
@@ -732,7 +736,9 @@ impl EngineInstance {
             let batchmates: u64 = self
                 .running
                 .values()
-                .filter(|r| r.request.decode_tokens > 0 && !r.emit_handoff && r.completion > now)
+                .filter(|r| {
+                    r.request.decode_tokens > 0 && r.handoff_chain.is_none() && r.completion > now
+                })
                 .count() as u64;
             // Chunked prefill interleaves one decode iteration for the co-running
             // batch after each prefill chunk (Sarathi-style stall-free batching):
@@ -749,7 +755,9 @@ impl EngineInstance {
                         .running
                         .values()
                         .filter(|r| {
-                            r.request.decode_tokens > 0 && !r.emit_handoff && r.completion > now
+                            r.request.decode_tokens > 0
+                                && r.handoff_chain.is_none()
+                                && r.completion > now
                         })
                         .map(|r| {
                             self.executor
@@ -804,7 +812,7 @@ impl EngineInstance {
                     started: now,
                     first_token,
                     completion,
-                    emit_handoff,
+                    handoff_chain: emit_handoff.then_some(hashes),
                     carried: None,
                 },
             );
@@ -837,7 +845,7 @@ impl EngineInstance {
         let net_reloaded = running.kv.net_reloaded_tokens();
         let net_propagated = running.kv.net_propagated_tokens();
         self.kv.commit(running.kv, now);
-        if running.emit_handoff {
+        if let Some(hashes) = running.handoff_chain {
             // The prompt chain stays committed here (later turns re-hit this slot's
             // prefix cache); the whole reserved chain ships over the fabric.
             let request = running.request;
@@ -861,6 +869,7 @@ impl EngineInstance {
                 reloaded_tokens: reloaded,
                 net_reloaded_tokens: net_reloaded,
                 net_propagated_tokens: net_propagated,
+                hashes,
             });
             return None;
         }
@@ -910,10 +919,14 @@ impl EngineInstance {
             self.role.can_decode(),
             "handoffs may only target decode-capable slots"
         );
-        let hashes = hash_token_blocks(&handoff.request.tokens, self.kv.block_size());
+        debug_assert_eq!(
+            handoff.hashes.len(),
+            handoff.request.tokens.len() / self.kv.block_size(),
+            "the handed-off chain must match the instance's block geometry"
+        );
         let mut decline = |_: &ReloadQuote| false;
         let kv_alloc = match self.kv.allocate_from_hashes_with_policy(
-            &hashes,
+            &handoff.hashes,
             handoff.request.num_tokens(),
             now,
             self.retention,
@@ -932,7 +945,9 @@ impl EngineInstance {
         let batchmates: u64 = self
             .running
             .values()
-            .filter(|r| r.request.decode_tokens > 0 && !r.emit_handoff && r.completion > now)
+            .filter(|r| {
+                r.request.decode_tokens > 0 && r.handoff_chain.is_none() && r.completion > now
+            })
             .count() as u64;
         let batch = 1 + batchmates;
         let prompt_tokens = handoff.request.prompt_tokens();
@@ -951,7 +966,7 @@ impl EngineInstance {
                 started: handoff.started,
                 first_token: handoff.first_token,
                 completion,
-                emit_handoff: false,
+                handoff_chain: None,
                 carried: Some(HandoffCarry {
                     prefill_slot: handoff.prefill_slot,
                     bytes: handoff.bytes,

@@ -6,11 +6,54 @@
 //! The standard trick (used by vLLM) is a rolling hash: each block's key combines the
 //! previous block's key with the tokens inside the block.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use serde::{Deserialize, Serialize};
 
 /// Content hash identifying "this exact token prefix up to the end of this block".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct TokenBlockHash(pub u64);
+
+/// A map keyed by block hashes, hashed with [`BlockHasher`] instead of std's
+/// SipHash-1-3: the key is already a hash, so keying it again only needs to spread
+/// its bits, not to resist an adversary.  (It gives up SipHash's protection against
+/// keys crafted to collide, which a simulator replaying its own traces does not
+/// need.)
+pub(crate) type BlockMap<V> = HashMap<TokenBlockHash, V, BuildHasherDefault<BlockHasher>>;
+
+/// The hasher of [`BlockMap`]: one 64×64→128-bit multiply by an odd constant,
+/// folded by XOR-ing the two halves of the product.
+///
+/// Not the identity: the table picks buckets by the *low* bits of the hash, and the
+/// low bits of an FNV-1a state depend only on the low bits of each input byte, so
+/// chains that differ only in high token bits would share buckets.  The high half of
+/// the product depends on every key bit, so the fold spreads all of them into the
+/// low bits (and into the top bits the table keeps as tags).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct BlockHasher(u64);
+
+/// Odd multiplier of [`BlockHasher`] (the 64-bit golden-ratio constant).
+const FOLD_MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Hasher for BlockHasher {
+    fn write_u64(&mut self, word: u64) {
+        let product = u128::from(self.0 ^ word) * u128::from(FOLD_MULTIPLIER);
+        self.0 = (product >> 64) as u64 ^ product as u64;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
@@ -95,6 +138,24 @@ mod tests {
     #[should_panic(expected = "block size")]
     fn zero_block_size_panics() {
         hash_token_blocks(&[1, 2, 3], 0);
+    }
+
+    #[test]
+    fn block_hasher_spreads_high_key_bits_into_the_low_bits() {
+        // Keys that differ only above bit 40 must still spread over the low bits the
+        // table picks buckets by (an identity hasher would put all 256 in one).
+        let low_bits = |key: u64| {
+            let mut hasher = BlockHasher::default();
+            std::hash::Hash::hash(&TokenBlockHash(key), &mut hasher);
+            hasher.finish() & 0xffff
+        };
+        let buckets: std::collections::HashSet<u64> =
+            (0..256u64).map(|i| low_bits(i << 40)).collect();
+        assert!(
+            buckets.len() > 250,
+            "only {} distinct low halves",
+            buckets.len()
+        );
     }
 
     #[test]

@@ -1,10 +1,16 @@
 //! The KV-cache manager: prefix caching, LRU eviction, suffix discarding and the
 //! hierarchical (GPU → CPU) tier.
 //!
-//! Eviction is driven by an ordered LRU index (a `BTreeSet` over `(last_used, hash)`)
-//! that is kept in sync with the prefix-cache map on every touch / commit / evict, so
-//! evicting a batch of `k` victims costs O(k log n) instead of the full O(n log n)
-//! scan + sort of the naive implementation.  The manager also exposes a monotonically
+//! Eviction is driven by a lazy-deletion min-heap over `(last_used, hash)` plus a
+//! count of the evictable blocks.  Pinning a cached block (a prefix hit) only
+//! decrements that count and leaves the block's heap entry behind; each drop of a
+//! reference count to zero pushes the block at its current `last_used`.  A pop skips
+//! entries that went stale — the hash left the cache, the block is referenced, or
+//! its `last_used` moved — so the first live entry is exactly the oldest
+//! unreferenced block, hash breaking ties, as in the naive scan + sort.  Pins and
+//! unpins are O(1) amortised, and evicting `k` victims costs O(k log n) plus the
+//! stale entries skipped; the heap is rebuilt from the cache map whenever it
+//! outgrows `2 × cached + 64` entries.  The manager also exposes a monotonically
 //! increasing [`KvCacheManager::generation`] that changes exactly when the *contents*
 //! of the prefix cache change (a block is inserted or removed); schedulers use it to
 //! skip re-probing hash chains when nothing changed between scheduling steps.
@@ -30,13 +36,14 @@
 //! recompute saving, per tier.  See `ARCHITECTURE.md` for the full three-tier cost
 //! model.
 
-use std::collections::{BTreeSet, HashMap};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 use simcore::SimTime;
 
 use crate::block::{BlockId, BlockPool};
-use crate::hash::{hash_token_blocks, TokenBlockHash};
+use crate::hash::{hash_token_blocks, BlockMap, TokenBlockHash};
 use crate::netpool::{NetKvPool, NetPoolView};
 use crate::offload::{CpuKvPool, OffloadStats};
 
@@ -303,14 +310,21 @@ struct CachedEntry {
 pub struct KvCacheManager {
     block_size: usize,
     pool: BlockPool,
-    cached: HashMap<TokenBlockHash, CachedEntry>,
-    /// Eviction order over the *unreferenced* cached blocks.
+    cached: BlockMap<CachedEntry>,
+    /// Eviction order over the *unreferenced* cached blocks, with lazy deletion.
     ///
-    /// Invariant: `(entry.last_used, hash)` is in this set iff `hash` is in `cached`
-    /// and the entry's block has a reference count of zero.  The `(SimTime,
-    /// TokenBlockHash)` ordering reproduces exactly the victim order of the original
-    /// scan + sort implementation (oldest first, hash as the tie-break).
-    lru: BTreeSet<(SimTime, TokenBlockHash)>,
+    /// Invariant: for every `hash` in `cached` whose block has a reference count of
+    /// zero, `(entry.last_used, hash)` is in the heap.  Any other entry is stale and
+    /// skipped when popped ([`Self::evict_lru_head`]).  The `(SimTime, TokenBlockHash)`
+    /// ordering reproduces exactly the victim order of the original scan + sort
+    /// implementation (oldest first, hash as the tie-break).  The heap never holds
+    /// more than [`Self::lru_bound`] entries between operations.
+    lru: BinaryHeap<Reverse<(SimTime, TokenBlockHash)>>,
+    /// Cached blocks with a reference count of zero: what eviction can free.
+    evictable: u64,
+    /// How often the heap was rebuilt (read by the model check).
+    #[cfg(test)]
+    lru_rebuilds: u64,
     /// Bumped whenever a block is inserted into the prefix cache.
     commit_generation: u64,
     /// Bumped whenever a block is removed from the prefix cache.
@@ -348,8 +362,11 @@ impl KvCacheManager {
         KvCacheManager {
             block_size,
             pool: BlockPool::new(capacity_blocks),
-            cached: HashMap::new(),
-            lru: BTreeSet::new(),
+            cached: BlockMap::default(),
+            lru: BinaryHeap::new(),
+            evictable: 0,
+            #[cfg(test)]
+            lru_rebuilds: 0,
             commit_generation: 0,
             evict_generation: 0,
             cpu: None,
@@ -671,14 +688,15 @@ impl KvCacheManager {
         let has_partial = !total_tokens.is_multiple_of(self.block_size as u64);
 
         // Phase 1: reuse cached prefix blocks.  Touching a block both refreshes its
-        // recency and pins it: an unreferenced block leaves the LRU index here and
-        // re-enters it (at its new timestamp) when the request commits or is released.
+        // recency and pins it: an unreferenced block stops counting as evictable
+        // here (its heap entry goes stale) and is pushed again, at its new
+        // timestamp, when the request commits or is released.
         let mut reused = Vec::new();
         for hash in hashes {
             match self.cached.get_mut(hash) {
                 Some(entry) => {
                     if self.pool.ref_count(entry.block) == Some(0) {
-                        self.lru.remove(&(entry.last_used, *hash));
+                        self.evictable -= 1;
                     }
                     entry.last_used = now;
                     self.pool.add_ref(entry.block);
@@ -698,12 +716,13 @@ impl KvCacheManager {
             let available = self.pool.free_blocks() + self.evictable_blocks();
             if needed > available {
                 // Roll back the references taken in phase 1 (the refreshed timestamps
-                // stay, so the touched prefix re-enters the LRU index as most recent).
+                // stay, so the touched prefix re-enters the LRU order as most recent).
                 for (hash, block) in &reused {
                     if self.pool.dec_ref(*block) == 0 {
-                        self.lru.insert((now, *hash));
+                        self.push_lru(now, *hash);
                     }
                 }
+                self.settle_lru();
                 self.stats.failed_allocations += 1;
                 return Err(KvError {
                     needed_blocks: needed,
@@ -875,7 +894,7 @@ impl KvCacheManager {
             if let Some(entry) = self.cached.get_mut(&hash) {
                 entry.last_used = now;
                 if remaining == 0 {
-                    self.lru.insert((now, hash));
+                    self.push_lru(now, hash);
                 }
             }
         }
@@ -891,7 +910,7 @@ impl KvCacheManager {
                         block,
                         last_used: now,
                     });
-                    self.lru.insert((now, hash));
+                    self.push_lru(now, hash);
                     self.stats.committed_blocks += 1;
                     self.commit_generation += 1;
                 } else {
@@ -906,6 +925,7 @@ impl KvCacheManager {
                 self.pool.release(block);
             }
         }
+        self.settle_lru();
     }
 
     /// Abandons a request without caching anything (e.g. the request failed).
@@ -913,7 +933,7 @@ impl KvCacheManager {
         for (hash, block) in request.reused {
             if self.pool.dec_ref(block) == 0 {
                 if let Some(entry) = self.cached.get(&hash) {
-                    self.lru.insert((entry.last_used, hash));
+                    self.push_lru(entry.last_used, hash);
                 }
             }
         }
@@ -928,6 +948,7 @@ impl KvCacheManager {
                 self.pool.release(block);
             }
         }
+        self.settle_lru();
     }
 
     /// Drops every unreferenced cached block (used by tests and profile runs).
@@ -935,18 +956,71 @@ impl KvCacheManager {
     /// This is an explicit reset, not memory pressure: nothing spills to the CPU
     /// tier.
     pub fn clear_cache(&mut self) {
-        while let Some((_, hash)) = self.lru.pop_first() {
-            let entry = self.cached.remove(&hash).expect("LRU entries are cached");
-            self.pool.release(entry.block);
+        while self.evict_lru_head().is_some() {}
+    }
+
+    /// Blocks that could be evicted right now.  O(1): a counter kept next to the
+    /// heap, decremented on every pin and incremented on every push.
+    fn evictable_blocks(&self) -> u64 {
+        self.evictable
+    }
+
+    /// Marks a block whose reference count just dropped to zero as evictable at
+    /// `last_used`.
+    fn push_lru(&mut self, last_used: SimTime, hash: TokenBlockHash) {
+        self.evictable += 1;
+        self.lru.push(Reverse((last_used, hash)));
+    }
+
+    /// Evicts the oldest evictable block — drops it from the cache and frees its
+    /// block — and returns its `(last_used, hash)`.  Pops and discards the stale
+    /// entries in front of it: an entry is live only while its hash is cached, its
+    /// block unreferenced and its `last_used` unchanged.
+    fn evict_lru_head(&mut self) -> Option<(SimTime, TokenBlockHash)> {
+        while let Some(Reverse((last_used, hash))) = self.lru.pop() {
+            let Some(entry) = self.cached.get(&hash) else {
+                continue;
+            };
+            if entry.last_used != last_used || self.pool.ref_count(entry.block) != Some(0) {
+                continue;
+            }
+            let block = entry.block;
+            self.cached.remove(&hash);
+            self.pool.release(block);
+            self.evictable -= 1;
             self.stats.evicted_blocks += 1;
             self.evict_generation += 1;
+            return Some((last_used, hash));
+        }
+        None
+    }
+
+    /// Most entries the heap may hold between operations; past it, the stale
+    /// entries are swept by a rebuild, which costs O(cached) and so amortises to
+    /// O(1) over the pushes that grew the heap.
+    fn lru_bound(&self) -> usize {
+        2 * self.cached.len() + 64
+    }
+
+    /// Rebuilds the heap from the cache map once it outgrows [`Self::lru_bound`].
+    fn settle_lru(&mut self) {
+        if self.lru.len() > self.lru_bound() {
+            let live: Vec<_> = self.evictable_entries().into_iter().map(Reverse).collect();
+            self.lru = BinaryHeap::from(live);
+            #[cfg(test)]
+            {
+                self.lru_rebuilds += 1;
+            }
         }
     }
 
-    /// Blocks that could be evicted right now.  O(1): the LRU index holds exactly the
-    /// unreferenced cached blocks.
-    fn evictable_blocks(&self) -> u64 {
-        self.lru.len() as u64
+    /// `(last_used, hash)` of every unreferenced cached block, in map order.
+    fn evictable_entries(&self) -> Vec<(SimTime, TokenBlockHash)> {
+        self.cached
+            .iter()
+            .filter(|(_, e)| self.pool.ref_count(e.block) == Some(0))
+            .map(|(h, e)| (e.last_used, *h))
+            .collect()
     }
 
     /// Publishes every reusable resident block into the installed network snapshot —
@@ -964,10 +1038,12 @@ impl KvCacheManager {
     /// when no network snapshot is installed.
     pub fn drain_to_net(&mut self, now: SimTime) -> DrainSpill {
         let mut report = DrainSpill::default();
+        let mut gpu_resident = self.evictable_entries();
+        gpu_resident.sort_unstable();
         let Some(net) = self.net.as_mut() else {
             return report;
         };
-        for &(last_used, hash) in &self.lru {
+        for (last_used, hash) in gpu_resident {
             let (written, evicted) =
                 net.offload_spilled(std::slice::from_ref(&hash), last_used, now);
             report.gpu_blocks += written;
@@ -998,11 +1074,11 @@ impl KvCacheManager {
     /// each victim one tier down when offload is enabled.  Returns how many blocks
     /// were actually evicted.
     ///
-    /// O(k log n) for `k` victims over `n` evictable blocks — the LRU index already
-    /// holds the eviction order, so no scan or sort over the cache is needed.  Spilled
-    /// victims keep their GPU `last_used` timestamp, so each lower tier's LRU order
-    /// extends the one above it (a block cold enough to leave the GPU is the first to
-    /// leave the CPU, too).
+    /// O(k log n) for `k` victims over a heap of `n` entries, plus one pop per stale
+    /// entry skipped — the heap already holds the eviction order, so no scan or sort
+    /// over the cache is needed.  Spilled victims keep their GPU `last_used`
+    /// timestamp, so each lower tier's LRU order extends the one above it (a block
+    /// cold enough to leave the GPU is the first to leave the CPU, too).
     ///
     /// The cascade continues downwards: a CPU resident displaced by the spill is
     /// itself spilled into the network tier — *if* it passes the single-use filter
@@ -1013,11 +1089,9 @@ impl KvCacheManager {
     fn evict_lru_batch(&mut self, count: u64, now: SimTime) -> u64 {
         let mut evicted = 0u64;
         while evicted < count {
-            let Some((last_used, hash)) = self.lru.pop_first() else {
+            let Some((last_used, hash)) = self.evict_lru_head() else {
                 break;
             };
-            let entry = self.cached.remove(&hash).expect("LRU entries are cached");
-            self.pool.release(entry.block);
             if let Some(cpu) = self.cpu.as_mut() {
                 let net = &mut self.net;
                 let net_stats = &mut self.net_stats;
@@ -1036,23 +1110,42 @@ impl KvCacheManager {
                     }
                 });
             }
-            self.stats.evicted_blocks += 1;
-            self.evict_generation += 1;
             evicted += 1;
         }
+        self.settle_lru();
         evicted
     }
 
-    /// Debug-only structural check of the LRU index invariant.
+    /// Debug-only structural check of the LRU heap invariant: the heap's live
+    /// entries are exactly the unreferenced cached blocks at their `last_used`, the
+    /// evictable count matches them, and the heap is within its length bound.
     #[cfg(test)]
     fn assert_lru_invariant(&self) {
-        let evictable: BTreeSet<(SimTime, TokenBlockHash)> = self
-            .cached
+        use std::collections::BTreeSet;
+        let evictable: BTreeSet<(SimTime, TokenBlockHash)> =
+            self.evictable_entries().into_iter().collect();
+        let live: BTreeSet<(SimTime, TokenBlockHash)> = self
+            .lru
             .iter()
-            .filter(|(_, e)| self.pool.ref_count(e.block) == Some(0))
-            .map(|(h, e)| (e.last_used, *h))
+            .map(|Reverse(key)| *key)
+            .filter(|(last_used, hash)| {
+                self.cached.get(hash).is_some_and(|e| {
+                    e.last_used == *last_used && self.pool.ref_count(e.block) == Some(0)
+                })
+            })
             .collect();
-        assert_eq!(evictable, self.lru, "LRU index out of sync with the cache");
+        assert_eq!(evictable, live, "LRU heap out of sync with the cache");
+        assert_eq!(
+            self.evictable,
+            evictable.len() as u64,
+            "evictable count out of sync with the cache"
+        );
+        assert!(
+            self.lru.len() <= self.lru_bound(),
+            "LRU heap holds {} entries, past its bound of {}",
+            self.lru.len(),
+            self.lru_bound()
+        );
     }
 }
 
@@ -1340,7 +1433,7 @@ mod tests {
         m.assert_lru_invariant();
 
         // Touch the cached prefix, then fail the allocation: the rollback must return
-        // the touched blocks to the LRU index.
+        // the touched blocks to the LRU heap.
         let err = m
             .allocate(
                 &tokens(0, 64 + 16 * 3),
@@ -1362,6 +1455,102 @@ mod tests {
         m.release_uncommitted(c);
         m.assert_lru_invariant();
         assert_eq!(m.cached_blocks(), 4);
+    }
+
+    /// Model check of the lazy LRU heap with allocations in flight.  Up to eight
+    /// allocations are held at once and finished out of order, by commit or
+    /// release, under both retention policies and coarse, repeating timestamps: pins
+    /// outlive other requests' evictions, commits land while a second holder still
+    /// pins a block, full-residency failures roll their pins back, and stale heap
+    /// entries survive across rebuilds.  The evictable set is read straight from the
+    /// cache map before each allocation, and the blocks the allocation evicts must be
+    /// exactly the oldest `(last_used, hash)` of that set outside the request's own
+    /// hit prefix.  The heap invariant and its length bound are checked after every
+    /// operation, and the scenario must reach every case above or the test fails.
+    #[test]
+    fn lazy_lru_heap_evicts_in_scan_order_with_requests_in_flight() {
+        use std::collections::{BTreeSet, HashSet};
+
+        let (mut rebuilds, mut evictions, mut pinned_evictions) = (0u64, 0u64, 0u64);
+        let (mut rollbacks, mut shared_commits, mut releases) = (0u64, 0u64, 0u64);
+        for seed in 0..10u64 {
+            let mut rng = simcore::SimRng::seed_from_u64(0x4ea9 + seed);
+            let mut m = KvCacheManager::new(rng.gen_range(64u64..160), 16);
+            let mut in_flight: Vec<RequestKv> = Vec::new();
+            for op in 0..360u32 {
+                let now = SimTime::from_millis(u64::from(op / 4) + rng.gen_range(0u64..3));
+                let start =
+                    in_flight.is_empty() || (in_flight.len() < 8 && rng.gen_range(0u32..100) < 55);
+                if start {
+                    let user = rng.gen_range(0u32..3) * 1_000_000;
+                    let mut chain: Vec<u32> = (user..user + rng.gen_range(1u32..24) * 16).collect();
+                    let suffix = 500_000_000 + op * 1_000;
+                    chain.extend(suffix..suffix + rng.gen_range(0u32..40));
+                    let policy = if rng.gen_range(0u32..2) == 0 {
+                        RetentionPolicy::FullResidency
+                    } else {
+                        RetentionPolicy::PrefixBestEffort
+                    };
+                    let mut unreferenced = m.evictable_entries();
+                    unreferenced.sort_unstable();
+                    let cached_before: Vec<TokenBlockHash> = m.cached.keys().copied().collect();
+                    let evicted_before = m.stats().evicted_blocks;
+                    match m.allocate(&chain, now, policy) {
+                        Ok(alloc) => {
+                            let hit_prefix: HashSet<TokenBlockHash> =
+                                alloc.reused.iter().map(|(hash, _)| *hash).collect();
+                            let evicted: BTreeSet<TokenBlockHash> = cached_before
+                                .into_iter()
+                                .filter(|hash| !m.cached.contains_key(hash))
+                                .collect();
+                            let count = m.stats().evicted_blocks - evicted_before;
+                            assert_eq!(evicted.len() as u64, count, "seed {seed} op {op}");
+                            let expected: BTreeSet<TokenBlockHash> = unreferenced
+                                .iter()
+                                .map(|(_, hash)| *hash)
+                                .filter(|hash| !hit_prefix.contains(hash))
+                                .take(count as usize)
+                                .collect();
+                            assert_eq!(evicted, expected, "seed {seed} op {op}: victims");
+                            evictions += count;
+                            if count > 0 && in_flight.iter().any(|held| !held.reused.is_empty()) {
+                                pinned_evictions += 1;
+                            }
+                            in_flight.push(alloc);
+                        }
+                        Err(_) => {
+                            assert_eq!(m.stats().evicted_blocks, evicted_before);
+                            rollbacks += 1;
+                        }
+                    }
+                } else {
+                    let alloc = in_flight.swap_remove(rng.gen_range(0..in_flight.len()));
+                    if rng.gen_range(0u32..4) == 0 {
+                        m.release_uncommitted(alloc);
+                        releases += 1;
+                    } else {
+                        let held: HashSet<TokenBlockHash> = in_flight
+                            .iter()
+                            .flat_map(|other| other.reused.iter().map(|(hash, _)| *hash))
+                            .collect();
+                        if alloc.reused.iter().any(|(hash, _)| held.contains(hash)) {
+                            shared_commits += 1;
+                        }
+                        m.commit(alloc, now);
+                    }
+                }
+                m.assert_lru_invariant();
+            }
+            rebuilds += m.lru_rebuilds;
+        }
+        assert!(rebuilds >= 10, "only {rebuilds} heap rebuilds");
+        assert!(
+            evictions > 0 && pinned_evictions > 0,
+            "no eviction behind a pin"
+        );
+        assert!(rollbacks > 0, "no full-residency rollback");
+        assert!(shared_commits > 0, "no commit under a second holder's pin");
+        assert!(releases > 0, "no release");
     }
 
     fn kvcache_hashes(tokens: &[u32], block_size: usize) -> Vec<TokenBlockHash> {

@@ -64,12 +64,12 @@
 //! its cumulative [`OffloadStats`](crate::OffloadStats) instead.
 
 use std::cell::Cell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use simcore::{SimDuration, SimTime};
 
-use crate::hash::TokenBlockHash;
+use crate::hash::{BlockMap, TokenBlockHash};
 
 /// One resident block of the network tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,7 +119,7 @@ pub struct NetReload {
 /// the copy-on-write discipline has a single unit of cloning.
 #[derive(Debug, Clone, Default)]
 struct NetState {
-    entries: HashMap<TokenBlockHash, NetEntry>,
+    entries: BlockMap<NetEntry>,
     /// Eviction order: `(last_used, hash)` for every entry, oldest first.
     lru: BTreeSet<(SimTime, TokenBlockHash)>,
     /// Bumped whenever an entry is inserted or removed (recency refreshes do not
@@ -419,7 +419,7 @@ impl NetKvPool {
     /// one merge discipline behind [`Self::merge_from`] and [`Self::absorb`].
     fn replay(
         &mut self,
-        entries: &HashMap<TokenBlockHash, NetEntry>,
+        entries: &BlockMap<NetEntry>,
         lru: &BTreeSet<(SimTime, TokenBlockHash)>,
     ) -> u64 {
         if lru.is_empty() {
@@ -539,7 +539,7 @@ struct OverlayView {
     /// `Some(at)` = the propagation-epoch visibility horizon.
     visible_at: Option<SimTime>,
     /// Entries the view touched or added; always consulted before the base.
-    overlay: HashMap<TokenBlockHash, NetEntry>,
+    overlay: BlockMap<NetEntry>,
     /// `(last_used, hash)` for every overlay entry, oldest first — the replay
     /// order of [`NetKvPool::absorb`].
     overlay_lru: BTreeSet<(SimTime, TokenBlockHash)>,
@@ -709,7 +709,7 @@ impl NetPoolView {
                 propagation_delay: pool.propagation_delay,
                 owner,
                 visible_at,
-                overlay: HashMap::new(),
+                overlay: BlockMap::default(),
                 overlay_lru: BTreeSet::new(),
                 added: 0,
                 visible_base: Cell::new(None),
@@ -894,12 +894,14 @@ impl NetPoolView {
 /// the shared pool by [`NetKvPool::absorb`].
 #[derive(Debug, Default)]
 pub struct ViewDelta {
-    entries: HashMap<TokenBlockHash, NetEntry>,
+    entries: BlockMap<NetEntry>,
     lru: BTreeSet<(SimTime, TokenBlockHash)>,
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::hash::hash_token_blocks;
 
@@ -1274,7 +1276,7 @@ mod tests {
     /// head once the map is full.
     struct FlatTier {
         capacity: u64,
-        entries: HashMap<TokenBlockHash, NetEntry>,
+        entries: BlockMap<NetEntry>,
         lru: BTreeSet<(SimTime, TokenBlockHash)>,
         generation: u64,
         evicted: u64,
@@ -1433,7 +1435,7 @@ mod tests {
                 NetKvPool::new(capacity * BLOCK_BYTES, BLOCK_BYTES).with_propagation_delay(delay);
             let mut flat = FlatTier {
                 capacity,
-                entries: HashMap::new(),
+                entries: BlockMap::default(),
                 lru: BTreeSet::new(),
                 generation: 0,
                 evicted: 0,

@@ -8,20 +8,23 @@
 //! LRU-evicted map from block-content hashes to block-sized KV entries, plus the byte
 //! accounting the engine needs to decide whether reloading is cheaper than recomputing.
 //!
-//! Like the GPU-tier [`KvCacheManager`](crate::KvCacheManager), the pool keeps an
-//! ordered `(last_used, hash)` index next to the entry map, so LRU eviction is
-//! O(log n) *and* fully deterministic (ties in `last_used` break on the hash, never on
-//! map iteration order — a requirement of the byte-identical parallel replay).  It also
+//! The pool keeps an ordered `(last_used, hash)` index (a `BTreeSet`) next to the
+//! entry map, so LRU eviction is O(log n) *and* fully deterministic (ties in
+//! `last_used` break on the hash, never on map iteration order — a requirement of
+//! the byte-identical parallel replay).  The GPU-tier
+//! [`KvCacheManager`](crate::KvCacheManager) orders its victims the same way through
+//! a lazy-deletion heap, which makes its per-block pins and unpins O(1); the CPU tier
+//! keeps the ordered index because only spills and reloads touch it.  It also
 //! exposes a [`CpuKvPool::generation`] counter that changes exactly when the pool's
 //! *contents* change, which lets the scheduler's probe memoisation extend to the CPU
 //! tier.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 use simcore::SimTime;
 
-use crate::hash::TokenBlockHash;
+use crate::hash::{BlockMap, TokenBlockHash};
 
 /// Statistics of the offload tiers (CPU and, when enabled, the cluster-shared
 /// network tier).
@@ -120,7 +123,7 @@ struct CpuEntry {
 pub struct CpuKvPool {
     block_bytes: u64,
     capacity_blocks: u64,
-    entries: HashMap<TokenBlockHash, CpuEntry>,
+    entries: BlockMap<CpuEntry>,
     /// Eviction order: `(last_used, hash)` for every entry, oldest first.
     lru: BTreeSet<(SimTime, TokenBlockHash)>,
     /// Bumped whenever an entry is inserted or removed (recency refreshes do not
@@ -141,7 +144,7 @@ impl CpuKvPool {
         CpuKvPool {
             block_bytes,
             capacity_blocks: capacity_bytes / block_bytes,
-            entries: HashMap::new(),
+            entries: BlockMap::default(),
             lru: BTreeSet::new(),
             generation: 0,
             stats: OffloadStats::default(),

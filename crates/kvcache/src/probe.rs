@@ -39,7 +39,7 @@
 
 use std::collections::HashMap;
 
-use crate::hash::TokenBlockHash;
+use crate::hash::{BlockMap, TokenBlockHash};
 use crate::manager::{KvCacheManager, TierHits};
 
 #[derive(Debug, Clone, Copy)]
@@ -91,7 +91,7 @@ const CHECKPOINT_BLOCKS: usize = 64;
 struct CheckpointMemo {
     /// `KvCacheManager::generation()` the entries were walked against.
     generation: u64,
-    reached: HashMap<TokenBlockHash, usize>,
+    reached: BlockMap<usize>,
 }
 
 impl CheckpointMemo {

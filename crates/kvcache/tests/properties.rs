@@ -4,8 +4,11 @@
 //! sweep of randomly generated request mixes.  The heavyweight property here is
 //! [`shadow_model_agreement`]: an executable specification of the manager that selects
 //! eviction victims with the seed implementation's full scan + sort is replayed against
-//! every operation, proving that the O(log n) LRU index always evicts exactly the same
-//! victims as the original O(n log n) implementation.
+//! every operation, proving that the manager's lazy-deletion LRU heap always evicts
+//! exactly the same victims as the original O(n log n) implementation.  Each operation
+//! here commits or releases before the next one starts; the in-flight interleavings
+//! (pins held across other requests' evictions, heap rebuilds) are model-checked by
+//! the manager's own unit tests.
 
 use std::collections::HashMap;
 
@@ -333,7 +336,7 @@ fn shadow_model_agreement() {
             };
             let commit = rng.gen_range(0u32..5) > 0;
             // Coarse timestamps force last_used ties, exercising the (time, hash)
-            // tie-break that the LRU index must replicate exactly.
+            // tie-break that the LRU heap must replicate exactly.
             let now = SimTime::from_millis(rng.gen_range(0u64..4) * 10 + serial as u64 / 8);
             let tokens = request_tokens(&spec, serial as u32);
             let hashes = hash_token_blocks(&tokens, BLOCK_SIZE);
