@@ -8,10 +8,11 @@
 //! generatable on every PR without paying full measurement time.
 //!
 //! Pass `--check` to run the regression guard instead of emitting the file: the
-//! scheduling-step, KV pin/unpin, materialised-replay, decode, handoff,
-//! routing-pass and epoch-barrier groups are re-measured and compared against the
-//! committed `BENCH_baseline.json` medians, and the process exits non-zero if any
-//! entry is more than [`REGRESSION_FACTOR`]× worse or has no committed median.
+//! scheduling-step, KV pin/unpin, block-hashing, materialised-replay, decode,
+//! handoff, routing-pass and epoch-barrier groups are re-measured and compared
+//! against the committed `BENCH_baseline.json` medians, and the process exits
+//! non-zero if any entry is more than [`REGRESSION_FACTOR`]× worse or has no
+//! committed median.
 //! The guard re-measures the *full* workload shapes (sample counts aside, a
 //! `--smoke`-shaped workload would not be comparable to the committed medians),
 //! so `--check` rejects `--smoke`.
@@ -222,6 +223,7 @@ fn kvcache_baselines(out: &mut Vec<BaselinePoint>) {
         );
     }
     warm_chain_baseline(out);
+    hash_baseline(out);
 }
 
 /// The KV manager's pin/unpin path ([`WarmChain`]): a cached 1,000-block chain
@@ -237,6 +239,26 @@ fn warm_chain_baseline(out: &mut Vec<BaselinePoint>) {
         100,
         || {
             std::hint::black_box(warm.allocate_commit());
+        },
+    );
+}
+
+/// Block hashing ([`kvcache::hash_token_blocks`]) of one 16k-token request, the
+/// length of a long post-recommendation profile; every arrival hashes its prompt
+/// once.  A pass takes microseconds, so each sample times a batch of 400 passes
+/// (a few milliseconds).
+fn hash_baseline(out: &mut Vec<BaselinePoint>) {
+    let tokens: Vec<u32> = (0..16_000).collect();
+    measure_batched(
+        out,
+        "kvcache_ops/hash_token_blocks/16k_tokens",
+        samples(25),
+        400,
+        || {
+            std::hint::black_box(kvcache::hash_token_blocks(
+                std::hint::black_box(&tokens),
+                BLOCK_SIZE,
+            ));
         },
     );
 }
@@ -881,10 +903,10 @@ fn committed_medians(json: &str) -> Vec<(String, f64)> {
 }
 
 /// The CI regression guard: re-measures the scheduling step, the KV manager's
-/// pin/unpin path, the materialised replays of both flavours (colocated and
-/// decode-enabled), the KV-handoff plane, and the routing-pass and epoch-barrier
-/// groups (the per-epoch machinery this repo optimises hardest), and compares each
-/// median against the committed `BENCH_baseline.json`.  An entry without a
+/// pin/unpin path, block hashing, the materialised replays of both flavours
+/// (colocated and decode-enabled), the KV-handoff plane, and the routing-pass and
+/// epoch-barrier groups (the per-epoch machinery this repo optimises hardest), and
+/// compares each median against the committed `BENCH_baseline.json`.  An entry without a
 /// committed median fails too, so a renamed or new entry is guarded from the commit
 /// that introduces it.  Returns the process exit code.
 fn regression_check() -> i32 {
@@ -903,12 +925,13 @@ fn regression_check() -> i32 {
     }
 
     println!(
-        "Regression guard: scheduling step + KV pin/unpin + replays + handoff plane + \
-         routing pass + epoch barriers vs committed medians\n"
+        "Regression guard: scheduling step + KV pin/unpin + block hashing + replays + \
+         handoff plane + routing pass + epoch barriers vs committed medians\n"
     );
     let mut results = Vec::new();
     scheduler_baselines(&mut results);
     warm_chain_baseline(&mut results);
+    hash_baseline(&mut results);
     cluster_baselines(&mut results);
     decode_baselines(&mut results);
     routing_pass_baselines(&mut results);

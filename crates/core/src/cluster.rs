@@ -2550,6 +2550,17 @@ mod tests {
         assert!(Cluster::try_new(&self::config(EngineKind::PagedAttention)).is_ok());
     }
 
+    /// A zero-token KV block is a typed error from [`Cluster::try_new`], not a
+    /// division by zero while the instance profile sizes the KV pool.
+    #[test]
+    fn zero_block_size_is_a_config_error() {
+        let mut config = config(EngineKind::prefillonly_default());
+        config.block_size = 0;
+        let err = Cluster::try_new(&config).unwrap_err();
+        assert_eq!(err, crate::config::ConfigError::ZeroBlockSize);
+        assert!(err.to_string().contains("block_size"));
+    }
+
     /// Satellite acceptance: replaying an *independently generated* arrival stream
     /// (same dataset, same rng seed, never materialised) is byte-identical to
     /// replaying the materialised trace — with all three KV tiers active, under

@@ -17,6 +17,9 @@ use crate::routing::RoutingPolicyKind;
 pub enum ConfigError {
     /// The hardware setup yields zero engine instances, so no router can be built.
     NoInstances,
+    /// `block_size` is zero tokens, so the KV pool cannot be divided into blocks
+    /// and no token prefix can be hashed.
+    ZeroBlockSize,
     /// A warm network pool was supplied but the deployment's network tier is
     /// disabled (`net_kv_capacity_bytes` is 0), so nothing could absorb it.
     WarmPoolNeedsNetTier,
@@ -78,6 +81,9 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "the deployment has zero engine instances (hardware setup without GPUs?)"
             ),
+            ConfigError::ZeroBlockSize => {
+                write!(f, "block_size must be at least 1 token, got 0")
+            }
             ConfigError::WarmPoolNeedsNetTier => write!(
                 f,
                 "a warm net pool needs net_kv_capacity_bytes > 0 on the joining deployment"
@@ -427,6 +433,9 @@ impl EngineConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_instances() == 0 {
             return Err(ConfigError::NoInstances);
+        }
+        if self.block_size == 0 {
+            return Err(ConfigError::ZeroBlockSize);
         }
         if let EpochLengthPolicy::Adaptive { min_ms, max_ms, .. } = self.epoch_length {
             if min_ms == 0 || min_ms > max_ms {

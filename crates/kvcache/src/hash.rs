@@ -5,6 +5,28 @@
 //! request iff both requests agree on every token up to and including that block.
 //! The standard trick (used by vLLM) is a rolling hash: each block's key combines the
 //! previous block's key with the tokens inside the block.
+//!
+//! [`hash_token_blocks`] computes that chain in two steps per block:
+//!
+//! 1. **Block digest.**  The block's tokens are packed two to a 64-bit word (the
+//!    earlier token in the low half, i.e. little-endian order), and consecutive words
+//!    go round-robin to [`LANES`] independent multiply–xorshift lanes.  The lanes do
+//!    not wait on each other, so their multiplies pipeline instead of forming one
+//!    dependency chain through every token.  A block whose size is not a multiple of
+//!    the lane width feeds its leftover words (the last one possibly holding a single
+//!    token) to the first lanes.  The lanes are then folded into one digest, each
+//!    weighted by its own odd multiplier so equal changes in two lanes never cancel.
+//! 2. **Chain step.**  The block's hash is a bijective mix of the previous block's
+//!    hash XOR the digest.  For a fixed block it is a bijection of the previous hash,
+//!    so two chains whose hashes differ before a block never merge on an identical
+//!    block, and block `i` depends only on hash `i − 1` and block `i`'s tokens.
+//!
+//! Every lane round, the fold (with any one lane varying) and the chain step are
+//! bijective, so changing a single 64-bit word of a block always changes its hash
+//! and every hash after it.  The function is integer arithmetic only (no floats, no
+//! byte reinterpretation), so every platform produces the same values; a change to
+//! it moves every cached block's hash and with it every `(last_used, hash)` LRU
+//! tie-break, which the golden-value test pins.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -25,11 +47,11 @@ pub(crate) type BlockMap<V> = HashMap<TokenBlockHash, V, BuildHasherDefault<Bloc
 /// The hasher of [`BlockMap`]: one 64×64→128-bit multiply by an odd constant,
 /// folded by XOR-ing the two halves of the product.
 ///
-/// Not the identity: the table picks buckets by the *low* bits of the hash, and the
-/// low bits of an FNV-1a state depend only on the low bits of each input byte, so
-/// chains that differ only in high token bits would share buckets.  The high half of
-/// the product depends on every key bit, so the fold spreads all of them into the
-/// low bits (and into the top bits the table keeps as tags).
+/// Not the identity, although a chain hash is already well mixed: the map must not
+/// depend on its keys being chain hashes.  A synthetic key such as
+/// `TokenBlockHash(i)` has empty top bits, which the table keeps as tags, and
+/// sequential low bits; the high half of the product depends on every key bit, so
+/// the fold spreads all of them over both ends of the word.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct BlockHasher(u64);
 
@@ -55,15 +77,74 @@ impl Hasher for BlockHasher {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
+/// Independent mixing lanes of a block digest.
+const LANES: usize = 4;
 
-fn fnv1a_extend(mut state: u64, value: u64) -> u64 {
-    for byte in value.to_le_bytes() {
-        state ^= u64::from(byte);
-        state = state.wrapping_mul(FNV_PRIME);
+/// Tokens one round of the lanes consumes: one 64-bit word (two tokens) per lane.
+const ROUND_TOKENS: usize = 2 * LANES;
+
+/// Starting state of each lane (hexadecimal digits of π), distinct so equal words
+/// mix differently in different lanes.
+const LANE_SEEDS: [u64; LANES] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+];
+
+/// Odd multiplier of a lane round.
+const LANE_MULTIPLIER: u64 = 0x9e37_79b1_85eb_ca87;
+
+/// Odd weight of each lane in the digest fold.
+const LANE_WEIGHTS: [u64; LANES] = [
+    0xc2b2_ae3d_27d4_eb4f,
+    0x1656_67b1_9e37_79f9,
+    0x85eb_ca77_c2b2_ae63,
+    0x27d4_eb2f_1656_67c5,
+];
+
+/// Chain state before the first block.
+const CHAIN_SEED: u64 = 0x4528_21e6_38d0_1377;
+
+/// One lane round: XOR the word in, multiply, fold the high half down.  Bijective in
+/// `lane ^ word`.
+fn lane_round(lane: u64, word: u64) -> u64 {
+    let mixed = (lane ^ word).wrapping_mul(LANE_MULTIPLIER);
+    mixed ^ (mixed >> 32)
+}
+
+/// Two tokens as one word, `low` in the low half.
+fn word(low: u32, high: u32) -> u64 {
+    u64::from(low) | u64::from(high) << 32
+}
+
+/// The digest of one block's tokens, independent of the block's position.
+fn block_digest(block: &[u32]) -> u64 {
+    let mut lanes = LANE_SEEDS;
+    let (rounds, tail) = block.as_chunks::<ROUND_TOKENS>();
+    for round in rounds {
+        for (lane, pair) in lanes.iter_mut().zip(round.as_chunks::<2>().0) {
+            *lane = lane_round(*lane, word(pair[0], pair[1]));
+        }
     }
-    state
+    for (lane, pair) in lanes.iter_mut().zip(tail.chunks(2)) {
+        *lane = lane_round(*lane, word(pair[0], pair.get(1).copied().unwrap_or(0)));
+    }
+    lanes
+        .iter()
+        .zip(LANE_WEIGHTS)
+        .fold(0, |digest, (&lane, weight)| {
+            digest.wrapping_add(lane.wrapping_mul(weight))
+        })
+}
+
+/// The hash of a block from its predecessor's hash and its own digest: the
+/// SplitMix64 finaliser of their XOR, a bijection of each argument.
+fn chain_step(previous: u64, digest: u64) -> u64 {
+    let mut state = previous ^ digest;
+    state = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    state = (state ^ (state >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    state ^ (state >> 31)
 }
 
 /// Computes the rolling hash chain over the *full* blocks of `tokens`.
@@ -77,17 +158,14 @@ fn fnv1a_extend(mut state: u64, value: u64) -> u64 {
 /// Panics if `block_size` is zero.
 pub fn hash_token_blocks(tokens: &[u32], block_size: usize) -> Vec<TokenBlockHash> {
     assert!(block_size > 0, "block size must be positive");
-    let full_blocks = tokens.len() / block_size;
-    let mut hashes = Vec::with_capacity(full_blocks);
-    let mut state = FNV_OFFSET;
-    for block in 0..full_blocks {
-        let start = block * block_size;
-        for &token in &tokens[start..start + block_size] {
-            state = fnv1a_extend(state, u64::from(token));
-        }
-        hashes.push(TokenBlockHash(state));
-    }
-    hashes
+    let mut chain = CHAIN_SEED;
+    tokens
+        .chunks_exact(block_size)
+        .map(|block| {
+            chain = chain_step(chain, block_digest(block));
+            TokenBlockHash(chain)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -164,5 +242,82 @@ mod tests {
         let a = vec![1u32, 2, 3, 4];
         let b = vec![4u32, 3, 2, 1];
         assert_ne!(hash_token_blocks(&a, 4), hash_token_blocks(&b, 4));
+    }
+
+    /// Every cached block is keyed by these values and every LRU tie breaks on
+    /// them, so a change to the function moves simulated records: it must be
+    /// deliberate, and update these values with it.
+    #[test]
+    fn golden_values_pin_the_function() {
+        let tokens: Vec<u32> = (0..35u32).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
+        let values = |tokens: &[u32], block_size| -> Vec<u64> {
+            hash_token_blocks(tokens, block_size)
+                .iter()
+                .map(|hash| hash.0)
+                .collect()
+        };
+        assert_eq!(
+            values(&tokens, 16),
+            [0x2688_df29_fa5e_ec65, 0xa014_37ef_197b_705c]
+        );
+        assert_eq!(
+            values(&tokens[..10], 3),
+            [
+                0xcd8b_01ac_70dd_174a,
+                0x5f5e_680d_e217_f225,
+                0xffc9_a94f_9ad9_ea2a
+            ]
+        );
+    }
+
+    /// Single-token XOR edits (low, middle, top and all bits) and swaps of tokens
+    /// up to two lane rounds apart (within a word, across lanes, and into the same
+    /// lane a round later), at block sizes that do and do not fill whole rounds.
+    /// Each edit keeps the hashes before its block and gives a hash never seen
+    /// before to its block and every block after it.
+    #[test]
+    fn every_small_edit_moves_the_chain_from_its_block_on() {
+        const MASKS: [u32; 4] = [1, 1 << 16, 1 << 31, u32::MAX];
+        let mut hashes_checked = 0;
+        for block_size in [1, 3, 4, 16, 17] {
+            let blocks = (48 / block_size).max(3);
+            let base: Vec<u32> = (0..(blocks * block_size) as u32)
+                .map(|i| (i * 7_919 + 13) % 128_000)
+                .collect();
+            let base_hashes = hash_token_blocks(&base, block_size);
+            let mut seen: std::collections::HashSet<TokenBlockHash> =
+                base_hashes.iter().copied().collect();
+            assert_eq!(seen.len(), blocks);
+            let mut check = |first_edited: usize, tokens: &[u32]| {
+                let hashes = hash_token_blocks(tokens, block_size);
+                let block = first_edited / block_size;
+                assert_eq!(
+                    hashes[..block],
+                    base_hashes[..block],
+                    "block size {block_size}, edit at token {first_edited}: earlier block moved"
+                );
+                for (index, hash) in hashes.iter().enumerate().skip(block) {
+                    assert!(
+                        seen.insert(*hash),
+                        "block size {block_size}, edit at token {first_edited}: \
+                         block {index} repeats a hash"
+                    );
+                    hashes_checked += 1;
+                }
+            };
+            for i in 0..base.len() {
+                for mask in MASKS {
+                    let mut tokens = base.clone();
+                    tokens[i] ^= mask;
+                    check(i, &tokens);
+                }
+                for j in i + 1..base.len().min(i + 2 * ROUND_TOKENS + 1) {
+                    let mut tokens = base.clone();
+                    tokens.swap(i, j);
+                    check(i, &tokens);
+                }
+            }
+        }
+        assert!(hashes_checked > 40_000, "checked {hashes_checked} hashes");
     }
 }
