@@ -8,8 +8,8 @@
 //! generatable on every PR without paying full measurement time.
 //!
 //! Pass `--check` to run the regression guard instead of emitting the file: the
-//! scheduling-step, KV pin/unpin, block-hashing, materialised-replay, decode,
-//! handoff, routing-pass and epoch-barrier groups are re-measured and compared
+//! scheduling-step, KV pin/unpin, KV eviction, block-hashing, materialised-replay,
+//! decode, handoff, routing-pass and epoch-barrier groups are re-measured and compared
 //! against the committed `BENCH_baseline.json` medians, and the process exits
 //! non-zero if any entry is more than [`REGRESSION_FACTOR`]× worse or has no
 //! committed median.
@@ -28,7 +28,8 @@ use kvcache::{KvCacheManager, ProbeCache, RetentionPolicy};
 use model::ModelPreset;
 use prefillonly::{Cluster, EngineConfig, EngineInstance, EngineKind, RoutingScratch};
 use prefillonly_bench::hotpath::{
-    calibrated_queue, cohort_cache, AfterEviction, FullWalkProbe, MemoProbe, WarmChain,
+    calibrated_queue, cohort_cache, AfterEviction, FullWalkProbe, MemoProbe, ThrashChains,
+    WarmChain,
 };
 use scheduler::{JctEstimator, SchedulingPolicy, SrjfPolicy};
 use simcore::{SimDuration, SimRng, SimTime};
@@ -223,6 +224,7 @@ fn kvcache_baselines(out: &mut Vec<BaselinePoint>) {
         );
     }
     warm_chain_baseline(out);
+    thrash_chains_baseline(out);
     hash_baseline(out);
 }
 
@@ -239,6 +241,24 @@ fn warm_chain_baseline(out: &mut Vec<BaselinePoint>) {
         100,
         || {
             std::hint::black_box(warm.allocate_commit());
+        },
+    );
+}
+
+/// The KV manager's eviction path ([`ThrashChains`]): a full 3,320-block pool (83
+/// chains) cycling through 312 distinct 40-block chains, so every round misses,
+/// evicts one whole chain and commits its own — the 1M-request replay's per-slot
+/// shape.  A round takes a few microseconds, so each sample times a batch of 500
+/// rounds (a few milliseconds).
+fn thrash_chains_baseline(out: &mut Vec<BaselinePoint>) {
+    let mut thrash = ThrashChains::new(83, 312, 40);
+    measure_batched(
+        out,
+        "kvcache_ops/allocate_commit/thrash_40_block_chains",
+        samples(25),
+        500,
+        || {
+            std::hint::black_box(thrash.allocate_commit());
         },
     );
 }
@@ -903,7 +923,7 @@ fn committed_medians(json: &str) -> Vec<(String, f64)> {
 }
 
 /// The CI regression guard: re-measures the scheduling step, the KV manager's
-/// pin/unpin path, block hashing, the materialised replays of both flavours
+/// pin/unpin and eviction paths, block hashing, the materialised replays of both flavours
 /// (colocated and decode-enabled), the KV-handoff plane, and the routing-pass and
 /// epoch-barrier groups (the per-epoch machinery this repo optimises hardest), and
 /// compares each median against the committed `BENCH_baseline.json`.  An entry without a
@@ -925,12 +945,13 @@ fn regression_check() -> i32 {
     }
 
     println!(
-        "Regression guard: scheduling step + KV pin/unpin + block hashing + replays + \
-         handoff plane + routing pass + epoch barriers vs committed medians\n"
+        "Regression guard: scheduling step + KV pin/unpin + KV eviction + block hashing + \
+         replays + handoff plane + routing pass + epoch barriers vs committed medians\n"
     );
     let mut results = Vec::new();
     scheduler_baselines(&mut results);
     warm_chain_baseline(&mut results);
+    thrash_chains_baseline(&mut results);
     hash_baseline(&mut results);
     cluster_baselines(&mut results);
     decode_baselines(&mut results);

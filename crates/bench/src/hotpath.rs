@@ -3,7 +3,8 @@
 //! seed's full hash-chain walk vs the generation-memoised incremental probe), and
 //! the same queue right after an unrelated eviction, when every memoised result is
 //! stale and only the shared-prefix checkpoint memo spares the re-walks.  Next to it
-//! sits the KV manager's pin/unpin path ([`WarmChain`]).
+//! sit the KV manager's pin/unpin path ([`WarmChain`]) and its eviction path
+//! ([`ThrashChains`]).
 //!
 //! Used by the `scheduler_step` and `kvcache_ops` criterion benches and the
 //! `bench_baseline` perf-trajectory emitter so they always measure the same
@@ -149,9 +150,8 @@ impl AfterEviction {
 
 /// The pin/unpin path of the KV manager: a chain of full blocks, already cached,
 /// allocated again one microsecond later than last time and committed, over and over
-/// on one manager.  Each round pins and unpins every block of the chain, and the
-/// LRU heap's rebuilds fall into the rounds they amortise over.  The chain is hashed
-/// once up front, so no round pays for hashing.
+/// on one manager.  Each round pins and unpins every block of the chain.  The chain
+/// is hashed once up front, so no round pays for hashing.
 pub struct WarmChain {
     kv: KvCacheManager,
     hashes: Vec<TokenBlockHash>,
@@ -188,6 +188,78 @@ impl WarmChain {
         let cached = alloc.cached_tokens() / BLOCK_SIZE as u64;
         self.kv.commit(alloc, self.now);
         cached
+    }
+}
+
+/// The eviction path of the KV manager: a full pool cycling round-robin through
+/// more distinct chains than it holds, each allocated one microsecond later than
+/// the last and committed.  Every round misses the cache, evicts one whole chain —
+/// the oldest — and caches its own: the per-slot shape of the 1M-request replay,
+/// whose ~3,300-block pools see ~312 distinct 40-block prefixes at a GPU hit rate
+/// of 0.000.  The chains are hashed once up front, so no round pays for hashing.
+pub struct ThrashChains {
+    kv: KvCacheManager,
+    chains: Vec<Vec<TokenBlockHash>>,
+    next: usize,
+    now: SimTime,
+}
+
+impl ThrashChains {
+    /// Fills a pool of `pool_chains × chain_blocks` blocks by cycling through
+    /// `chains` distinct chains of `chain_blocks` full blocks each.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `chains > pool_chains`, which is what makes every round miss.
+    pub fn new(pool_chains: u64, chains: usize, chain_blocks: usize) -> ThrashChains {
+        assert!(
+            chains as u64 > pool_chains,
+            "the chains must outnumber what the pool holds"
+        );
+        let chains = (0..chains as u32)
+            .map(|chain| {
+                let start = 2_000_000_000 + chain * 1_000_000;
+                let tokens: Vec<u32> =
+                    (start..start + (chain_blocks * BLOCK_SIZE) as u32).collect();
+                hash_token_blocks(&tokens, BLOCK_SIZE)
+            })
+            .collect();
+        let mut thrash = ThrashChains {
+            kv: KvCacheManager::new(pool_chains * chain_blocks as u64, BLOCK_SIZE),
+            chains,
+            next: 0,
+            now: SimTime::ZERO,
+        };
+        for _ in 0..pool_chains {
+            thrash.allocate_commit();
+        }
+        assert_eq!(
+            thrash.allocate_commit(),
+            chain_blocks as u64,
+            "a round on the full pool evicts one whole chain"
+        );
+        thrash
+    }
+
+    /// One round: allocates the next chain at the next microsecond and commits it.
+    /// Returns how many blocks the allocation evicted.
+    pub fn allocate_commit(&mut self) -> u64 {
+        self.now += SimDuration::from_micros(1);
+        let hashes = &self.chains[self.next];
+        self.next = (self.next + 1) % self.chains.len();
+        let evicted = self.kv.stats().evicted_blocks;
+        let alloc = self
+            .kv
+            .allocate_from_hashes(
+                hashes,
+                (hashes.len() * BLOCK_SIZE) as u64,
+                self.now,
+                RetentionPolicy::FullResidency,
+            )
+            .expect("the pool holds a chain");
+        debug_assert_eq!(alloc.cached_tokens(), 0, "every round misses");
+        self.kv.commit(alloc, self.now);
+        self.kv.stats().evicted_blocks - evicted
     }
 }
 

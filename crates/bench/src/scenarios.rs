@@ -17,11 +17,18 @@ use workload::{
 
 /// The within-window propagation scenario: three cohorts of four users sharing a
 /// 5k-token cross-user prefix, sticky-split across both instances of an L4 pair,
-/// replayed as one long (~24 s) window of per-request Poisson arrivals.  The GPU
-/// pool is squeezed below the per-instance cohort working set (three 5k prefixes vs
-/// a ~11.6k-token pool) and the CPU tier to about two prefixes, so reused prefixes
-/// spill, reload (earning the spill filter's reuse evidence) and cascade
-/// GPU → CPU → network within the window.
+/// replayed as one long (~24 s) window of per-request Poisson arrivals.  Each
+/// instance's working set is all three 5k prefixes (312 full blocks each) plus
+/// every request's 150-token suffix.  The GPU pool is squeezed to 728 blocks
+/// (~11.6k tokens, 2.3 prefixes) and the CPU tier to 256 blocks of 2 MiB (~0.8 of
+/// a prefix): together 984 blocks, just over the three prefixes' 936, so the
+/// suffix blocks committed between a prefix's reuses push it out.  Reused prefixes therefore spill, reload (earning
+/// the spill filter's reuse evidence) and cascade GPU → CPU → network within the
+/// window.  The CPU size is the one point of a sweep that keeps that cascade: at
+/// 640 MiB and above the two local tiers keep the reused prefixes, so nothing
+/// propagates mid-window, and at 448 MiB and below the CPU tier drops spilled
+/// blocks before their reuse, so the single-use filter keeps them out of the
+/// network tier.
 ///
 /// The returned config has the shared network tier enabled and
 /// `net_propagation_ms` at its default of 0; callers pick the delay under test via
@@ -46,7 +53,7 @@ pub fn shared_prefix_fleet_pressure() -> (EngineConfig, Vec<ArrivalPattern>) {
     );
     config.memory_utilization = 0.70;
     (
-        config.with_cpu_offload(1536 << 20).with_net_kv(64 << 30),
+        config.with_cpu_offload(512 << 20).with_net_kv(64 << 30),
         arrivals,
     )
 }

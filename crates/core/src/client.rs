@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use simcore::SimTime;
 
-use crate::config::EngineConfig;
+use crate::config::{ConfigError, EngineConfig};
 use crate::instance::EngineInstance;
 use crate::request::{pseudo_scores, PrefillRequest, PrefillResponse};
 
@@ -24,12 +24,25 @@ pub struct PrefillOnlyClient {
 
 impl PrefillOnlyClient {
     /// Creates a client backed by a freshly profiled engine instance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`EngineConfig::validate`]; use
+    /// [`Self::try_new`] to handle invalid configurations as values.
     pub fn new(config: &EngineConfig) -> PrefillOnlyClient {
-        PrefillOnlyClient {
+        PrefillOnlyClient::try_new(config).expect("invalid engine configuration")
+    }
+
+    /// Creates a client backed by a freshly profiled engine instance, surfacing
+    /// configuration problems (e.g. a zero block size) as a typed [`ConfigError`]
+    /// instead of a panic.
+    pub fn try_new(config: &EngineConfig) -> Result<PrefillOnlyClient, ConfigError> {
+        config.validate()?;
+        Ok(PrefillOnlyClient {
             instance: EngineInstance::new(config, 0),
             clock: SimTime::ZERO,
             next_request_id: 0,
-        }
+        })
     }
 
     /// The engine instance behind the client (for inspecting cache statistics etc.).
@@ -150,6 +163,21 @@ mod tests {
         let mil = c.instance().max_input_length();
         let prompt: Vec<u32> = (0..(mil + 10_000) as u32).collect();
         assert!(c.try_score(&prompt, &["Yes"]).is_none());
+    }
+
+    #[test]
+    fn try_new_rejects_a_zero_block_size() {
+        let mut config = EngineConfig::new(
+            ModelPreset::Llama31_8b,
+            HardwareSetup::l4_pair(),
+            EngineKind::prefillonly_default(),
+            30_000,
+        );
+        config.block_size = 0;
+        assert_eq!(
+            PrefillOnlyClient::try_new(&config).err(),
+            Some(ConfigError::ZeroBlockSize)
+        );
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! bijective, so changing a single 64-bit word of a block always changes its hash
 //! and every hash after it.  The function is integer arithmetic only (no floats, no
 //! byte reinterpretation), so every platform produces the same values; a change to
-//! it moves every cached block's hash and with it every `(last_used, hash)` LRU
-//! tie-break, which the golden-value test pins.
+//! it moves every cached block's hash and with it the CPU and network tiers'
+//! `(last_used, hash)` LRU tie-breaks, which the golden-value test pins.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -1,19 +1,17 @@
 //! The KV-cache manager: prefix caching, LRU eviction, suffix discarding and the
 //! hierarchical (GPU → CPU) tier.
 //!
-//! Eviction is driven by a lazy-deletion min-heap over `(last_used, hash)` plus a
-//! count of the evictable blocks.  Pinning a cached block (a prefix hit) only
-//! decrements that count and leaves the block's heap entry behind; each drop of a
-//! reference count to zero pushes the block at its current `last_used`.  A pop skips
-//! entries that went stale — the hash left the cache, the block is referenced, or
-//! its `last_used` moved — so the first live entry is exactly the oldest
-//! unreferenced block, hash breaking ties, as in the naive scan + sort.  Pins and
-//! unpins are O(1) amortised, and evicting `k` victims costs O(k log n) plus the
-//! stale entries skipped; the heap is rebuilt from the cache map whenever it
-//! outgrows `2 × cached + 64` entries.  The manager also exposes a monotonically
-//! increasing [`KvCacheManager::generation`] that changes exactly when the *contents*
-//! of the prefix cache change (a block is inserted or removed); schedulers use it to
-//! skip re-probing hash chains when nothing changed between scheduling steps.
+//! Eviction is driven by a free-block queue (`FreeBlockQueue`, after vLLM v1's
+//! `FreeKVCacheBlockQueue`): a doubly linked list of the unreferenced cached blocks,
+//! threaded through the dense block ids.  Pinning a cached block (a prefix hit)
+//! unlinks it, each drop of a reference count to zero appends the block at the tail,
+//! and eviction pops the head — all O(1).  A request hands its blocks back deepest
+//! first, so a committed chain leaves the GPU tail first and the head it shares
+//! with other requests stays resident; no victim order depends on a hash value.
+//! The manager also exposes a monotonically increasing
+//! [`KvCacheManager::generation`] that changes exactly when the *contents* of the
+//! prefix cache change (a block is inserted or removed); schedulers use it to skip
+//! re-probing hash chains when nothing changed between scheduling steps.
 //!
 //! # Hierarchical tiers (§9 extension)
 //!
@@ -35,9 +33,6 @@
 //! compares the modelled transfer time at the observed hit depth against the modelled
 //! recompute saving, per tier.  See `ARCHITECTURE.md` for the full three-tier cost
 //! model.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 use simcore::SimTime;
@@ -285,7 +280,123 @@ impl RequestKv {
 #[derive(Debug, Clone, Copy)]
 struct CachedEntry {
     block: BlockId,
+    /// When a request last touched the block.  The GPU tier orders its victims by
+    /// the free-block queue, not by this stamp; spills and
+    /// [`KvCacheManager::drain_to_net`] carry it down to the CPU and network
+    /// tiers, whose LRUs it orders.
     last_used: SimTime,
+}
+
+/// Link value of "no neighbour": the end of the queue, or a block not queued.
+const NIL: u32 = u32::MAX;
+
+/// The GPU tier's eviction order: a doubly linked queue of block ids, threaded
+/// through the dense [`BlockPool`] ids by two `u32` link vectors, plus the hash
+/// each queued block is cached under (vLLM v1's `FreeKVCacheBlockQueue`).
+///
+/// * Queued = cached with a reference count of zero.  Nothing else is queued.
+/// * A pin unlinks its block in O(1), an unpin appends it at the tail, and
+///   eviction pops the head.  A request hands its blocks back deepest first —
+///   [`KvCacheManager::commit`] appends its new blocks and then its reused prefix,
+///   each in reverse chain order — so a chain leaves the GPU tail first and its
+///   shared head stays resident.
+/// * Within a slot every push happens at a non-decreasing `now`, so queue order
+///   is `last_used` order.  [`KvCacheManager::release_uncommitted`] (no caller in
+///   the engine; benches and tests only) appends at the tail too and leaves
+///   `last_used` as it is.
+/// * The vectors grow with the block-id high-water mark, as the pool's reference
+///   counts do: a manager sized for a large pool allocates nothing up front.
+#[derive(Debug, Clone)]
+struct FreeBlockQueue {
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    hashes: Vec<TokenBlockHash>,
+    head: u32,
+    tail: u32,
+    len: u64,
+}
+
+impl FreeBlockQueue {
+    fn new() -> FreeBlockQueue {
+        FreeBlockQueue {
+            prev: Vec::new(),
+            next: Vec::new(),
+            hashes: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            len: 0,
+        }
+    }
+
+    fn link(block: BlockId) -> u32 {
+        u32::try_from(block.0)
+            .ok()
+            .filter(|&id| id != NIL)
+            .expect("block ids fit the queue's u32 links")
+    }
+
+    /// Queued blocks: what eviction can free.
+    fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// Appends an unqueued block, cached under `hash`, at the tail.
+    fn push_back(&mut self, block: BlockId, hash: TokenBlockHash) {
+        let id = Self::link(block);
+        let slot = id as usize;
+        if slot >= self.next.len() {
+            self.prev.resize(slot + 1, NIL);
+            self.next.resize(slot + 1, NIL);
+            self.hashes.resize(slot + 1, TokenBlockHash(0));
+        }
+        self.prev[slot] = self.tail;
+        self.next[slot] = NIL;
+        self.hashes[slot] = hash;
+        match self.tail {
+            NIL => self.head = id,
+            tail => self.next[tail as usize] = id,
+        }
+        self.tail = id;
+        self.len += 1;
+    }
+
+    /// Unlinks a queued block.
+    fn remove(&mut self, block: BlockId) {
+        let slot = Self::link(block) as usize;
+        let (prev, next) = (self.prev[slot], self.next[slot]);
+        match prev {
+            NIL => self.head = next,
+            prev => self.next[prev as usize] = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => self.prev[next as usize] = prev,
+        }
+        self.len -= 1;
+    }
+
+    /// Unlinks the head and returns it with its hash.
+    fn pop_front(&mut self) -> Option<(BlockId, TokenBlockHash)> {
+        if self.head == NIL {
+            return None;
+        }
+        let block = BlockId(u64::from(self.head));
+        let hash = self.hashes[self.head as usize];
+        self.remove(block);
+        Some((block, hash))
+    }
+
+    /// The queued blocks with their hashes, head (next victim) first.
+    fn iter(&self) -> impl Iterator<Item = (BlockId, TokenBlockHash)> + '_ {
+        let mut cursor = self.head;
+        std::iter::from_fn(move || {
+            let id = cursor;
+            (id != NIL).then(|| {
+                cursor = self.next[id as usize];
+                (BlockId(u64::from(id)), self.hashes[id as usize])
+            })
+        })
+    }
 }
 
 /// Paged KV-cache manager with prefix caching.
@@ -311,20 +422,9 @@ pub struct KvCacheManager {
     block_size: usize,
     pool: BlockPool,
     cached: BlockMap<CachedEntry>,
-    /// Eviction order over the *unreferenced* cached blocks, with lazy deletion.
-    ///
-    /// Invariant: for every `hash` in `cached` whose block has a reference count of
-    /// zero, `(entry.last_used, hash)` is in the heap.  Any other entry is stale and
-    /// skipped when popped ([`Self::evict_lru_head`]).  The `(SimTime, TokenBlockHash)`
-    /// ordering reproduces exactly the victim order of the original scan + sort
-    /// implementation (oldest first, hash as the tie-break).  The heap never holds
-    /// more than [`Self::lru_bound`] entries between operations.
-    lru: BinaryHeap<Reverse<(SimTime, TokenBlockHash)>>,
-    /// Cached blocks with a reference count of zero: what eviction can free.
-    evictable: u64,
-    /// How often the heap was rebuilt (read by the model check).
-    #[cfg(test)]
-    lru_rebuilds: u64,
+    /// Eviction order over the unreferenced cached blocks, oldest first: exactly
+    /// the blocks of `cached` whose reference count is zero.
+    free_queue: FreeBlockQueue,
     /// Bumped whenever a block is inserted into the prefix cache.
     commit_generation: u64,
     /// Bumped whenever a block is removed from the prefix cache.
@@ -363,10 +463,7 @@ impl KvCacheManager {
             block_size,
             pool: BlockPool::new(capacity_blocks),
             cached: BlockMap::default(),
-            lru: BinaryHeap::new(),
-            evictable: 0,
-            #[cfg(test)]
-            lru_rebuilds: 0,
+            free_queue: FreeBlockQueue::new(),
             commit_generation: 0,
             evict_generation: 0,
             cpu: None,
@@ -688,15 +785,14 @@ impl KvCacheManager {
         let has_partial = !total_tokens.is_multiple_of(self.block_size as u64);
 
         // Phase 1: reuse cached prefix blocks.  Touching a block both refreshes its
-        // recency and pins it: an unreferenced block stops counting as evictable
-        // here (its heap entry goes stale) and is pushed again, at its new
-        // timestamp, when the request commits or is released.
+        // recency and pins it: an unreferenced block leaves the free-block queue
+        // here and is appended again when the request commits or is released.
         let mut reused = Vec::new();
         for hash in hashes {
             match self.cached.get_mut(hash) {
                 Some(entry) => {
                     if self.pool.ref_count(entry.block) == Some(0) {
-                        self.evictable -= 1;
+                        self.free_queue.remove(entry.block);
                     }
                     entry.last_used = now;
                     self.pool.add_ref(entry.block);
@@ -713,16 +809,16 @@ impl KvCacheManager {
         let needed = new_full_needed as u64 + partial_needed;
 
         if policy == RetentionPolicy::FullResidency {
-            let available = self.pool.free_blocks() + self.evictable_blocks();
+            let available = self.pool.free_blocks() + self.free_queue.len();
             if needed > available {
-                // Roll back the references taken in phase 1 (the refreshed timestamps
-                // stay, so the touched prefix re-enters the LRU order as most recent).
-                for (hash, block) in &reused {
-                    if self.pool.dec_ref(*block) == 0 {
-                        self.push_lru(now, *hash);
+                // Roll back the references taken in phase 1, deepest first (the
+                // refreshed timestamps stay, so the touched prefix re-enters the
+                // queue as most recent).
+                for &(hash, block) in reused.iter().rev() {
+                    if self.pool.dec_ref(block) == 0 {
+                        self.free_queue.push_back(block, hash);
                     }
                 }
-                self.settle_lru();
                 self.stats.failed_allocations += 1;
                 return Err(KvError {
                     needed_blocks: needed,
@@ -739,7 +835,7 @@ impl KvCacheManager {
         // segments have their recency refreshed and their transfer charged *before*
         // any spill from this very allocation can displace them in a lower tier's
         // LRU order.
-        let budget = self.pool.free_blocks() + self.evictable_blocks();
+        let budget = self.pool.free_blocks() + self.free_queue.len();
         let cpu_tail = &hashes[reused.len()..];
         let cpu_hits = match self.cpu.as_ref() {
             Some(pool) => pool.lookup_prefix_blocks(cpu_tail),
@@ -887,22 +983,16 @@ impl KvCacheManager {
 
     /// Completes a request: newly written full blocks — recomputed *and* reloaded
     /// (from either tier) — enter the prefix cache, the partial block is freed, and
-    /// reused blocks drop back to being cached-only.
+    /// reused blocks drop back to being cached-only.  The chain's blocks join the
+    /// free-block queue deepest first (the new blocks, then the reused prefix, each
+    /// in reverse chain order), so the chain is evicted tail first.
     pub fn commit(&mut self, request: RequestKv, now: SimTime) {
-        for (hash, block) in request.reused {
-            let remaining = self.pool.dec_ref(block);
-            if let Some(entry) = self.cached.get_mut(&hash) {
-                entry.last_used = now;
-                if remaining == 0 {
-                    self.push_lru(now, hash);
-                }
-            }
-        }
         for (hash, block) in request
-            .reloaded
+            .new_full
             .into_iter()
-            .chain(request.net_reloaded)
-            .chain(request.new_full)
+            .rev()
+            .chain(request.net_reloaded.into_iter().rev())
+            .chain(request.reloaded.into_iter().rev())
         {
             if self.pool.dec_ref(block) == 0 {
                 if let std::collections::hash_map::Entry::Vacant(e) = self.cached.entry(hash) {
@@ -910,7 +1000,7 @@ impl KvCacheManager {
                         block,
                         last_used: now,
                     });
-                    self.push_lru(now, hash);
+                    self.free_queue.push_back(block, hash);
                     self.stats.committed_blocks += 1;
                     self.commit_generation += 1;
                 } else {
@@ -920,21 +1010,29 @@ impl KvCacheManager {
                 }
             }
         }
+        for (hash, block) in request.reused.into_iter().rev() {
+            let remaining = self.pool.dec_ref(block);
+            if let Some(entry) = self.cached.get_mut(&hash) {
+                entry.last_used = now;
+                if remaining == 0 {
+                    self.free_queue.push_back(block, hash);
+                }
+            }
+        }
         if let Some(block) = request.partial {
             if self.pool.dec_ref(block) == 0 {
                 self.pool.release(block);
             }
         }
-        self.settle_lru();
     }
 
-    /// Abandons a request without caching anything (e.g. the request failed).
+    /// Abandons a request without caching anything (e.g. the request failed).  The
+    /// reused prefix rejoins the free-block queue deepest first, at the tail, with
+    /// the `last_used` its allocation gave it.
     pub fn release_uncommitted(&mut self, request: RequestKv) {
-        for (hash, block) in request.reused {
-            if self.pool.dec_ref(block) == 0 {
-                if let Some(entry) = self.cached.get(&hash) {
-                    self.push_lru(entry.last_used, hash);
-                }
+        for (hash, block) in request.reused.into_iter().rev() {
+            if self.pool.dec_ref(block) == 0 && self.cached.contains_key(&hash) {
+                self.free_queue.push_back(block, hash);
             }
         }
         for (_, block) in request
@@ -948,7 +1046,6 @@ impl KvCacheManager {
                 self.pool.release(block);
             }
         }
-        self.settle_lru();
     }
 
     /// Drops every unreferenced cached block (used by tests and profile runs).
@@ -959,75 +1056,23 @@ impl KvCacheManager {
         while self.evict_lru_head().is_some() {}
     }
 
-    /// Blocks that could be evicted right now.  O(1): a counter kept next to the
-    /// heap, decremented on every pin and incremented on every push.
-    fn evictable_blocks(&self) -> u64 {
-        self.evictable
-    }
-
-    /// Marks a block whose reference count just dropped to zero as evictable at
-    /// `last_used`.
-    fn push_lru(&mut self, last_used: SimTime, hash: TokenBlockHash) {
-        self.evictable += 1;
-        self.lru.push(Reverse((last_used, hash)));
-    }
-
-    /// Evicts the oldest evictable block — drops it from the cache and frees its
-    /// block — and returns its `(last_used, hash)`.  Pops and discards the stale
-    /// entries in front of it: an entry is live only while its hash is cached, its
-    /// block unreferenced and its `last_used` unchanged.
+    /// Evicts the head of the free-block queue — drops it from the cache and frees
+    /// its block — and returns its `(last_used, hash)`.
     fn evict_lru_head(&mut self) -> Option<(SimTime, TokenBlockHash)> {
-        while let Some(Reverse((last_used, hash))) = self.lru.pop() {
-            let Some(entry) = self.cached.get(&hash) else {
-                continue;
-            };
-            if entry.last_used != last_used || self.pool.ref_count(entry.block) != Some(0) {
-                continue;
-            }
-            let block = entry.block;
-            self.cached.remove(&hash);
-            self.pool.release(block);
-            self.evictable -= 1;
-            self.stats.evicted_blocks += 1;
-            self.evict_generation += 1;
-            return Some((last_used, hash));
-        }
-        None
-    }
-
-    /// Most entries the heap may hold between operations; past it, the stale
-    /// entries are swept by a rebuild, which costs O(cached) and so amortises to
-    /// O(1) over the pushes that grew the heap.
-    fn lru_bound(&self) -> usize {
-        2 * self.cached.len() + 64
-    }
-
-    /// Rebuilds the heap from the cache map once it outgrows [`Self::lru_bound`].
-    fn settle_lru(&mut self) {
-        if self.lru.len() > self.lru_bound() {
-            let live: Vec<_> = self.evictable_entries().into_iter().map(Reverse).collect();
-            self.lru = BinaryHeap::from(live);
-            #[cfg(test)]
-            {
-                self.lru_rebuilds += 1;
-            }
-        }
-    }
-
-    /// `(last_used, hash)` of every unreferenced cached block, in map order.
-    fn evictable_entries(&self) -> Vec<(SimTime, TokenBlockHash)> {
-        self.cached
-            .iter()
-            .filter(|(_, e)| self.pool.ref_count(e.block) == Some(0))
-            .map(|(h, e)| (e.last_used, *h))
-            .collect()
+        let (block, hash) = self.free_queue.pop_front()?;
+        let entry = self.cached.remove(&hash).expect("a queued block is cached");
+        debug_assert_eq!(entry.block, block, "the queue and the cache map agree");
+        self.pool.release(block);
+        self.stats.evicted_blocks += 1;
+        self.evict_generation += 1;
+        Some((entry.last_used, hash))
     }
 
     /// Publishes every reusable resident block into the installed network snapshot —
     /// the drain path of an instance leaving the fleet, so survivors inherit its
     /// work.  GPU-resident blocks spill unconditionally (they were committed prefix
-    /// blocks, the strongest reuse evidence the hierarchy records) in `(last_used,
-    /// hash)` order; CPU-resident blocks follow in their own LRU order through the
+    /// blocks, the strongest reuse evidence the hierarchy records) in free-block
+    /// queue order; CPU-resident blocks follow in their own LRU order through the
     /// same single-use filter the eviction cascade applies
     /// ([`NET_SPILL_MIN_USES`]).  Each spill keeps the entry's own `last_used`
     /// recency (the net LRU order extends the leaver's) and publishes at `now +
@@ -1038,12 +1083,11 @@ impl KvCacheManager {
     /// when no network snapshot is installed.
     pub fn drain_to_net(&mut self, now: SimTime) -> DrainSpill {
         let mut report = DrainSpill::default();
-        let mut gpu_resident = self.evictable_entries();
-        gpu_resident.sort_unstable();
         let Some(net) = self.net.as_mut() else {
             return report;
         };
-        for (last_used, hash) in gpu_resident {
+        for (_, hash) in self.free_queue.iter() {
+            let last_used = self.cached[&hash].last_used;
             let (written, evicted) =
                 net.offload_spilled(std::slice::from_ref(&hash), last_used, now);
             report.gpu_blocks += written;
@@ -1074,11 +1118,10 @@ impl KvCacheManager {
     /// each victim one tier down when offload is enabled.  Returns how many blocks
     /// were actually evicted.
     ///
-    /// O(k log n) for `k` victims over a heap of `n` entries, plus one pop per stale
-    /// entry skipped — the heap already holds the eviction order, so no scan or sort
-    /// over the cache is needed.  Spilled victims keep their GPU `last_used`
-    /// timestamp, so each lower tier's LRU order extends the one above it (a block
-    /// cold enough to leave the GPU is the first to leave the CPU, too).
+    /// O(1) per victim: the free-block queue already holds the eviction order.
+    /// Spilled victims keep their GPU `last_used` timestamp, so each lower tier's
+    /// LRU order extends the one above it (a block cold enough to leave the GPU is
+    /// the first to leave the CPU, too).
     ///
     /// The cascade continues downwards: a CPU resident displaced by the spill is
     /// itself spilled into the network tier — *if* it passes the single-use filter
@@ -1112,39 +1155,44 @@ impl KvCacheManager {
             }
             evicted += 1;
         }
-        self.settle_lru();
         evicted
     }
 
-    /// Debug-only structural check of the LRU heap invariant: the heap's live
-    /// entries are exactly the unreferenced cached blocks at their `last_used`, the
-    /// evictable count matches them, and the heap is within its length bound.
+    /// Test-only structural check of the free-block queue: its links agree both
+    /// ways, its head and tail are the ends of the walk, its length is the walk's,
+    /// and the queued blocks are exactly the unreferenced cached blocks, each under
+    /// the hash it is cached with.
     #[cfg(test)]
     fn assert_lru_invariant(&self) {
         use std::collections::BTreeSet;
-        let evictable: BTreeSet<(SimTime, TokenBlockHash)> =
-            self.evictable_entries().into_iter().collect();
-        let live: BTreeSet<(SimTime, TokenBlockHash)> = self
-            .lru
+        let queue = &self.free_queue;
+        let mut walked = Vec::new();
+        let mut prev = NIL;
+        let mut cursor = queue.head;
+        while cursor != NIL {
+            assert_eq!(
+                queue.prev[cursor as usize], prev,
+                "prev link of block {cursor}"
+            );
+            assert!(walked.len() as u64 <= queue.len, "the queue has a cycle");
+            walked.push(cursor);
+            prev = cursor;
+            cursor = queue.next[cursor as usize];
+        }
+        assert_eq!(queue.tail, prev, "the tail ends the walk");
+        assert_eq!(queue.len, walked.len() as u64, "queue length");
+        let queued: BTreeSet<(TokenBlockHash, BlockId)> =
+            queue.iter().map(|(b, h)| (h, b)).collect();
+        assert_eq!(queued.len(), walked.len(), "a block is queued twice");
+        let unreferenced: BTreeSet<(TokenBlockHash, BlockId)> = self
+            .cached
             .iter()
-            .map(|Reverse(key)| *key)
-            .filter(|(last_used, hash)| {
-                self.cached.get(hash).is_some_and(|e| {
-                    e.last_used == *last_used && self.pool.ref_count(e.block) == Some(0)
-                })
-            })
+            .filter(|(_, e)| self.pool.ref_count(e.block) == Some(0))
+            .map(|(h, e)| (*h, e.block))
             .collect();
-        assert_eq!(evictable, live, "LRU heap out of sync with the cache");
         assert_eq!(
-            self.evictable,
-            evictable.len() as u64,
-            "evictable count out of sync with the cache"
-        );
-        assert!(
-            self.lru.len() <= self.lru_bound(),
-            "LRU heap holds {} entries, past its bound of {}",
-            self.lru.len(),
-            self.lru_bound()
+            queued, unreferenced,
+            "the free-block queue is out of sync with the cache"
         );
     }
 }
@@ -1433,7 +1481,7 @@ mod tests {
         m.assert_lru_invariant();
 
         // Touch the cached prefix, then fail the allocation: the rollback must return
-        // the touched blocks to the LRU heap.
+        // the touched blocks to the free-block queue.
         let err = m
             .allocate(
                 &tokens(0, 64 + 16 * 3),
@@ -1457,30 +1505,44 @@ mod tests {
         assert_eq!(m.cached_blocks(), 4);
     }
 
-    /// Model check of the lazy LRU heap with allocations in flight.  Up to eight
-    /// allocations are held at once and finished out of order, by commit or
-    /// release, under both retention policies and coarse, repeating timestamps: pins
-    /// outlive other requests' evictions, commits land while a second holder still
-    /// pins a block, full-residency failures roll their pins back, and stale heap
-    /// entries survive across rebuilds.  The evictable set is read straight from the
-    /// cache map before each allocation, and the blocks the allocation evicts must be
-    /// exactly the oldest `(last_used, hash)` of that set outside the request's own
-    /// hit prefix.  The heap invariant and its length bound are checked after every
-    /// operation, and the scenario must reach every case above or the test fails.
+    /// Model check of the free-block queue with allocations in flight, against a
+    /// flat reference: a plain `Vec` of hashes in the order their blocks became
+    /// unreferenced.  A pin removes, an unpin appends, a commit appends deepest first
+    /// (its new blocks, then its reused prefix, each in reverse chain order), and an
+    /// eviction takes the front.  Up to eight allocations are held at once and
+    /// finished out of order, by commit or release, under both retention policies and
+    /// coarse, repeating timestamps: pins outlive other requests' evictions, commits
+    /// land while a second holder still pins a block, and full-residency failures
+    /// roll their pins back.  After every operation the manager's queue must equal
+    /// the reference and pass the structural check, and on every step that is not a
+    /// release and whose `now` is not earlier than the newest queued `last_used`, a
+    /// queue in `last_used` order must stay in it.  The scenario must reach every
+    /// case above or the test fails.
     #[test]
-    fn lazy_lru_heap_evicts_in_scan_order_with_requests_in_flight() {
+    fn free_block_queue_matches_a_flat_reference_with_requests_in_flight() {
         use std::collections::{BTreeSet, HashSet};
 
-        let (mut rebuilds, mut evictions, mut pinned_evictions) = (0u64, 0u64, 0u64);
+        let (mut evictions, mut pinned_evictions, mut ordered_steps) = (0u64, 0u64, 0u64);
         let (mut rollbacks, mut shared_commits, mut releases) = (0u64, 0u64, 0u64);
+        let stamps = |m: &KvCacheManager| -> Vec<SimTime> {
+            m.free_queue
+                .iter()
+                .map(|(_, hash)| m.cached[&hash].last_used)
+                .collect()
+        };
         for seed in 0..10u64 {
             let mut rng = simcore::SimRng::seed_from_u64(0x4ea9 + seed);
             let mut m = KvCacheManager::new(rng.gen_range(64u64..160), 16);
             let mut in_flight: Vec<RequestKv> = Vec::new();
+            let mut reference: Vec<TokenBlockHash> = Vec::new();
             for op in 0..360u32 {
                 let now = SimTime::from_millis(u64::from(op / 4) + rng.gen_range(0u64..3));
+                let before = stamps(&m);
+                let ordered_before = before.is_sorted();
+                let not_backwards = before.last().is_none_or(|&newest| now >= newest);
                 let start =
                     in_flight.is_empty() || (in_flight.len() < 8 && rng.gen_range(0u32..100) < 55);
+                let mut released = false;
                 if start {
                     let user = rng.gen_range(0u32..3) * 1_000_000;
                     let mut chain: Vec<u32> = (user..user + rng.gen_range(1u32..24) * 16).collect();
@@ -1491,26 +1553,32 @@ mod tests {
                     } else {
                         RetentionPolicy::PrefixBestEffort
                     };
-                    let mut unreferenced = m.evictable_entries();
-                    unreferenced.sort_unstable();
+                    let hit_prefix: Vec<TokenBlockHash> = kvcache_hashes(&chain, 16)
+                        .into_iter()
+                        .take_while(|hash| m.cached.contains_key(hash))
+                        .collect();
+                    // Pins: the hit prefix's unreferenced blocks leave the queue.
+                    let was_queued: HashSet<TokenBlockHash> = hit_prefix
+                        .iter()
+                        .copied()
+                        .filter(|hash| reference.contains(hash))
+                        .collect();
+                    reference.retain(|hash| !was_queued.contains(hash));
                     let cached_before: Vec<TokenBlockHash> = m.cached.keys().copied().collect();
                     let evicted_before = m.stats().evicted_blocks;
                     match m.allocate(&chain, now, policy) {
                         Ok(alloc) => {
-                            let hit_prefix: HashSet<TokenBlockHash> =
+                            let reused: Vec<TokenBlockHash> =
                                 alloc.reused.iter().map(|(hash, _)| *hash).collect();
+                            assert_eq!(reused, hit_prefix, "seed {seed} op {op}: hit prefix");
                             let evicted: BTreeSet<TokenBlockHash> = cached_before
                                 .into_iter()
                                 .filter(|hash| !m.cached.contains_key(hash))
                                 .collect();
                             let count = m.stats().evicted_blocks - evicted_before;
                             assert_eq!(evicted.len() as u64, count, "seed {seed} op {op}");
-                            let expected: BTreeSet<TokenBlockHash> = unreferenced
-                                .iter()
-                                .map(|(_, hash)| *hash)
-                                .filter(|hash| !hit_prefix.contains(hash))
-                                .take(count as usize)
-                                .collect();
+                            let expected: BTreeSet<TokenBlockHash> =
+                                reference.drain(..count as usize).collect();
                             assert_eq!(evicted, expected, "seed {seed} op {op}: victims");
                             evictions += count;
                             if count > 0 && in_flight.iter().any(|held| !held.reused.is_empty()) {
@@ -1520,19 +1588,47 @@ mod tests {
                         }
                         Err(_) => {
                             assert_eq!(m.stats().evicted_blocks, evicted_before);
+                            // The rollback unpins deepest first.
+                            reference.extend(
+                                hit_prefix
+                                    .iter()
+                                    .rev()
+                                    .filter(|hash| was_queued.contains(hash)),
+                            );
                             rollbacks += 1;
                         }
                     }
                 } else {
                     let alloc = in_flight.swap_remove(rng.gen_range(0..in_flight.len()));
+                    let held: HashSet<TokenBlockHash> = in_flight
+                        .iter()
+                        .flat_map(|other| other.reused.iter().map(|(hash, _)| *hash))
+                        .collect();
+                    let unpinned = alloc
+                        .reused
+                        .iter()
+                        .rev()
+                        .map(|(hash, _)| *hash)
+                        .filter(|hash| !held.contains(hash));
                     if rng.gen_range(0u32..4) == 0 {
+                        reference.extend(unpinned);
                         m.release_uncommitted(alloc);
+                        released = true;
                         releases += 1;
                     } else {
-                        let held: HashSet<TokenBlockHash> = in_flight
+                        // A new block is cached (and queued) unless its hash already
+                        // is; the reused prefix follows it.
+                        let fresh: Vec<TokenBlockHash> = alloc
+                            .new_full
                             .iter()
-                            .flat_map(|other| other.reused.iter().map(|(hash, _)| *hash))
+                            .rev()
+                            .chain(alloc.net_reloaded.iter().rev())
+                            .chain(alloc.reloaded.iter().rev())
+                            .map(|(hash, _)| *hash)
+                            .filter(|hash| !m.cached.contains_key(hash))
                             .collect();
+                        reference.extend(fresh);
+                        reference.extend(unpinned);
                         if alloc.reused.iter().any(|(hash, _)| held.contains(hash)) {
                             shared_commits += 1;
                         }
@@ -1540,10 +1636,17 @@ mod tests {
                     }
                 }
                 m.assert_lru_invariant();
+                let queue: Vec<TokenBlockHash> = m.free_queue.iter().map(|(_, h)| h).collect();
+                assert_eq!(queue, reference, "seed {seed} op {op}: queue order");
+                if ordered_before && not_backwards && !released {
+                    assert!(
+                        stamps(&m).is_sorted(),
+                        "seed {seed} op {op}: queue order left last_used order"
+                    );
+                    ordered_steps += 1;
+                }
             }
-            rebuilds += m.lru_rebuilds;
         }
-        assert!(rebuilds >= 10, "only {rebuilds} heap rebuilds");
         assert!(
             evictions > 0 && pinned_evictions > 0,
             "no eviction behind a pin"
@@ -1551,6 +1654,10 @@ mod tests {
         assert!(rollbacks > 0, "no full-residency rollback");
         assert!(shared_commits > 0, "no commit under a second holder's pin");
         assert!(releases > 0, "no release");
+        assert!(
+            ordered_steps >= 100,
+            "only {ordered_steps} steps checked for last_used order"
+        );
     }
 
     fn kvcache_hashes(tokens: &[u32], block_size: usize) -> Vec<TokenBlockHash> {
@@ -1610,17 +1717,8 @@ mod tests {
             .allocate(&chain, SimTime::ZERO, RetentionPolicy::FullResidency)
             .unwrap();
         m.commit(a, SimTime::ZERO);
-        // Evict only part of the chain: a 4-block request at t=1 displaces A's 4
-        // oldest (head) blocks... all of A has one timestamp, so the tie-break picks
-        // by hash — instead, re-touch a prefix to control recency.
-        let warm = m
-            .allocate(
-                &tokens(0, 64),
-                SimTime::from_secs(1),
-                RetentionPolicy::FullResidency,
-            )
-            .unwrap();
-        m.commit(warm, SimTime::from_secs(1));
+        // Evict only part of the chain: a 4-block request displaces A's 4 deepest
+        // blocks, because a committed chain leaves the GPU tail first.
         let b = m
             .allocate(
                 &tokens(9_000, 64),
@@ -1649,6 +1747,110 @@ mod tests {
         assert_eq!(again.uncached_tokens(), 0);
         m.commit(again, SimTime::from_secs(3));
         m.assert_lru_invariant();
+    }
+
+    #[test]
+    fn a_committed_chain_is_evicted_tail_first() {
+        let mut m = KvCacheManager::with_offload(8, 16, 1 << 30, CPU_BLOCK_BYTES);
+        let chain = tokens(0, 128);
+        let a = m
+            .allocate(&chain, SimTime::ZERO, RetentionPolicy::FullResidency)
+            .unwrap();
+        m.commit(a, SimTime::ZERO);
+        // Every block of the chain shares one `last_used`; the four victims of a
+        // 4-block request must still be its four deepest blocks.
+        let b = m
+            .allocate(
+                &tokens(9_000, 64),
+                SimTime::from_secs(1),
+                RetentionPolicy::FullResidency,
+            )
+            .unwrap();
+        let hits = m.lookup_tier_hits_from_hashes(&hash_token_blocks(&chain, 16));
+        assert_eq!((hits.gpu_blocks, hits.cpu_blocks), (4, 4));
+        m.commit(b, SimTime::from_secs(1));
+        m.assert_lru_invariant();
+    }
+
+    /// Eviction order does not depend on hash values: one scripted run over the
+    /// chains' real hashes and one over the same hashes relabelled by
+    /// `reverse_bits` (a bijection that scrambles their order) must evict the same
+    /// blocks, identified by (chain, depth), and agree on every statistic and every
+    /// lookup after every operation.  Coarse timestamps make whole chains tie on
+    /// `last_used`, and up to four allocations are held at once.
+    #[test]
+    fn victims_do_not_depend_on_hash_values() {
+        let relabel = |hash: TokenBlockHash| TokenBlockHash(hash.0.reverse_bits());
+        let mut partial_evictions = 0u64;
+        for seed in 0..8u64 {
+            let mut rng = simcore::SimRng::seed_from_u64(0x7a11 + seed);
+            let capacity = rng.gen_range(24u64..96);
+            let mut plain = KvCacheManager::new(capacity, 16);
+            let mut relabelled = KvCacheManager::new(capacity, 16);
+            let mut chains: Vec<Vec<TokenBlockHash>> = Vec::new();
+            let mut in_flight: Vec<(RequestKv, RequestKv)> = Vec::new();
+            for op in 0..240u32 {
+                let now = SimTime::from_millis(u64::from(op / 8) * 10);
+                if in_flight.is_empty() || (in_flight.len() < 4 && rng.gen_range(0u32..2) == 0) {
+                    let user = rng.gen_range(0u32..4) * 1_000_000;
+                    let mut chain: Vec<u32> = (user..user + rng.gen_range(1u32..20) * 16).collect();
+                    let suffix = 500_000_000 + op * 1_000;
+                    chain.extend(suffix..suffix + rng.gen_range(0u32..48));
+                    let policy = if rng.gen_range(0u32..2) == 0 {
+                        RetentionPolicy::FullResidency
+                    } else {
+                        RetentionPolicy::PrefixBestEffort
+                    };
+                    let hashes = hash_token_blocks(&chain, 16);
+                    let renamed: Vec<TokenBlockHash> = hashes.iter().map(|&h| relabel(h)).collect();
+                    let total = chain.len() as u64;
+                    let a = plain.allocate_from_hashes(&hashes, total, now, policy);
+                    let b = relabelled.allocate_from_hashes(&renamed, total, now, policy);
+                    assert_eq!(a.is_ok(), b.is_ok(), "seed {seed} op {op}: outcome");
+                    if let (Ok(a), Ok(b)) = (a, b) {
+                        in_flight.push((a, b));
+                    }
+                    chains.push(hashes);
+                } else {
+                    let (a, b) = in_flight.swap_remove(rng.gen_range(0..in_flight.len()));
+                    if rng.gen_range(0u32..4) == 0 {
+                        plain.release_uncommitted(a);
+                        relabelled.release_uncommitted(b);
+                    } else {
+                        plain.commit(a, now);
+                        relabelled.commit(b, now);
+                    }
+                }
+                assert_eq!(plain.stats(), relabelled.stats(), "seed {seed} op {op}");
+                for (index, chain) in chains.iter().enumerate() {
+                    let renamed: Vec<TokenBlockHash> = chain.iter().map(|&h| relabel(h)).collect();
+                    assert_eq!(
+                        plain.lookup_cached_blocks_from_hashes(chain),
+                        relabelled.lookup_cached_blocks_from_hashes(&renamed),
+                        "seed {seed} op {op}: lookup of chain {index}"
+                    );
+                    for (depth, (hash, renamed)) in chain.iter().zip(&renamed).enumerate() {
+                        assert_eq!(
+                            plain.cached.contains_key(hash),
+                            relabelled.cached.contains_key(renamed),
+                            "seed {seed} op {op}: chain {index} block {depth}"
+                        );
+                    }
+                    let resident = chain
+                        .iter()
+                        .filter(|h| plain.cached.contains_key(h))
+                        .count();
+                    if resident > 0 && resident < chain.len() {
+                        partial_evictions += 1;
+                    }
+                }
+            }
+            assert!(
+                plain.stats().evicted_blocks > 0,
+                "seed {seed}: nothing evicted"
+            );
+        }
+        assert!(partial_evictions > 0, "no chain was ever partly evicted");
     }
 
     #[test]

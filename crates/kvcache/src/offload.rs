@@ -12,9 +12,11 @@
 //! entry map, so LRU eviction is O(log n) *and* fully deterministic (ties in
 //! `last_used` break on the hash, never on map iteration order — a requirement of
 //! the byte-identical parallel replay).  The GPU-tier
-//! [`KvCacheManager`](crate::KvCacheManager) orders its victims the same way through
-//! a lazy-deletion heap, which makes its per-block pins and unpins O(1); the CPU tier
-//! keeps the ordered index because only spills and reloads touch it.  It also
+//! [`KvCacheManager`](crate::KvCacheManager) orders its victims differently: by
+//! when each block became unreferenced, through a free-block queue whose pins,
+//! unpins and evictions are O(1).  Spills arrive here in that order, each with the
+//! `last_used` it had on the GPU; the CPU tier keeps the ordered index because only
+//! spills and reloads touch it.  It also
 //! exposes a [`CpuKvPool::generation`] counter that changes exactly when the pool's
 //! *contents* change, which lets the scheduler's probe memoisation extend to the CPU
 //! tier.

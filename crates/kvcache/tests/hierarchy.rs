@@ -19,9 +19,10 @@
 //!   decision function of the [`ReloadQuote`], and a declined segment is recomputed
 //!   on both.
 //!
-//! The reference model selects eviction victims in every tier with the
-//! specification order (`(last_used, hash)`, oldest first), so any tie-break or
-//! ordering bug in any tier's LRU index diverges immediately.
+//! The reference model selects GPU victims in the order their blocks became
+//! unreferenced (a request hands its blocks back deepest first) and CPU and network
+//! victims in `(last_used, hash)` order, oldest first, so any tie-break or ordering
+//! bug in any tier's eviction index diverges immediately.
 
 use std::collections::HashMap;
 
@@ -76,13 +77,22 @@ struct ShadowCpuEntry {
     uses: u32,
 }
 
+#[derive(Debug, Clone, Copy)]
+struct ShadowGpuEntry {
+    last_used: SimTime,
+    /// When the block last became unreferenced: the GPU victim order.
+    unreferenced_at: u64,
+}
+
 /// Flat three-tier reference model: each hash may be resident in any subset of the
-/// tiers, with one recency timestamp per tier (plus reuse evidence on the CPU tier).
+/// tiers, with one recency timestamp per tier (plus an unreference stamp on the GPU
+/// tier and reuse evidence on the CPU tier).
 struct ShadowTiers {
     gpu_capacity: u64,
     cpu_capacity: u64,
     net_capacity: u64,
-    gpu: HashMap<TokenBlockHash, SimTime>,
+    gpu: HashMap<TokenBlockHash, ShadowGpuEntry>,
+    next_stamp: u64,
     cpu: HashMap<TokenBlockHash, ShadowCpuEntry>,
     net: HashMap<TokenBlockHash, SimTime>,
     // GPU-tier statistics / counters.
@@ -124,6 +134,7 @@ impl ShadowTiers {
             cpu_capacity,
             net_capacity,
             gpu: HashMap::new(),
+            next_stamp: 0,
             cpu: HashMap::new(),
             net: HashMap::new(),
             committed_blocks: 0,
@@ -224,20 +235,36 @@ impl ShadowTiers {
         self.cpu_generation += 1;
     }
 
-    /// Specification GPU eviction: full scan, sort by `(last_used, hash)`, spill each
+    /// Marks `hashes` GPU-cached and unreferenced at `last_used`, deepest (last)
+    /// first.
+    fn unreference(&mut self, hashes: &[TokenBlockHash], last_used: SimTime) {
+        for hash in hashes.iter().rev() {
+            let unreferenced_at = self.next_stamp;
+            self.next_stamp += 1;
+            self.gpu.insert(
+                *hash,
+                ShadowGpuEntry {
+                    last_used,
+                    unreferenced_at,
+                },
+            );
+        }
+    }
+
+    /// Specification GPU eviction: full scan, sort by unreference stamp, spill each
     /// victim into the CPU tier at its GPU recency.
     fn evict_gpu(&mut self, count: u64, referenced: &[TokenBlockHash]) {
-        let mut victims: Vec<(SimTime, TokenBlockHash)> = self
+        let mut victims: Vec<(u64, TokenBlockHash)> = self
             .gpu
             .iter()
             .filter(|(h, _)| !referenced.contains(h))
-            .map(|(h, t)| (*t, *h))
+            .map(|(h, e)| (e.unreferenced_at, *h))
             .collect();
         victims.sort_unstable();
-        for (last_used, hash) in victims.into_iter().take(count as usize) {
-            self.gpu.remove(&hash);
+        for (_, hash) in victims.into_iter().take(count as usize) {
+            let entry = self.gpu.remove(&hash).expect("victim is resident");
             self.gpu_evicted_blocks += 1;
-            self.spill(hash, last_used);
+            self.spill(hash, entry.last_used);
         }
     }
 
@@ -251,16 +278,15 @@ impl ShadowTiers {
     ) -> ShadowOutcome {
         let hits = self.gpu_prefix_blocks(hashes);
         let hit_prefix: Vec<TokenBlockHash> = hashes[..hits].to_vec();
-        // Phase 1 touches the reused prefix before any feasibility check; the
-        // manager never rolls the timestamps back.
-        for hash in &hit_prefix {
-            self.gpu.insert(*hash, now);
-        }
+        // Phase 1 pins and touches the reused prefix before any feasibility check;
+        // the manager never rolls the timestamps back.  Every way out — rollback,
+        // commit or release — hands the prefix back deepest first, at `now`.
         let has_partial = !total_tokens.is_multiple_of(BLOCK_SIZE as u64);
         let needed = (hashes.len() - hits) as u64 + u64::from(has_partial);
         let free = self.gpu_capacity - self.gpu.len() as u64;
         let evictable = (self.gpu.len() - hits) as u64;
         if policy == RetentionPolicy::FullResidency && needed > free + evictable {
+            self.unreference(&hit_prefix, now);
             self.failed += 1;
             return ShadowOutcome::Err;
         }
@@ -331,15 +357,16 @@ impl ShadowTiers {
         let free = self.gpu_capacity - self.gpu.len() as u64;
         let allocated_full = ((hashes.len() - hits) as u64).min(free);
         if commit {
-            for hash in hashes.iter().skip(hits).take(allocated_full as usize) {
+            for hash in hashes.iter().skip(hits).take(allocated_full as usize).rev() {
                 // Blocks beyond the first phase-1 miss can already be GPU-cached; the
                 // manager then drops the freshly written (or reloaded) duplicate.
                 if !self.gpu.contains_key(hash) {
-                    self.gpu.insert(*hash, now);
+                    self.unreference(std::slice::from_ref(hash), now);
                     self.committed_blocks += 1;
                 }
             }
         }
+        self.unreference(&hit_prefix, now);
         ShadowOutcome::Ok {
             cached_tokens,
             reloaded_tokens: cpu_planned * BLOCK_SIZE as u64,
@@ -388,7 +415,8 @@ fn hierarchical_shadow_model_agreement() {
             };
             let commit = rng.gen_range(0u32..5) > 0;
             // Coarse timestamps force recency ties in every tier, exercising the
-            // (time, hash) tie-break the LRU indices must replicate exactly.
+            // CPU and network tiers' (time, hash) tie-break and the GPU queue's
+            // independence from it.
             let now = SimTime::from_millis(rng.gen_range(0u64..4) * 10 + serial as u64 / 8);
             let tokens = request_tokens(&spec, serial as u32);
             let hashes = hash_token_blocks(&tokens, BLOCK_SIZE);

@@ -3,12 +3,12 @@
 //! The registry-less build cannot use `proptest`, so each property runs over a seeded
 //! sweep of randomly generated request mixes.  The heavyweight property here is
 //! [`shadow_model_agreement`]: an executable specification of the manager that selects
-//! eviction victims with the seed implementation's full scan + sort is replayed against
-//! every operation, proving that the manager's lazy-deletion LRU heap always evicts
-//! exactly the same victims as the original O(n log n) implementation.  Each operation
-//! here commits or releases before the next one starts; the in-flight interleavings
-//! (pins held across other requests' evictions, heap rebuilds) are model-checked by
-//! the manager's own unit tests.
+//! eviction victims from a flat free-block order — every block stamped when it last
+//! became unreferenced, a request's blocks stamped deepest first — is replayed
+//! against every operation, proving that the manager's linked free-block queue
+//! always evicts exactly the same victims.  Each operation here commits or releases
+//! before the next one starts; the in-flight interleavings (pins held across other
+//! requests' evictions) are model-checked by the manager's own unit tests.
 
 use std::collections::HashMap;
 
@@ -210,13 +210,17 @@ fn block_pool_matches_map_reference() {
 
 /// Executable specification of the manager over commit-immediately workloads.
 ///
-/// Eviction victims are chosen exactly as in the seed implementation: collect every
-/// unreferenced cached block, sort by `(last_used, hash)`, take the first `k`.
+/// Eviction victims are the unreferenced cached blocks in the order they became
+/// unreferenced: collect them, sort by that stamp, take the first `k`.  A request
+/// pins its hit prefix, and hands its blocks back deepest first — its newly cached
+/// blocks, then its hit prefix, each in reverse chain order.
 struct ShadowCache {
     capacity_blocks: u64,
-    /// Cached prefix entries: hash -> last_used.  Between operations every cached block
-    /// is unreferenced because the driver commits or releases immediately.
-    cached: HashMap<TokenBlockHash, SimTime>,
+    /// Cached prefix entries: hash -> the stamp at which the block last became
+    /// unreferenced.  Between operations every cached block is unreferenced because
+    /// the test loop commits or releases immediately.
+    cached: HashMap<TokenBlockHash, u64>,
+    next_stamp: u64,
     evicted_blocks: u64,
     committed_blocks: u64,
     failed: u64,
@@ -232,6 +236,7 @@ impl ShadowCache {
         ShadowCache {
             capacity_blocks,
             cached: HashMap::new(),
+            next_stamp: 0,
             evicted_blocks: 0,
             committed_blocks: 0,
             failed: 0,
@@ -245,13 +250,21 @@ impl ShadowCache {
             .count()
     }
 
-    /// Seed-implementation victim selection: full scan, sort by (last_used, hash).
+    /// Marks `hashes` unreferenced, deepest (last) first.
+    fn unreference(&mut self, hashes: &[TokenBlockHash]) {
+        for hash in hashes.iter().rev() {
+            self.cached.insert(*hash, self.next_stamp);
+            self.next_stamp += 1;
+        }
+    }
+
+    /// Specification victim selection: full scan, sort by unreference stamp.
     fn evict(&mut self, count: u64, referenced: &[TokenBlockHash]) {
-        let mut victims: Vec<(SimTime, TokenBlockHash)> = self
+        let mut victims: Vec<(u64, TokenBlockHash)> = self
             .cached
             .iter()
             .filter(|(h, _)| !referenced.contains(h))
-            .map(|(h, t)| (*t, *h))
+            .map(|(h, stamp)| (*stamp, *h))
             .collect();
         victims.sort_unstable();
         for (_, hash) in victims.into_iter().take(count as usize) {
@@ -264,23 +277,19 @@ impl ShadowCache {
         &mut self,
         hashes: &[TokenBlockHash],
         total_tokens: u64,
-        now: SimTime,
         policy: RetentionPolicy,
         commit: bool,
     ) -> ShadowOutcome {
         let hits = self.lookup_blocks(hashes);
         let hit_prefix: Vec<TokenBlockHash> = hashes[..hits].to_vec();
-        // Phase 1 touches the reused prefix before any feasibility check, and the seed
-        // implementation never rolls the timestamps back.
-        for hash in &hit_prefix {
-            self.cached.insert(*hash, now);
-        }
         let has_partial = !total_tokens.is_multiple_of(BLOCK_SIZE as u64);
         let needed = (hashes.len() - hits) as u64 + u64::from(has_partial);
         let free = self.capacity_blocks - self.cached.len() as u64;
         if policy == RetentionPolicy::FullResidency {
             let evictable = (self.cached.len() - hits) as u64;
             if needed > free + evictable {
+                // The rollback unpins the hit prefix.
+                self.unreference(&hit_prefix);
                 self.failed += 1;
                 return ShadowOutcome::Err;
             }
@@ -293,29 +302,27 @@ impl ShadowCache {
         }
         let free = self.capacity_blocks - self.cached.len() as u64;
         let new_full = ((hashes.len() - hits) as u64).min(free);
-        let partial_allocated =
-            has_partial && new_full == (hashes.len() - hits) as u64 && new_full < free;
-        let _ = partial_allocated;
         if commit {
-            for hash in hashes.iter().skip(hits).take(new_full as usize) {
+            for hash in hashes.iter().skip(hits).take(new_full as usize).rev() {
                 // A block beyond the first phase-1 miss can already be cached (the
                 // prefix walk stops at the first miss, not at the last hit).  The
                 // manager then drops the freshly written duplicate and leaves the
-                // existing entry — including its last_used — untouched.
+                // existing entry — including its place in the queue — untouched.
                 if !self.cached.contains_key(hash) {
-                    self.cached.insert(*hash, now);
+                    self.unreference(std::slice::from_ref(hash));
                     self.committed_blocks += 1;
                 }
             }
         }
+        self.unreference(&hit_prefix);
         ShadowOutcome::Ok {
             cached_tokens: (hits * BLOCK_SIZE) as u64,
         }
     }
 }
 
-/// The real manager agrees with the scan+sort shadow specification after every single
-/// operation: same success/failure, same cache-hit counts, same cached-block set (and
+/// The real manager agrees with the flat free-order shadow specification after every
+/// single operation: same success/failure, same cache-hit counts, same cached-block set (and
 /// therefore the same eviction victims), same statistics.
 #[test]
 fn shadow_model_agreement() {
@@ -335,16 +342,15 @@ fn shadow_model_agreement() {
                 RetentionPolicy::FullResidency
             };
             let commit = rng.gen_range(0u32..5) > 0;
-            // Coarse timestamps force last_used ties, exercising the (time, hash)
-            // tie-break that the LRU heap must replicate exactly.
+            // Coarse timestamps make whole chains tie on last_used, which must not
+            // change the victim order.
             let now = SimTime::from_millis(rng.gen_range(0u64..4) * 10 + serial as u64 / 8);
             let tokens = request_tokens(&spec, serial as u32);
             let hashes = hash_token_blocks(&tokens, BLOCK_SIZE);
             chains.push(tokens.clone());
 
             let real = manager.allocate(&tokens, now, policy);
-            let expected =
-                shadow.allocate_commit(&hashes, tokens.len() as u64, now, policy, commit);
+            let expected = shadow.allocate_commit(&hashes, tokens.len() as u64, policy, commit);
             match (real, expected) {
                 (Ok(alloc), ShadowOutcome::Ok { cached_tokens }) => {
                     assert_eq!(

@@ -359,6 +359,11 @@ fn within_window_propagation_beats_window_boundary_sharing_on_a_single_window_tr
         boundary_only.offload.net_offloaded_blocks > 0,
         "the scenario must feed the shared tier in-window"
     );
+    assert!(
+        boundary_only.offload.net_reloaded_blocks > 0,
+        "the prefix working set must overflow GPU + CPU, so reused prefixes come back \
+         from the network tier"
+    );
     assert_eq!(boundary_only.net_propagated_tokens(), 0);
     assert_eq!(boundary_only.offload.net_propagated_reload_blocks, 0);
 
@@ -763,6 +768,11 @@ fn autoscaler_beats_a_static_under_provisioned_fleet() {
     let static_report = static_cluster.run(&arrivals, qps).expect("feasible");
     assert_eq!(static_cluster.membership_log().len(), 1);
     assert_eq!(static_cluster.num_active_instances(), 1);
+    assert!(
+        static_report.offload.net_reloaded_blocks > 0,
+        "the prefix working set must overflow one instance's GPU + CPU, so reused \
+         prefixes come back from the network tier"
+    );
 
     let autoscaled_config = config.with_autoscaler(prefillonly::AutoscalerPolicy {
         scale_up_outstanding_tokens: 20_000,
