@@ -11,8 +11,10 @@
 //! scheduling-step, KV pin/unpin, KV eviction, block-hashing, materialised-replay,
 //! decode, handoff, routing-pass and epoch-barrier groups are re-measured and compared
 //! against the committed `BENCH_baseline.json` medians, and the process exits
-//! non-zero if any entry is more than [`REGRESSION_FACTOR`]× worse or has no
-//! committed median.
+//! non-zero if any entry has no committed median or is more than
+//! [`REGRESSION_FACTOR`]× worse twice: in this process and again in a fresh
+//! process of the same binary (`--remeasure <group>`), which re-measures the
+//! failing entry's group once so that one noisy process does not decide alone.
 //! The guard re-measures the *full* workload shapes (sample counts aside, a
 //! `--smoke`-shaped workload would not be comparable to the committed medians),
 //! so `--check` rejects `--smoke`.
@@ -263,10 +265,18 @@ fn thrash_chains_baseline(out: &mut Vec<BaselinePoint>) {
     );
 }
 
-/// Block hashing ([`kvcache::hash_token_blocks`]) of one 16k-token request, the
-/// length of a long post-recommendation profile; every arrival hashes its prompt
-/// once.  A pass takes microseconds, so each sample times a batch of 400 passes
-/// (a few milliseconds).
+/// Block hashing of one 16k-token request, the length of a long
+/// post-recommendation prompt, two ways:
+///
+/// * `hash_token_blocks/16k_tokens`: [`kvcache::hash_token_blocks`] over all of
+///   its tokens, what every arrival without a shared prefix costs.  A pass takes
+///   microseconds, so each sample times a batch of 400 passes (a few
+///   milliseconds).
+/// * `block_hashes/16k_shared_prefix`: [`kvcache::TokenSeq::block_hashes`] of a
+///   150-token post after a 15,850-token profile whose chain is already memoised
+///   (the steady state of a post-recommendation user's requests): the profile's
+///   chain is copied and only the post is hashed.  A call takes a fraction of a
+///   microsecond, so each sample times a batch of 4,000 calls.
 fn hash_baseline(out: &mut Vec<BaselinePoint>) {
     let tokens: Vec<u32> = (0..16_000).collect();
     measure_batched(
@@ -279,6 +289,19 @@ fn hash_baseline(out: &mut Vec<BaselinePoint>) {
                 std::hint::black_box(&tokens),
                 BLOCK_SIZE,
             ));
+        },
+    );
+
+    let profile = kvcache::SharedPrefix::new((0..15_850).collect());
+    let post: Vec<u32> = (20_000_000..20_000_150).collect();
+    let request = kvcache::TokenSeq::extending(&profile, &post);
+    measure_batched(
+        out,
+        "kvcache_ops/block_hashes/16k_shared_prefix",
+        samples(25),
+        4_000,
+        || {
+            std::hint::black_box(std::hint::black_box(&request).block_hashes(BLOCK_SIZE));
         },
     );
 }
@@ -902,6 +925,66 @@ fn workspace_root() -> PathBuf {
 /// enough to catch a hot path falling off a cliff.
 const REGRESSION_FACTOR: f64 = 2.0;
 
+/// A group of measurements, appending its points.
+type Group = fn(&mut Vec<BaselinePoint>);
+
+/// The groups `--check` re-measures, each under the name a fresh process
+/// re-measures it by (`--remeasure <group>`).
+const CHECK_GROUPS: [(&str, Group); 9] = [
+    ("scheduler", scheduler_baselines),
+    ("warm_chain", warm_chain_baseline),
+    ("thrash_chains", thrash_chains_baseline),
+    ("hashing", hash_baseline),
+    ("cluster", cluster_baselines),
+    ("decode", decode_baselines),
+    ("routing_pass", routing_pass_baselines),
+    ("epoch_barrier", epoch_barrier_baselines),
+    ("handoff", handoff_baselines),
+];
+
+/// Prefix of the lines a `--remeasure` process prints its medians on.
+const REMEASURED: &str = "remeasured";
+
+/// The `--remeasure <group>` mode: measures one [`CHECK_GROUPS`] group and prints
+/// each median on a `remeasured <name> <median_ns>` line.  Returns the process
+/// exit code.
+fn remeasure(group: &str) -> i32 {
+    let Some((_, run)) = CHECK_GROUPS.iter().find(|(name, _)| *name == group) else {
+        eprintln!("error: no check group named {group:?}");
+        return 1;
+    };
+    let mut results = Vec::new();
+    run(&mut results);
+    for point in &results {
+        println!("{REMEASURED} {} {}", point.name, point.median_ns);
+    }
+    0
+}
+
+/// Re-measures `group` in a new process of this binary, so a failing entry is
+/// judged once more outside whatever state (host noise, a slow process) the first
+/// reading caught.  Returns the `(name, median_ns)` pairs it measured.
+fn remeasure_in_fresh_process(group: &str) -> Result<Vec<(String, f64)>, String> {
+    let exe = std::env::current_exe().map_err(|err| format!("no path to this binary: {err}"))?;
+    let output = std::process::Command::new(exe)
+        .args(["--remeasure", group])
+        .stderr(std::process::Stdio::inherit())
+        .output()
+        .map_err(|err| format!("could not start a fresh process: {err}"))?;
+    if !output.status.success() {
+        return Err(format!("the fresh process exited with {}", output.status));
+    }
+    Ok(String::from_utf8_lossy(&output.stdout)
+        .lines()
+        .filter_map(|line| {
+            let mut fields = line.strip_prefix(REMEASURED)?.split_whitespace();
+            let name = fields.next()?.to_string();
+            let median = fields.next()?.parse().ok()?;
+            Some((name, median))
+        })
+        .collect())
+}
+
 /// Extracts the `(name, median_ns)` pairs from the committed baseline.  The local
 /// serde_json shim is serialize-only and the file is this binary's own
 /// pretty-printed emission, so a line scanner is sufficient and dependency-free.
@@ -926,9 +1009,11 @@ fn committed_medians(json: &str) -> Vec<(String, f64)> {
 /// pin/unpin and eviction paths, block hashing, the materialised replays of both flavours
 /// (colocated and decode-enabled), the KV-handoff plane, and the routing-pass and
 /// epoch-barrier groups (the per-epoch machinery this repo optimises hardest), and
-/// compares each median against the committed `BENCH_baseline.json`.  An entry without a
-/// committed median fails too, so a renamed or new entry is guarded from the commit
-/// that introduces it.  Returns the process exit code.
+/// compares each median against the committed `BENCH_baseline.json`.  An entry more
+/// than [`REGRESSION_FACTOR`]× over its committed median has its group re-measured
+/// once in a fresh process, and fails only if that reading is over the factor too.
+/// An entry without a committed median fails too, so a renamed or new entry is
+/// guarded from the commit that introduces it.  Returns the process exit code.
 fn regression_check() -> i32 {
     let path = workspace_root().join("BENCH_baseline.json");
     let json = match std::fs::read_to_string(&path) {
@@ -949,33 +1034,64 @@ fn regression_check() -> i32 {
          replays + handoff plane + routing pass + epoch barriers vs committed medians\n"
     );
     let mut results = Vec::new();
-    scheduler_baselines(&mut results);
-    warm_chain_baseline(&mut results);
-    thrash_chains_baseline(&mut results);
-    hash_baseline(&mut results);
-    cluster_baselines(&mut results);
-    decode_baselines(&mut results);
-    routing_pass_baselines(&mut results);
-    epoch_barrier_baselines(&mut results);
-    handoff_baselines(&mut results);
+    let mut groups = Vec::new();
+    for (group, run) in CHECK_GROUPS {
+        run(&mut results);
+        groups.resize(results.len(), group);
+    }
 
     println!();
     let mut failures = 0usize;
     let mut unmatched = 0usize;
-    for point in &results {
+    let mut fresh_runs = std::collections::HashMap::new();
+    for (point, group) in results.iter().zip(groups) {
         let Some((_, committed_ns)) = committed.iter().find(|(name, _)| name == &point.name) else {
             unmatched += 1;
             println!("{:<55} NO COMMITTED MEDIAN", point.name);
             continue;
         };
         let ratio = point.median_ns / committed_ns;
-        let verdict = if ratio > REGRESSION_FACTOR {
-            failures += 1;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!("{:<55} {ratio:>6.2}x committed  {verdict}", point.name);
+        if ratio <= REGRESSION_FACTOR {
+            println!("{:<55} {ratio:>6.2}x committed  ok", point.name);
+            continue;
+        }
+        let fresh = fresh_runs
+            .entry(group)
+            .or_insert_with(|| {
+                println!(
+                    "{:<55} {ratio:>6.2}x committed, re-measuring group {group:?}",
+                    point.name
+                );
+                remeasure_in_fresh_process(group)
+            })
+            .clone()
+            .and_then(|points| {
+                points
+                    .iter()
+                    .find(|(name, _)| name == &point.name)
+                    .map(|(_, median)| median / committed_ns)
+                    .ok_or_else(|| "the fresh process did not measure it".to_string())
+            });
+        match fresh {
+            Ok(again) if again <= REGRESSION_FACTOR => println!(
+                "{:<55} {ratio:>6.2}x committed, {again:.2}x in a fresh process  ok",
+                point.name
+            ),
+            Ok(again) => {
+                failures += 1;
+                println!(
+                    "{:<55} {ratio:>6.2}x committed, {again:.2}x in a fresh process  REGRESSED",
+                    point.name
+                );
+            }
+            Err(err) => {
+                failures += 1;
+                println!(
+                    "{:<55} {ratio:>6.2}x committed, no fresh reading ({err})  REGRESSED",
+                    point.name
+                );
+            }
+        }
     }
     if unmatched > 0 {
         eprintln!(
@@ -988,8 +1104,9 @@ fn regression_check() -> i32 {
     if failures > 0 {
         eprintln!(
             "\nerror: {failures} entr{} regressed more than {REGRESSION_FACTOR}x past \
-             the committed baseline; investigate or regenerate BENCH_baseline.json \
-             with `cargo run --release --bin bench_baseline` if the change is intended",
+             the committed baseline, in this process and in a fresh one; investigate or \
+             regenerate BENCH_baseline.json with `cargo run --release --bin bench_baseline` \
+             if the change is intended",
             if failures == 1 { "y" } else { "ies" }
         );
     }
@@ -1002,7 +1119,12 @@ fn regression_check() -> i32 {
 }
 
 fn main() {
-    if std::env::args().any(|arg| arg == "--check") {
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(at) = args.iter().position(|arg| arg == "--remeasure") {
+        let group = args.get(at + 1).map_or("", String::as_str);
+        std::process::exit(remeasure(group));
+    }
+    if args.iter().any(|arg| arg == "--check") {
         if smoke() {
             eprintln!(
                 "error: --check re-measures the full workload shapes; \

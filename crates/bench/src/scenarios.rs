@@ -86,7 +86,6 @@ pub const ELASTIC_FLEET_QPS: f64 = 3.0;
 /// exactly what the ablation sweeps.
 pub fn elastic_fleet_handoff() -> (EngineConfig, Vec<ArrivalPattern>) {
     use simcore::SimTime;
-    use std::sync::Arc;
     use workload::RequestTemplate;
 
     const PREFIX_TOKENS: u32 = 5_000;
@@ -99,7 +98,7 @@ pub fn elastic_fleet_handoff() -> (EngineConfig, Vec<ArrivalPattern>) {
         ArrivalPattern {
             template: RequestTemplate {
                 user_id: user,
-                tokens: Arc::new(tokens),
+                tokens: tokens.into(),
                 shared_prefix_tokens: u64::from(PREFIX_TOKENS),
                 decode_tokens: 0,
             },

@@ -7,8 +7,6 @@
 //! the instance's virtual clock through execution, and returns the scores together with
 //! the simulated latency.  It is what the runnable examples build on.
 
-use std::sync::Arc;
-
 use simcore::SimTime;
 
 use crate::config::{ConfigError, EngineConfig};
@@ -37,9 +35,8 @@ impl PrefillOnlyClient {
     /// configuration problems (e.g. a zero block size) as a typed [`ConfigError`]
     /// instead of a panic.
     pub fn try_new(config: &EngineConfig) -> Result<PrefillOnlyClient, ConfigError> {
-        config.validate()?;
         Ok(PrefillOnlyClient {
-            instance: EngineInstance::new(config, 0),
+            instance: EngineInstance::try_new(config, 0)?,
             clock: SimTime::ZERO,
             next_request_id: 0,
         })
@@ -73,7 +70,7 @@ impl PrefillOnlyClient {
         let request = PrefillRequest {
             id: request_id,
             user_id: 0,
-            tokens: Arc::new(tokens.to_vec()),
+            tokens: tokens.to_vec().into(),
             decode_tokens: 0,
             allowed_outputs: allowed_outputs.iter().map(|s| s.to_string()).collect(),
             arrival,

@@ -118,8 +118,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use simcore::{EventQueue, SimDuration, SimTime};
 
 use kvcache::{
-    hash_token_blocks, CacheStats, DrainSpill, HandoffLedger, HandoffRecord, NetKvPool,
-    NetPoolView, OffloadStats, ViewDelta,
+    CacheStats, DrainSpill, HandoffLedger, HandoffRecord, NetKvPool, NetPoolView, OffloadStats,
+    ViewDelta,
 };
 use workload::{
     ArrivalPattern, ArrivalStream, InstanceRole, MembershipChange, MembershipSchedule,
@@ -956,7 +956,7 @@ impl Cluster {
                 let request = PrefillRequest {
                     id: streamed.id,
                     user_id: template.user_id,
-                    tokens: Arc::clone(&template.tokens),
+                    tokens: template.tokens.clone(),
                     decode_tokens: template.decode_tokens,
                     allowed_outputs: Vec::new(),
                     arrival: streamed.arrival.arrival,
@@ -1117,7 +1117,7 @@ impl Cluster {
         for (pos, streamed) in batch.iter().enumerate() {
             let arrival = &streamed.arrival;
             let hashes =
-                hashing.then(|| Arc::new(hash_token_blocks(&arrival.template.tokens, block_size)));
+                hashing.then(|| Arc::new(arrival.template.tokens.block_hashes(block_size)));
             let query = RouteQuery {
                 user_id: arrival.template.user_id,
                 num_tokens: arrival.template.num_tokens(),
@@ -1830,7 +1830,7 @@ mod tests {
             let request = PrefillRequest {
                 id: id as u64,
                 user_id: template.user_id,
-                tokens: Arc::clone(&template.tokens),
+                tokens: template.tokens.clone(),
                 decode_tokens: template.decode_tokens,
                 allowed_outputs: Vec::new(),
                 arrival,
@@ -2603,6 +2603,61 @@ mod tests {
             let pb = streamed.net_pool().unwrap();
             assert_eq!(pa.resident_blocks(), pb.resident_blocks());
             assert_eq!(pa.generation(), pb.generation());
+        }
+    }
+
+    /// A trace whose requests hold their user's profile as one shared prefix, with
+    /// its memoised block-hash chain, replays exactly like the same trace rebuilt
+    /// from unshared copies of its tokens, under `run`, `run_sequential` and
+    /// `run_stream`: with all three tiers active, across propagation epochs, and
+    /// under cache-aware routing, whose routing pass hashes the arrivals itself.
+    /// The first replay of the shared trace fills the prefixes' memos cold, the
+    /// later ones read them warm.
+    #[test]
+    fn shared_prefix_replay_is_byte_identical_to_unshared_tokens() {
+        use kvcache::TokenSeq;
+        use workload::RequestTemplate;
+        let (config, shared) = net_pressure_config(64 << 30);
+        assert!(shared
+            .iter()
+            .all(|a| a.template.tokens.shared_prefix().is_some()));
+        let unshared: Vec<ArrivalPattern> = shared
+            .iter()
+            .map(|a| ArrivalPattern {
+                template: RequestTemplate {
+                    tokens: TokenSeq::from(a.template.tokens.to_vec()),
+                    ..a.template.clone()
+                },
+                arrival: a.arrival,
+            })
+            .collect();
+        for policy in [
+            crate::routing::RoutingPolicyKind::StickyUser,
+            crate::routing::RoutingPolicyKind::CacheAware,
+        ] {
+            let config = config
+                .clone()
+                .with_routing(policy)
+                .with_net_propagation_ms(2_000);
+            for mode in ["run", "run_sequential", "run_stream"] {
+                let replay = |arrivals: &[ArrivalPattern]| {
+                    let mut cluster = Cluster::new(&config);
+                    match mode {
+                        "run" => cluster.run(arrivals, 3.0),
+                        "run_sequential" => cluster.run_sequential(arrivals, 3.0),
+                        _ => {
+                            cluster.run_stream(&mut SliceArrivalStream::from_sorted(arrivals), 3.0)
+                        }
+                    }
+                    .unwrap()
+                };
+                let (a, b) = (replay(&shared), replay(&unshared));
+                assert!(a.offload.net_offloaded_blocks > 0, "{policy:?} {mode}");
+                assert_eq!(a.records, b.records, "{policy:?} {mode}");
+                assert_eq!(a.makespan, b.makespan, "{policy:?} {mode}");
+                assert_eq!(a.cache, b.cache, "{policy:?} {mode}");
+                assert_eq!(a.offload, b.offload, "{policy:?} {mode}");
+            }
         }
     }
 

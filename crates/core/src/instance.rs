@@ -16,13 +16,13 @@ use simcore::{SimDuration, SimTime};
 use executor::{max_input_length, profile_jct_grid, Executor};
 use gpu::{HostLink, NetLink};
 use kvcache::{
-    hash_token_blocks, CacheStats, KvCacheManager, NetKvPool, OffloadStats, ProbeCache,
-    ReloadQuote, ReloadTier, RequestKv, RetentionPolicy, SequenceGrowth, TierHits, TokenBlockHash,
+    CacheStats, KvCacheManager, NetKvPool, OffloadStats, ProbeCache, ReloadQuote, ReloadTier,
+    RequestKv, RetentionPolicy, SequenceGrowth, TierHits, TokenBlockHash,
 };
 use scheduler::{CacheProbe, JctEstimator, SchedulingPolicy, WaitingQueue, WaitingRequest};
 use workload::InstanceRole;
 
-use crate::config::{EngineConfig, ReloadPolicyKind};
+use crate::config::{ConfigError, EngineConfig, ReloadPolicyKind};
 use crate::report::RequestRecord;
 use crate::request::PrefillRequest;
 use crate::routing::InstanceLoad;
@@ -337,8 +337,25 @@ impl EngineInstance {
     ///
     /// Deployments with several identical instances should profile once and use
     /// [`Self::with_profile`] instead — [`crate::Cluster::new`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`EngineConfig::validate`]; use
+    /// [`Self::try_new`] to handle invalid configurations as values.
     pub fn new(config: &EngineConfig, id: usize) -> EngineInstance {
-        Self::with_profile(config, &InstanceProfile::new(config), id)
+        Self::try_new(config, id).expect("invalid engine configuration")
+    }
+
+    /// Like [`Self::new`], but validates the configuration first and surfaces a
+    /// problem (e.g. a zero block size) as a typed [`ConfigError`] instead of a
+    /// panic inside the profile run.
+    pub fn try_new(config: &EngineConfig, id: usize) -> Result<EngineInstance, ConfigError> {
+        config.validate()?;
+        Ok(Self::with_profile(
+            config,
+            &InstanceProfile::new(config),
+            id,
+        ))
     }
 
     /// Builds instance `id` from an already-computed [`InstanceProfile`] (identical
@@ -567,7 +584,7 @@ impl EngineInstance {
     /// computed (cache-aware routing hashes every arrival to probe instances, so the
     /// cluster hands the chain through rather than hashing the tokens twice).
     ///
-    /// `hashes` must be `hash_token_blocks(&request.tokens, block_size)` for this
+    /// `hashes` must be `request.tokens.block_hashes(block_size)` for this
     /// instance's block size; pass `None` to compute it here.
     pub fn enqueue_with_hashes(
         &mut self,
@@ -575,8 +592,8 @@ impl EngineInstance {
         hashes: Option<Arc<Vec<TokenBlockHash>>>,
         now: SimTime,
     ) {
-        let hashes = hashes
-            .unwrap_or_else(|| Arc::new(hash_token_blocks(&request.tokens, self.kv.block_size())));
+        let hashes =
+            hashes.unwrap_or_else(|| Arc::new(request.tokens.block_hashes(self.kv.block_size())));
         debug_assert_eq!(
             hashes.len(),
             request.tokens.len() / self.kv.block_size(),
@@ -1002,6 +1019,7 @@ mod tests {
     use crate::config::{EngineConfig, EngineKind};
     use crate::routing::RoutingReason;
     use gpu::HardwareSetup;
+    use kvcache::TokenSeq;
     use model::ModelPreset;
 
     fn config(kind: EngineKind) -> EngineConfig {
@@ -1013,11 +1031,23 @@ mod tests {
         )
     }
 
+    /// A zero-token KV block is a typed error from [`EngineInstance::try_new`],
+    /// not a division by zero while the profile run sizes the KV pool.
+    #[test]
+    fn try_new_rejects_a_zero_block_size() {
+        let mut config = config(EngineKind::prefillonly_default());
+        config.block_size = 0;
+        assert_eq!(
+            EngineInstance::try_new(&config, 0).err(),
+            Some(ConfigError::ZeroBlockSize)
+        );
+    }
+
     fn request(id: u64, user: u64, tokens: u64, arrival: SimTime) -> PrefillRequest {
         PrefillRequest {
             id,
             user_id: user,
-            tokens: Arc::new((0..tokens as u32).collect()),
+            tokens: TokenSeq::from((0..tokens as u32).collect::<Vec<u32>>()),
             decode_tokens: 0,
             allowed_outputs: vec!["Yes".into(), "No".into()],
             arrival,
@@ -1081,7 +1111,7 @@ mod tests {
         let a = PrefillRequest {
             id: 1,
             user_id: 1,
-            tokens: Arc::new(req_a),
+            tokens: TokenSeq::from(req_a),
             decode_tokens: 0,
             allowed_outputs: vec![],
             arrival: now,
@@ -1096,7 +1126,7 @@ mod tests {
         let b = PrefillRequest {
             id: 2,
             user_id: 1,
-            tokens: Arc::new(req_b),
+            tokens: TokenSeq::from(req_b),
             decode_tokens: 0,
             allowed_outputs: vec![],
             arrival: later,
@@ -1138,7 +1168,7 @@ mod tests {
             let request = PrefillRequest {
                 id,
                 user_id: user,
-                tokens: Arc::new(tokens.to_vec()),
+                tokens: TokenSeq::from(tokens.to_vec()),
                 decode_tokens: 0,
                 allowed_outputs: vec![],
                 arrival: now,
@@ -1274,7 +1304,7 @@ mod tests {
             let warm = PrefillRequest {
                 id: 100,
                 user_id: 1,
-                tokens: Arc::new(shared.clone()),
+                tokens: TokenSeq::from(shared.clone()),
                 decode_tokens: 0,
                 allowed_outputs: vec![],
                 arrival: now,
@@ -1286,13 +1316,13 @@ mod tests {
             (instance, s.completion)
         };
 
-        let cold_tokens: Arc<Vec<u32>> = Arc::new((700_000..706_000u32).collect());
+        let cold_tokens = TokenSeq::from((700_000..706_000u32).collect::<Vec<u32>>());
         let (mut po, t0) = build(EngineKind::prefillonly_default());
         // Cold short request arrives first, warm long request second.
         let cold = PrefillRequest {
             id: 1,
             user_id: 2,
-            tokens: Arc::clone(&cold_tokens),
+            tokens: cold_tokens.clone(),
             decode_tokens: 0,
             allowed_outputs: vec![],
             arrival: t0,
@@ -1303,7 +1333,7 @@ mod tests {
         let warm = PrefillRequest {
             id: 2,
             user_id: 1,
-            tokens: Arc::new(warm_tokens.clone()),
+            tokens: TokenSeq::from(warm_tokens.clone()),
             decode_tokens: 0,
             allowed_outputs: vec![],
             arrival: t0,
@@ -1318,7 +1348,7 @@ mod tests {
         let cold = PrefillRequest {
             id: 1,
             user_id: 2,
-            tokens: Arc::clone(&cold_tokens),
+            tokens: cold_tokens.clone(),
             decode_tokens: 0,
             allowed_outputs: vec![],
             arrival: t1,
@@ -1327,7 +1357,7 @@ mod tests {
         let warm = PrefillRequest {
             id: 2,
             user_id: 1,
-            tokens: Arc::new(warm_tokens),
+            tokens: TokenSeq::from(warm_tokens),
             decode_tokens: 0,
             allowed_outputs: vec![],
             arrival: t1,

@@ -6,8 +6,7 @@
 //! acceptable tokens to the LLM engine so that the LLM engine only samples output from
 //! this list"), and the response carries one probability per acceptable token.
 
-use std::sync::Arc;
-
+use kvcache::TokenSeq;
 use serde::{Deserialize, Serialize};
 use simcore::{SimDuration, SimTime};
 
@@ -23,8 +22,9 @@ pub struct PrefillRequest {
     /// Full token sequence: the prompt followed by the `decode_tokens` trailing
     /// tokens the engine produces one iteration at a time (trace-replay style —
     /// the reply content is part of the trace, the engine models *when* each
-    /// token appears, not *which*).
-    pub tokens: Arc<Vec<u32>>,
+    /// token appears, not *which*).  [`TokenSeq::block_hashes`] hashes it,
+    /// reusing the memoised chain of the shared prefix it was built from.
+    pub tokens: TokenSeq,
     /// Of `tokens`, how many are decoded iteratively rather than prefilled.
     /// 0 means a pure prefill-only request, which behaves exactly as before the
     /// decode stage existed.
@@ -175,7 +175,7 @@ mod tests {
         let req = PrefillRequest {
             id: 1,
             user_id: 2,
-            tokens: Arc::new(vec![1, 2, 3]),
+            tokens: vec![1, 2, 3].into(),
             decode_tokens: 0,
             allowed_outputs: vec!["Yes".into()],
             arrival: SimTime::ZERO,

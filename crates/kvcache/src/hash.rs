@@ -27,9 +27,18 @@
 //! byte reinterpretation), so every platform produces the same values; a change to
 //! it moves every cached block's hash and with it the CPU and network tiers'
 //! `(last_used, hash)` LRU tie-breaks, which the golden-value test pins.
+//!
+//! Because block `i` depends only on hash `i − 1` and its own tokens, a chain can
+//! be continued: [`extend_token_blocks`] appends the hashes of further tokens to a
+//! chain computed earlier.  A [`TokenSeq`] built from a [`SharedPrefix`] uses that
+//! to hash the prefix once, however many requests start with it, and only its own
+//! suffix per request.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -157,15 +166,176 @@ fn chain_step(previous: u64, digest: u64) -> u64 {
 ///
 /// Panics if `block_size` is zero.
 pub fn hash_token_blocks(tokens: &[u32], block_size: usize) -> Vec<TokenBlockHash> {
+    let mut chain = Vec::new();
+    extend_token_blocks(&mut chain, tokens, block_size);
+    chain
+}
+
+/// Continues the hash chain `chain` over the *full* blocks of `tokens`.
+///
+/// `chain` holds the hashes of the blocks that precede `tokens` in the sequence
+/// (empty at its start).  So for every `k` up to the number of full blocks in
+/// `tokens`, continuing `hash_token_blocks(&tokens[..k * block_size], block_size)`
+/// over `&tokens[k * block_size..]` yields `hash_token_blocks(tokens, block_size)`.
+/// As there, a trailing partial block is not hashed.
+///
+/// # Panics
+///
+/// Panics if `block_size` is zero.
+pub fn extend_token_blocks(chain: &mut Vec<TokenBlockHash>, tokens: &[u32], block_size: usize) {
     assert!(block_size > 0, "block size must be positive");
-    let mut chain = CHAIN_SEED;
-    tokens
-        .chunks_exact(block_size)
-        .map(|block| {
-            chain = chain_step(chain, block_digest(block));
-            TokenBlockHash(chain)
+    let mut state = chain.last().map_or(CHAIN_SEED, |hash| hash.0);
+    chain.extend(tokens.chunks_exact(block_size).map(|block| {
+        state = chain_step(state, block_digest(block));
+        TokenBlockHash(state)
+    }));
+}
+
+/// A token prefix that many sequences start with (a user's profile ahead of each
+/// of their posts, a cohort's system prompt), with its block-hash chain memoised.
+///
+/// The memo holds the chain for one block size: the one of the first
+/// [`TokenSeq::block_hashes`] call that needs it.  A call with another block size
+/// hashes the prefix again and does not store the result.  Concurrent first calls
+/// are safe: one computes the chain while the others wait, and the value does not
+/// depend on which one does.
+#[derive(Debug)]
+pub struct SharedPrefix {
+    tokens: Vec<u32>,
+    chain: OnceLock<(usize, Vec<TokenBlockHash>)>,
+}
+
+impl SharedPrefix {
+    /// A prefix of exactly `tokens`, its chain not yet computed.
+    pub fn new(tokens: Vec<u32>) -> Arc<SharedPrefix> {
+        Arc::new(SharedPrefix {
+            tokens,
+            chain: OnceLock::new(),
         })
-        .collect()
+    }
+
+    /// Number of tokens in the prefix.
+    pub fn len(&self) -> usize {
+        self.tokens.len()
+    }
+
+    /// Whether the prefix has no tokens.
+    pub fn is_empty(&self) -> bool {
+        self.tokens.is_empty()
+    }
+
+    /// The prefix's chain at `block_size`, computed on first use; `None` if the
+    /// memo holds another block size.
+    fn memoised_chain(&self, block_size: usize) -> Option<&[TokenBlockHash]> {
+        let (size, chain) = self
+            .chain
+            .get_or_init(|| (block_size, hash_token_blocks(&self.tokens, block_size)));
+        (*size == block_size).then_some(chain.as_slice())
+    }
+}
+
+/// A request's token sequence: its tokens, contiguous and shared by reference,
+/// plus the [`SharedPrefix`] it was built from, if any.
+///
+/// The sequence dereferences to its tokens.  Two sequences are equal when their
+/// tokens are; the prefix only saves work.  [`Self::extending`] copies the prefix's
+/// own tokens, so a sequence that holds a prefix starts with exactly its tokens,
+/// and [`Self::block_hashes`] can take the prefix's memoised chain without looking
+/// at them:
+///
+/// ```
+/// use kvcache::{hash_token_blocks, SharedPrefix, TokenSeq};
+///
+/// let profile = SharedPrefix::new((0..100).collect());
+/// let post = TokenSeq::extending(&profile, &[7; 40]);
+/// assert_eq!(post.len(), 140);
+/// // Hashes the profile's 6 full blocks and memoises them, then continues over
+/// // the post; a second post of the same profile hashes only its own tokens.
+/// assert_eq!(post.block_hashes(16), hash_token_blocks(&post, 16));
+/// let other = TokenSeq::extending(&profile, &[9; 40]);
+/// assert_eq!(other.block_hashes(16), hash_token_blocks(&other, 16));
+/// // A sequence without a prefix hashes all of its tokens.
+/// let plain = TokenSeq::from(post.to_vec());
+/// assert_eq!(plain.block_hashes(16), post.block_hashes(16));
+/// ```
+#[derive(Clone)]
+pub struct TokenSeq {
+    tokens: Arc<Vec<u32>>,
+    prefix: Option<Arc<SharedPrefix>>,
+}
+
+impl TokenSeq {
+    /// The tokens of `prefix` followed by `suffix`, in one allocation of exactly
+    /// their length.
+    pub fn extending(prefix: &Arc<SharedPrefix>, suffix: &[u32]) -> TokenSeq {
+        let mut tokens = Vec::with_capacity(prefix.tokens.len() + suffix.len());
+        tokens.extend_from_slice(&prefix.tokens);
+        tokens.extend_from_slice(suffix);
+        TokenSeq {
+            tokens: Arc::new(tokens),
+            prefix: Some(Arc::clone(prefix)),
+        }
+    }
+
+    /// The prefix the sequence was built from, if any.
+    pub fn shared_prefix(&self) -> Option<&Arc<SharedPrefix>> {
+        self.prefix.as_ref()
+    }
+
+    /// The sequence's block-hash chain, equal to
+    /// `hash_token_blocks(&self, block_size)`: the prefix's memoised chain (see
+    /// [`SharedPrefix`]) continued over the rest by [`extend_token_blocks`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block_size` is zero.
+    pub fn block_hashes(&self, block_size: usize) -> Vec<TokenBlockHash> {
+        assert!(block_size > 0, "block size must be positive");
+        let mut chain = Vec::with_capacity(self.tokens.len() / block_size);
+        if let Some(prefix_chain) = self
+            .prefix
+            .as_deref()
+            .and_then(|prefix| prefix.memoised_chain(block_size))
+        {
+            chain.extend_from_slice(prefix_chain);
+        }
+        let hashed = chain.len() * block_size;
+        extend_token_blocks(&mut chain, &self.tokens[hashed..], block_size);
+        chain
+    }
+}
+
+impl From<Vec<u32>> for TokenSeq {
+    /// A sequence of `tokens` with no shared prefix.
+    fn from(tokens: Vec<u32>) -> TokenSeq {
+        TokenSeq {
+            tokens: Arc::new(tokens),
+            prefix: None,
+        }
+    }
+}
+
+impl Deref for TokenSeq {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.tokens
+    }
+}
+
+impl PartialEq for TokenSeq {
+    fn eq(&self, other: &TokenSeq) -> bool {
+        self.tokens == other.tokens
+    }
+}
+
+impl Eq for TokenSeq {}
+
+impl fmt::Debug for TokenSeq {
+    /// The tokens, as a slice prints them.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
 }
 
 #[cfg(test)]
@@ -216,6 +386,137 @@ mod tests {
     #[should_panic(expected = "block size")]
     fn zero_block_size_panics() {
         hash_token_blocks(&[1, 2, 3], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "block size must be positive")]
+    fn zero_block_size_panics_when_extending_a_chain() {
+        extend_token_blocks(&mut vec![TokenBlockHash(1)], &[1, 2, 3], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "block size must be positive")]
+    fn zero_block_size_panics_on_a_shared_sequence() {
+        TokenSeq::extending(&SharedPrefix::new(vec![1, 2]), &[3]).block_hashes(0);
+    }
+
+    fn random_tokens(rng: &mut simcore::SimRng, len: usize) -> Vec<u32> {
+        (0..len).map(|_| rng.gen_range(0u32..1_000_000)).collect()
+    }
+
+    const MEMO_BLOCK_SIZES: [usize; 4] = [1, 3, 16, 17];
+
+    /// Model check of the memo against the primitive: over prefix lengths of 0,
+    /// below one block, and multiples and non-multiples of the block size, and
+    /// suffixes from empty to several blocks, a shared sequence's chain equals
+    /// `hash_token_blocks` over its tokens on a cold memo, on a warm one, and
+    /// after the memo was filled at another block size (which must keep serving
+    /// its own size).
+    #[test]
+    fn shared_prefix_chains_equal_the_primitive_at_every_memo_state() {
+        let mut checked = 0;
+        for seed in 0..16u64 {
+            let mut rng = simcore::SimRng::seed_from_u64(seed);
+            for block_size in MEMO_BLOCK_SIZES {
+                let prefix_lens = [
+                    0,
+                    block_size - 1,
+                    block_size,
+                    2 * block_size + 1,
+                    5 * block_size,
+                    rng.gen_range(0..10 * block_size + 1),
+                ];
+                let suffix_lens = [0, 1, block_size, rng.gen_range(0..4 * block_size + 1)];
+                for prefix_len in prefix_lens {
+                    let prefix_tokens = random_tokens(&mut rng, prefix_len);
+                    let suffixes: Vec<Vec<u32>> = suffix_lens
+                        .iter()
+                        .map(|&len| random_tokens(&mut rng, len))
+                        .collect();
+                    let expect = |seq: &TokenSeq, size| {
+                        assert_eq!(
+                            seq.block_hashes(size),
+                            hash_token_blocks(seq, size),
+                            "seed {seed}, block size {size}, prefix {prefix_len}, \
+                             sequence {}",
+                            seq.len()
+                        );
+                    };
+
+                    // Cold, then warm: every sibling at the memo's own size.
+                    let prefix = SharedPrefix::new(prefix_tokens.clone());
+                    for suffix in &suffixes {
+                        let seq = TokenSeq::extending(&prefix, suffix);
+                        assert_eq!(seq[..prefix_len], prefix_tokens[..]);
+                        expect(&seq, block_size);
+                        expect(&seq, block_size);
+                        checked += 2;
+                    }
+                    // Filled at another size first: both sizes stay exact.
+                    for other in MEMO_BLOCK_SIZES.into_iter().filter(|&b| b != block_size) {
+                        let prefix = SharedPrefix::new(prefix_tokens.clone());
+                        let first = TokenSeq::extending(&prefix, &suffixes[0]);
+                        expect(&first, other);
+                        for suffix in &suffixes {
+                            let seq = TokenSeq::extending(&prefix, suffix);
+                            expect(&seq, block_size);
+                            expect(&seq, other);
+                            checked += 2;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 10_000, "checked {checked} chains");
+    }
+
+    /// Continuing a chain from any of its block boundaries, and from any token
+    /// offset before the next one, reproduces the chain of the whole sequence.
+    #[test]
+    fn a_chain_continued_from_every_split_point_equals_the_whole_chain() {
+        for seed in 0..8u64 {
+            let mut rng = simcore::SimRng::seed_from_u64(100 + seed);
+            for block_size in MEMO_BLOCK_SIZES {
+                let len = rng.gen_range(0..8 * block_size + block_size);
+                let tokens = random_tokens(&mut rng, len);
+                let whole = hash_token_blocks(&tokens, block_size);
+                for split in 0..=whole.len() {
+                    let mut chain = whole[..split].to_vec();
+                    extend_token_blocks(&mut chain, &tokens[split * block_size..], block_size);
+                    assert_eq!(
+                        chain, whole,
+                        "seed {seed}, block size {block_size}, split at block {split}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Eight threads hash distinct siblings of one cold prefix at once: whichever
+    /// thread fills the memo, every chain equals the primitive's.
+    #[test]
+    fn racing_first_uses_of_a_prefix_all_get_exact_chains() {
+        let prefix = SharedPrefix::new((0..4_003).collect());
+        let siblings: Vec<TokenSeq> = (0..8u32)
+            .map(|sibling| {
+                let suffix: Vec<u32> = (0..150).map(|i| 1_000_000 * (sibling + 1) + i).collect();
+                TokenSeq::extending(&prefix, &suffix)
+            })
+            .collect();
+        let barrier = std::sync::Barrier::new(siblings.len());
+        std::thread::scope(|scope| {
+            for seq in &siblings {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    barrier.wait();
+                    assert_eq!(seq.block_hashes(16), hash_token_blocks(seq, 16));
+                });
+            }
+        });
+        assert_eq!(
+            prefix.memoised_chain(16),
+            Some(&hash_token_blocks(&prefix.tokens, 16)[..])
+        );
     }
 
     #[test]

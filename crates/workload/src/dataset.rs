@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use kvcache::{SharedPrefix, TokenSeq};
 use serde::{Deserialize, Serialize};
 use simcore::SimRng;
 
@@ -19,8 +20,10 @@ pub struct RequestTemplate {
     /// `decode_tokens` trailing tokens the engine decodes iteratively (trace-replay
     /// style: the reply content is part of the trace, its *production* is what the
     /// engine simulates).  Requests from the same user share the leading profile
-    /// tokens, which is what prefix caching exploits.
-    pub tokens: Arc<Vec<u32>>,
+    /// tokens, which is what prefix caching exploits; the generators that know a
+    /// prefix is shared build the requests from one [`SharedPrefix`], so the
+    /// prefix's block hashes are computed once rather than once per request.
+    pub tokens: TokenSeq,
     /// Number of leading tokens shared with every other request of the same user.
     pub shared_prefix_tokens: u64,
     /// Number of trailing tokens of `tokens` that are decoded one step at a time
@@ -75,13 +78,12 @@ impl Dataset {
                     spec.profile_min_tokens as f64,
                     spec.profile_max_tokens as f64,
                 ) as u64;
-            let profile = user_tokens(user, 0, profile_len);
+            let profile = SharedPrefix::new(user_tokens(user, 0, profile_len));
             for post in 0..spec.posts_per_user {
-                let mut tokens = profile.clone();
-                tokens.extend(user_tokens(user, post + 1, spec.post_tokens));
+                let post_tokens = user_tokens(user, post + 1, spec.post_tokens);
                 requests.push(RequestTemplate {
                     user_id: user,
-                    tokens: Arc::new(tokens),
+                    tokens: TokenSeq::extending(&profile, &post_tokens),
                     shared_prefix_tokens: profile_len,
                     decode_tokens: 0,
                 });
@@ -101,7 +103,7 @@ impl Dataset {
             let tokens = user_tokens(user, 0, history_len);
             requests.push(RequestTemplate {
                 user_id: user,
-                tokens: Arc::new(tokens),
+                tokens: TokenSeq::from(tokens),
                 // A credit-verification user issues a single request, so nothing is
                 // shared in practice, but the history would be the reusable part.
                 shared_prefix_tokens: history_len,
@@ -124,17 +126,14 @@ impl Dataset {
     pub fn shared_prefix_fleet(spec: &SharedPrefixFleetSpec) -> Dataset {
         let mut requests = Vec::new();
         for cohort in 0..spec.num_cohorts {
-            // A cohort prefix is "user tokens" of a synthetic id outside the user
-            // range, so cohorts never collide with each other or with suffixes.
-            let prefix = user_tokens(1_000_000 + cohort, 0, spec.prefix_tokens);
+            let prefix = cohort_prefix(cohort, spec);
             for member in 0..spec.users_per_cohort {
                 let user = cohort * spec.users_per_cohort + member;
                 for round in 0..spec.requests_per_user {
-                    let mut tokens = prefix.clone();
-                    tokens.extend(user_tokens(user, round + 1, spec.suffix_tokens));
+                    let suffix = user_tokens(user, round + 1, spec.suffix_tokens);
                     requests.push(RequestTemplate {
                         user_id: user,
-                        tokens: Arc::new(tokens),
+                        tokens: TokenSeq::extending(&prefix, &suffix),
                         shared_prefix_tokens: spec.prefix_tokens,
                         decode_tokens: 0,
                     });
@@ -163,12 +162,10 @@ impl Dataset {
             let mut history = system_prompt_tokens(spec);
             for turn in 0..spec.turns_per_session {
                 history.extend(conversation_input(session, turn, spec.input_tokens(turn)));
-                let mut tokens = history.clone();
                 let reply = conversation_reply(session, turn, spec.decode_tokens_per_turn);
-                tokens.extend(&reply);
                 requests.push(RequestTemplate {
                     user_id: session,
-                    tokens: Arc::new(tokens),
+                    tokens: conversation_turn(&history, &reply),
                     // Every pair of a session's turns shares at least the first
                     // turn's full sequence (later turns extend it verbatim).
                     shared_prefix_tokens: spec.turn_total_tokens(0),
@@ -261,6 +258,13 @@ pub(crate) fn user_tokens(user: u64, document: u64, len: u64) -> Vec<u32> {
     (0..len as u32).map(|i| base.wrapping_add(i)).collect()
 }
 
+/// Cohort `cohort`'s prefix: "user tokens" of a synthetic id outside the user
+/// range, so cohorts never collide with each other or with suffixes.  Shared with
+/// the streaming generator so streamed content is bit-identical to the dataset's.
+pub(crate) fn cohort_prefix(cohort: u64, spec: &SharedPrefixFleetSpec) -> Arc<SharedPrefix> {
+    SharedPrefix::new(user_tokens(1_000_000 + cohort, 0, spec.prefix_tokens))
+}
+
 /// The system prompt all conversation sessions share, as a synthetic "user" outside
 /// the session-id range (so it never collides with per-session content).
 pub(crate) fn system_prompt_tokens(spec: &ConversationSpec) -> Vec<u32> {
@@ -277,6 +281,51 @@ pub(crate) fn conversation_input(session: u64, turn: u64, len: u64) -> Vec<u32> 
 /// Turn `turn`'s decoded reply of session `session`.
 pub(crate) fn conversation_reply(session: u64, turn: u64, len: u64) -> Vec<u32> {
     user_tokens(session, 2 * turn + 2, len)
+}
+
+/// A turn's tokens: the session's history up to this turn's input, then its
+/// reply, in one allocation of exactly their length.  Conversation turns are
+/// unshared sequences: their hashing is a small share of a chat replay, and
+/// nesting each turn's prefix in the previous one measured no gain.
+pub(crate) fn conversation_turn(history: &[u32], reply: &[u32]) -> TokenSeq {
+    let mut tokens = Vec::with_capacity(history.len() + reply.len());
+    tokens.extend_from_slice(history);
+    tokens.extend_from_slice(reply);
+    TokenSeq::from(tokens)
+}
+
+/// Test helper: every request holds a [`SharedPrefix`] of exactly its template's
+/// `shared_prefix_tokens`, all requests of one `group` hold the same one, and no
+/// two groups share one.
+#[cfg(test)]
+pub(crate) fn assert_one_shared_prefix_per_group(
+    requests: &[RequestTemplate],
+    group: impl Fn(&RequestTemplate) -> u64,
+) {
+    let mut prefixes: Vec<(u64, &Arc<SharedPrefix>)> = Vec::new();
+    for request in requests {
+        let prefix = request
+            .tokens
+            .shared_prefix()
+            .expect("the request was built from a shared prefix");
+        assert_eq!(prefix.len() as u64, request.shared_prefix_tokens);
+        let key = group(request);
+        match prefixes.iter().find(|(other, _)| *other == key) {
+            Some((_, first)) => {
+                assert!(Arc::ptr_eq(first, prefix), "group {key} holds two prefixes")
+            }
+            None => {
+                assert!(
+                    prefixes
+                        .iter()
+                        .all(|(_, other)| !Arc::ptr_eq(other, prefix)),
+                    "group {key} shares another group's prefix"
+                );
+                prefixes.push((key, prefix));
+            }
+        }
+    }
+    assert!(prefixes.len() > 1, "needs at least two groups to compare");
 }
 
 #[cfg(test)]
@@ -342,6 +391,12 @@ mod tests {
     }
 
     #[test]
+    fn each_user_holds_one_shared_profile() {
+        let ds = Dataset::post_recommendation(&PostRecommendationSpec::default(), &mut rng());
+        assert_one_shared_prefix_per_group(ds.requests(), |r| r.user_id);
+    }
+
+    #[test]
     fn different_users_do_not_share_prefixes() {
         let ds = Dataset::post_recommendation(&PostRecommendationSpec::default(), &mut rng());
         let a = &ds.requests()[0];
@@ -395,6 +450,8 @@ mod tests {
         // Deterministic: the spec alone defines the dataset.
         let again = Dataset::shared_prefix_fleet(&spec);
         assert_eq!(ds.requests()[5].tokens, again.requests()[5].tokens);
+        // One shared prefix per cohort, held by every request of the cohort.
+        assert_one_shared_prefix_per_group(ds.requests(), |r| r.user_id / 3);
     }
 
     #[test]

@@ -23,12 +23,13 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
+use kvcache::{SharedPrefix, TokenSeq};
 use simcore::{PoissonProcess, SimDuration, SimRng, SimTime};
 
 use crate::arrival::{ArrivalGranularity, ArrivalPattern};
 use crate::dataset::{
-    conversation_input, conversation_reply, system_prompt_tokens, user_tokens, Dataset,
-    RequestTemplate,
+    cohort_prefix, conversation_input, conversation_reply, conversation_turn, system_prompt_tokens,
+    user_tokens, Dataset, RequestTemplate,
 };
 use crate::spec::{ConversationSpec, SharedPrefixFleetSpec};
 
@@ -378,9 +379,10 @@ impl ArrivalStream for PoissonArrivalStream<'_> {
 /// Streaming shared-prefix fleet generator: the scale workload.
 ///
 /// Yields `num_cohorts * users_per_cohort * requests_per_user` requests with O(1)
-/// state per arrival — token content is generated lazily per request (cohort
-/// prefixes are precomputed once, O(cohorts) total, bounded by the spec rather
-/// than the trace).  Arrivals are per-request Poisson; users take turns
+/// state per arrival — token content is generated lazily per request (each
+/// cohort's prefix once, at the cohort's first arrival, as one [`SharedPrefix`]
+/// all its requests hold: O(cohorts) total, bounded by the spec rather than the
+/// trace).  Arrivals are per-request Poisson; users take turns
 /// round-robin (round `r` emits one request from every user in user-id order), so
 /// a cohort's prefix is immediately contended across instances, which is the
 /// access pattern that makes the network KV tier measurable.
@@ -391,7 +393,8 @@ impl ArrivalStream for PoissonArrivalStream<'_> {
 pub struct SharedPrefixFleetStream {
     spec: SharedPrefixFleetSpec,
     process: Option<PoissonProcess>,
-    prefixes: Vec<Vec<u32>>,
+    /// Each cohort's prefix, built at the cohort's first arrival.
+    prefixes: Vec<Option<Arc<SharedPrefix>>>,
     next_index: u64,
     total: u64,
 }
@@ -405,13 +408,10 @@ impl SharedPrefixFleetStream {
     pub fn new(spec: SharedPrefixFleetSpec, qps: f64, seed: u64) -> SharedPrefixFleetStream {
         let total = spec.num_cohorts * spec.users_per_cohort * spec.requests_per_user;
         let process = (total > 0).then(|| PoissonProcess::new(qps, SimRng::seed_from_u64(seed)));
-        let prefixes = (0..spec.num_cohorts)
-            .map(|cohort| user_tokens(1_000_000 + cohort, 0, spec.prefix_tokens))
-            .collect();
         SharedPrefixFleetStream {
             spec,
             process,
-            prefixes,
+            prefixes: vec![None; spec.num_cohorts as usize],
             next_index: 0,
             total,
         }
@@ -431,8 +431,13 @@ impl ArrivalStream for SharedPrefixFleetStream {
         let user = id % num_users;
         let cohort = user / self.spec.users_per_cohort;
 
-        let mut tokens = self.prefixes[cohort as usize].clone();
-        tokens.extend(user_tokens(user, round + 1, self.spec.suffix_tokens));
+        let spec = &self.spec;
+        let prefix =
+            self.prefixes[cohort as usize].get_or_insert_with(|| cohort_prefix(cohort, spec));
+        let tokens = TokenSeq::extending(
+            prefix,
+            &user_tokens(user, round + 1, self.spec.suffix_tokens),
+        );
 
         let at = self
             .process
@@ -444,7 +449,7 @@ impl ArrivalStream for SharedPrefixFleetStream {
             arrival: ArrivalPattern {
                 template: RequestTemplate {
                     user_id: user,
-                    tokens: Arc::new(tokens),
+                    tokens,
                     shared_prefix_tokens: self.spec.prefix_tokens,
                     decode_tokens: 0,
                 },
@@ -571,8 +576,7 @@ impl ArrivalStream for ConversationStream {
             self.spec.input_tokens(turn),
         ));
         let reply = conversation_reply(session, turn, self.spec.decode_tokens_per_turn);
-        let mut tokens = history.clone();
-        tokens.extend(&reply);
+        let tokens = conversation_turn(history, &reply);
         if turn + 1 < self.spec.turns_per_session {
             history.extend(reply);
             self.heap.push(Reverse((
@@ -591,7 +595,7 @@ impl ArrivalStream for ConversationStream {
             arrival: ArrivalPattern {
                 template: RequestTemplate {
                     user_id: session,
-                    tokens: Arc::new(tokens),
+                    tokens,
                     shared_prefix_tokens: self.spec.turn_total_tokens(0),
                     decode_tokens: self.spec.decode_tokens_per_turn,
                 },
@@ -846,6 +850,28 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, dataset.len() as u64);
+    }
+
+    /// The stream builds one shared prefix per cohort, at the cohort's first
+    /// arrival, and every request of the cohort holds it.
+    #[test]
+    fn fleet_stream_holds_one_shared_prefix_per_cohort() {
+        let spec = SharedPrefixFleetSpec {
+            num_cohorts: 3,
+            users_per_cohort: 4,
+            prefix_tokens: 96,
+            suffix_tokens: 16,
+            requests_per_user: 5,
+        };
+        let mut stream = SharedPrefixFleetStream::new(spec, 50.0, 7);
+        assert!(stream.prefixes.iter().all(Option::is_none), "built lazily");
+        let templates: Vec<RequestTemplate> = collect_stream(&mut stream)
+            .into_iter()
+            .map(|arrival| arrival.template)
+            .collect();
+        crate::dataset::assert_one_shared_prefix_per_group(&templates, |r| {
+            r.user_id / spec.users_per_cohort
+        });
     }
 
     #[test]

@@ -411,7 +411,6 @@ fn cache_aware_routing_beats_sticky_on_a_shared_prefix_multi_user_trace() {
     // not load shifting).
     use prefillonly::{RoutingPolicyKind, RoutingReason};
     use simcore::SimTime;
-    use std::sync::Arc;
     use workload::{ArrivalPattern, RequestTemplate};
 
     const PREFIX_TOKENS: u32 = 6_000;
@@ -430,7 +429,7 @@ fn cache_aware_routing_beats_sticky_on_a_shared_prefix_multi_user_trace() {
         ArrivalPattern {
             template: RequestTemplate {
                 user_id: user,
-                tokens: Arc::new(tokens),
+                tokens: tokens.into(),
                 shared_prefix_tokens: u64::from(PREFIX_TOKENS),
                 decode_tokens: 0,
             },
@@ -525,7 +524,6 @@ fn cache_aware_routing_beats_sticky_on_mean_ttft_on_a_multi_turn_decode_trace() 
     // length — at identical per-instance user balance.
     use prefillonly::{RoutingPolicyKind, RoutingReason};
     use simcore::SimTime;
-    use std::sync::Arc;
     use workload::{ArrivalPattern, RequestTemplate};
 
     const PREFIX_TOKENS: u32 = 6_000;
@@ -553,7 +551,7 @@ fn cache_aware_routing_beats_sticky_on_mean_ttft_on_a_multi_turn_decode_trace() 
         ArrivalPattern {
             template: RequestTemplate {
                 user_id: user,
-                tokens: Arc::new(tokens),
+                tokens: tokens.into(),
                 shared_prefix_tokens: u64::from(PREFIX_TOKENS),
                 decode_tokens: u64::from(REPLY_TOKENS),
             },
