@@ -1,7 +1,10 @@
 //! Emits `BENCH_baseline.json` at the workspace root: median wall-clock timings of the
 //! simulator's hot paths (scheduling step, KV-cache ops, offload reload, instance
 //! profile run, cluster replay), so future PRs have a recorded perf trajectory to
-//! compare against.
+//! compare against.  Each entry also records its fastest and slowest sample, and
+//! the file records the core count and the commit it was measured at: a shared
+//! host can run a whole process in a fast or a slow state, and the spread shows
+//! which one a reading caught.
 //!
 //! Run with `cargo run --release --bin bench_baseline`.  Pass `--smoke` to run each
 //! measurement with a minimal sample count — CI uses this to prove the JSON stays
@@ -58,20 +61,61 @@ fn samples(full: usize) -> usize {
     }
 }
 
+/// One entry: the median, fastest and slowest of its samples.  The spread shows
+/// which host state a reading caught; `--check` compares medians only.
 #[derive(Serialize)]
 struct BaselinePoint {
     name: String,
     median_ns: f64,
+    min_ns: f64,
+    max_ns: f64,
     samples: usize,
+}
+
+impl BaselinePoint {
+    /// The entry per item of a batch of `items`, for entries that time a batch.
+    fn per(mut self, items: usize) -> BaselinePoint {
+        let items = items as f64;
+        self.median_ns /= items;
+        self.min_ns /= items;
+        self.max_ns /= items;
+        println!(
+            "{:<55} median {:>12.1} ns (per item; min {:.1}, max {:.1})",
+            self.name, self.median_ns, self.min_ns, self.max_ns
+        );
+        self
+    }
 }
 
 #[derive(Serialize)]
 struct Baseline {
     description: String,
+    /// Cores the measuring process could use.
+    cores: usize,
+    /// The commit the measured tree was checked out at, `-dirty` when it had
+    /// uncommitted changes.
+    commit: String,
     results: Vec<BaselinePoint>,
 }
 
-/// Times `routine` (after `setup`) `samples` times and records the median.  The
+/// Records `name`'s entry from its sample timings.
+fn record(out: &mut Vec<BaselinePoint>, name: &str, mut timings: Vec<f64>) {
+    timings.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    let point = BaselinePoint {
+        name: name.to_string(),
+        median_ns: timings[timings.len() / 2],
+        min_ns: timings[0],
+        max_ns: timings[timings.len() - 1],
+        samples: timings.len(),
+    };
+    println!(
+        "{name:<55} median {:>12.0} ns (min {:.0}, max {:.0})",
+        point.median_ns, point.min_ns, point.max_ns
+    );
+    out.push(point);
+}
+
+/// Times `routine` (after `setup`) `samples` times and records the entry.  The
 /// routine's output is dropped outside the timed region, so returning a large input
 /// keeps its teardown out of the measurement.
 fn measure<I, O>(
@@ -83,7 +127,7 @@ fn measure<I, O>(
 ) {
     // One warmup round.
     routine(setup());
-    let mut timings: Vec<f64> = (0..samples)
+    let timings = (0..samples)
         .map(|_| {
             let input = setup();
             let start = Instant::now();
@@ -93,14 +137,7 @@ fn measure<I, O>(
             nanos
         })
         .collect();
-    timings.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let median = timings[timings.len() / 2];
-    println!("{name:<55} median {:>12.0} ns", median);
-    out.push(BaselinePoint {
-        name: name.to_string(),
-        median_ns: median,
-        samples,
-    });
+    record(out, name, timings);
 }
 
 /// Like [`measure`], but for cheap routines: each sample times a batch and divides.
@@ -112,7 +149,7 @@ fn measure_batched(
     mut routine: impl FnMut(),
 ) {
     routine();
-    let mut timings: Vec<f64> = (0..samples)
+    let timings = (0..samples)
         .map(|_| {
             let start = Instant::now();
             for _ in 0..batch {
@@ -121,14 +158,7 @@ fn measure_batched(
             start.elapsed().as_secs_f64() * 1e9 / batch as f64
         })
         .collect();
-    timings.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let median = timings[timings.len() / 2];
-    println!("{name:<55} median {:>12.0} ns", median);
-    out.push(BaselinePoint {
-        name: name.to_string(),
-        median_ns: median,
-        samples,
-    });
+    record(out, name, timings);
 }
 
 fn scheduler_baselines(out: &mut Vec<BaselinePoint>) {
@@ -615,14 +645,7 @@ fn routing_pass_baselines(out: &mut Vec<BaselinePoint>) {
             },
         );
         // Report the per-arrival figure the ROADMAP tracks, not the batch total.
-        for mut point in scoped {
-            point.median_ns /= batch.len() as f64;
-            println!(
-                "{:<55} median {:>12.1} ns (per arrival)",
-                point.name, point.median_ns
-            );
-            out.push(point);
-        }
+        out.extend(scoped.into_iter().map(|point| point.per(batch.len())));
     }
 
     // The steady-state (epoch 2+) cache-aware pass: the fleet has real GPU
@@ -649,14 +672,7 @@ fn routing_pass_baselines(out: &mut Vec<BaselinePoint>) {
             std::hint::black_box(scratch.decisions().len());
         },
     );
-    for mut point in scoped {
-        point.median_ns /= batch.len() as f64;
-        println!(
-            "{:<55} median {:>12.1} ns (per arrival)",
-            point.name, point.median_ns
-        );
-        out.push(point);
-    }
+    out.extend(scoped.into_iter().map(|point| point.per(batch.len())));
 }
 
 /// Epoch-boundary snapshot cost at fleet depth: what 64 instances pay to receive
@@ -908,6 +924,18 @@ fn handoff_baselines(out: &mut Vec<BaselinePoint>) {
     }
 }
 
+/// `git describe --always --dirty` of the workspace, or `unknown` without git.
+fn checked_out_commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .current_dir(workspace_root())
+        .output()
+        .ok()
+        .filter(|output| output.status.success())
+        .and_then(|output| String::from_utf8(output.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |commit| commit.trim().to_string())
+}
+
 fn workspace_root() -> PathBuf {
     std::env::var("CARGO_MANIFEST_DIR")
         .map(|dir| {
@@ -1149,9 +1177,11 @@ fn main() {
     streaming_replay_baselines(&mut results);
 
     let baseline = Baseline {
-        description: "Median wall-clock timings of the simulator's hot paths; \
-                      regenerate with `cargo run --release --bin bench_baseline`"
+        description: "Median, fastest and slowest wall-clock timings of the simulator's \
+                      hot paths; regenerate with `cargo run --release --bin bench_baseline`"
             .to_string(),
+        cores: std::thread::available_parallelism().map_or(1, usize::from),
+        commit: checked_out_commit(),
         results,
     };
     let path = workspace_root().join("BENCH_baseline.json");

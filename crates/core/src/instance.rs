@@ -7,7 +7,6 @@
 //! start and complete requests against virtual time.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -17,7 +16,7 @@ use executor::{max_input_length, profile_jct_grid, Executor};
 use gpu::{HostLink, NetLink};
 use kvcache::{
     CacheStats, KvCacheManager, NetKvPool, OffloadStats, ProbeCache, ReloadQuote, ReloadTier,
-    RequestKv, RetentionPolicy, SequenceGrowth, TierHits, TokenBlockHash,
+    RequestKv, RequestMap, RetentionPolicy, SequenceGrowth, TierHits, TokenBlockHash,
 };
 use scheduler::{CacheProbe, JctEstimator, SchedulingPolicy, WaitingQueue, WaitingRequest};
 use workload::InstanceRole;
@@ -45,6 +44,12 @@ pub struct StartedRequest {
     pub request_id: u64,
     /// When its single output token will be ready.
     pub completion: SimTime,
+}
+
+/// A waiting request and the block-hash chain it was enqueued with.
+struct PendingRequest {
+    request: PrefillRequest,
+    hashes: Arc<Vec<TokenBlockHash>>,
 }
 
 struct RunningRequest {
@@ -266,13 +271,13 @@ pub struct EngineInstance {
     estimator: JctEstimator,
     retention: RetentionPolicy,
     queue: WaitingQueue,
-    pending_hashes: HashMap<u64, Arc<Vec<TokenBlockHash>>>,
-    pending_requests: HashMap<u64, PrefillRequest>,
+    /// Each waiting request with its block-hash chain, by request id.
+    pending: RequestMap<PendingRequest>,
     /// Memoised cache-probe results per waiting request, keyed by the KV manager's
     /// generation counters.  `RefCell` because the probe is handed to the scheduling
     /// policy behind an immutable [`CacheProbe`] reference.
     probe_cache: RefCell<ProbeCache>,
-    running: HashMap<u64, RunningRequest>,
+    running: RequestMap<RunningRequest>,
     stage_free_at: Vec<SimTime>,
     max_input_length: u64,
     /// Bytes of full KV per block, as profiled — the geometry every tier pool was
@@ -304,7 +309,7 @@ pub struct EngineInstance {
 /// behind its profile — walk that prefix once per cache generation, not once each.
 struct KvCacheProbe<'a> {
     kv: &'a KvCacheManager,
-    hashes: &'a HashMap<u64, Arc<Vec<TokenBlockHash>>>,
+    pending: &'a RequestMap<PendingRequest>,
     memo: &'a RefCell<ProbeCache>,
     cpu_hit_discount: f64,
     net_hit_discount: f64,
@@ -312,13 +317,13 @@ struct KvCacheProbe<'a> {
 
 impl CacheProbe for KvCacheProbe<'_> {
     fn cached_tokens(&self, request: &WaitingRequest) -> u64 {
-        self.hashes
+        self.pending
             .get(&request.id)
-            .map(|hashes| {
+            .map(|pending| {
                 let hits = self
                     .memo
                     .borrow_mut()
-                    .tier_hits(self.kv, request.id, hashes);
+                    .tier_hits(self.kv, request.id, &pending.hashes);
                 effective_cached_tokens(
                     hits,
                     self.kv.capacity_blocks(),
@@ -398,10 +403,9 @@ impl EngineInstance {
             kv,
             retention,
             queue: WaitingQueue::new(),
-            pending_hashes: HashMap::new(),
-            pending_requests: HashMap::new(),
+            pending: RequestMap::default(),
             probe_cache: RefCell::new(ProbeCache::new()),
-            running: HashMap::new(),
+            running: RequestMap::default(),
             stage_free_at: vec![SimTime::ZERO; stages],
             max_input_length: profile.max_input_length,
             block_bytes: profile.block_bytes,
@@ -619,8 +623,8 @@ impl EngineInstance {
             decode_tokens: request.decode_tokens,
             cached_tokens_at_arrival: cached_at_arrival,
         });
-        self.pending_hashes.insert(request.id, hashes);
-        self.pending_requests.insert(request.id, request);
+        self.pending
+            .insert(request.id, PendingRequest { request, hashes });
     }
 
     /// Attempts to admit the next request according to the scheduling policy.
@@ -636,7 +640,7 @@ impl EngineInstance {
             let selected = {
                 let probe = KvCacheProbe {
                     kv: &self.kv,
-                    hashes: &self.pending_hashes,
+                    pending: &self.pending,
                     memo: &self.probe_cache,
                     cpu_hit_discount: self.cpu_hit_discount,
                     net_hit_discount: self.net_hit_discount,
@@ -645,12 +649,8 @@ impl EngineInstance {
             };
             let waiting = self.queue.remove(selected);
             self.probe_cache.borrow_mut().forget(waiting.id);
-            let hashes = self
-                .pending_hashes
-                .remove(&waiting.id)
-                .expect("waiting request must have a hash chain");
-            let request = self
-                .pending_requests
+            let PendingRequest { request, hashes } = self
+                .pending
                 .remove(&waiting.id)
                 .expect("waiting request must have a pending entry");
 
@@ -720,8 +720,8 @@ impl EngineInstance {
                     // blocks.  Put the request back and wait for a completion to free
                     // references (the cluster re-attempts admission on every event).
                     self.queue.push(waiting);
-                    self.pending_hashes.insert(waiting.id, hashes);
-                    self.pending_requests.insert(waiting.id, request);
+                    self.pending
+                        .insert(waiting.id, PendingRequest { request, hashes });
                     return None;
                 }
             };
@@ -748,8 +748,9 @@ impl EngineInstance {
 
             // Continuous batching (iteration-level scheduling): requests that are
             // still producing decode tokens at admission time form the decode batch
-            // this request joins.  `HashMap` iteration order is unspecified, but
-            // both uses below are order-independent (a count and a sum).
+            // this request joins.  `RequestMap` iteration order depends on the
+            // request ids, but both uses below are order-independent (a count and
+            // a sum).
             let batchmates: u64 = self
                 .running
                 .values()

@@ -53,16 +53,25 @@ pub struct TokenBlockHash(pub u64);
 /// need.)
 pub(crate) type BlockMap<V> = HashMap<TokenBlockHash, V, BuildHasherDefault<BlockHasher>>;
 
-/// The hasher of [`BlockMap`]: one 64×64→128-bit multiply by an odd constant,
-/// folded by XOR-ing the two halves of the product.
+/// A map keyed by request ids, hashed with [`BlockHasher`] for the same reason as
+/// the crate's block-hash maps: a simulator keys it by its own ids, so SipHash's
+/// resistance to crafted keys buys nothing.  Iterating it visits entries in an order that
+/// depends on the keys, so a caller whose output must not depend on that order
+/// folds over it order-independently (a count or a sum).
+pub type RequestMap<V> = HashMap<u64, V, BuildHasherDefault<BlockHasher>>;
+
+/// The hasher of the crate's block-hash maps and of [`RequestMap`]: one
+/// 64×64→128-bit multiply by an odd constant, folded by XOR-ing the two halves of
+/// the product.
 ///
 /// Not the identity, although a chain hash is already well mixed: the map must not
 /// depend on its keys being chain hashes.  A synthetic key such as
-/// `TokenBlockHash(i)` has empty top bits, which the table keeps as tags, and
-/// sequential low bits; the high half of the product depends on every key bit, so
-/// the fold spreads all of them over both ends of the word.
+/// `TokenBlockHash(i)` or a sequential request id has empty top bits, which the
+/// table keeps as tags, and sequential low bits; the high half of the product
+/// depends on every key bit, so the fold spreads all of them over both ends of the
+/// word.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct BlockHasher(u64);
+pub struct BlockHasher(u64);
 
 /// Odd multiplier of [`BlockHasher`] (the 64-bit golden-ratio constant).
 const FOLD_MULTIPLIER: u64 = 0x9e37_79b9_7f4a_7c15;

@@ -45,7 +45,10 @@ mod probe;
 pub use block::{BlockId, BlockPool};
 pub use growth::SequenceGrowth;
 pub use handoff::{HandoffLedger, HandoffRecord};
-pub use hash::{extend_token_blocks, hash_token_blocks, SharedPrefix, TokenBlockHash, TokenSeq};
+pub use hash::{
+    extend_token_blocks, hash_token_blocks, BlockHasher, RequestMap, SharedPrefix, TokenBlockHash,
+    TokenSeq,
+};
 pub use manager::{
     CacheStats, DrainSpill, KvCacheManager, KvError, ReloadQuote, ReloadTier, RequestKv,
     RetentionPolicy, TierHits, NET_SPILL_MIN_USES,

@@ -1,13 +1,24 @@
 //! The KV-cache manager: prefix caching, LRU eviction, suffix discarding and the
 //! hierarchical (GPU → CPU) tier.
 //!
-//! Eviction is driven by a free-block queue (`FreeBlockQueue`, after vLLM v1's
-//! `FreeKVCacheBlockQueue`): a doubly linked list of the unreferenced cached blocks,
-//! threaded through the dense block ids.  Pinning a cached block (a prefix hit)
-//! unlinks it, each drop of a reference count to zero appends the block at the tail,
-//! and eviction pops the head — all O(1).  A request hands its blocks back deepest
-//! first, so a committed chain leaves the GPU tail first and the head it shares
-//! with other requests stays resident; no victim order depends on a hash value.
+//! The GPU tier keeps one record per block id (`BlockTable`, after vLLM v1's
+//! `KVCacheBlock`): the hash the block is cached under, its `last_used`, its links in
+//! the free-block queue and a `child` link to the block that last followed it in an
+//! allocated chain.  The prefix map only pairs each cached hash with its block.
+//!
+//! * Eviction is driven by the free-block queue (vLLM v1's `FreeKVCacheBlockQueue`):
+//!   a doubly linked list of the unreferenced cached blocks, threaded through the
+//!   records.  Pinning a cached block (a prefix hit) unlinks it, each drop of a
+//!   reference count to zero appends the block at the tail, and eviction pops the
+//!   head — all O(1).  A request hands its blocks back deepest first, so a committed
+//!   chain leaves the GPU tail first and the head it shares with other requests
+//!   stays resident; no victim order depends on a hash value.
+//! * Allocation looks a chain's first block up in the prefix map and reaches each
+//!   later reused block through its parent's `child` link, checked against the next
+//!   hash; only a stale link or a branch costs a map lookup.  A request keeps its
+//!   blocks as ids, so commit, rollback and release unpin them without touching the
+//!   map.
+//!
 //! The manager also exposes a monotonically increasing
 //! [`KvCacheManager::generation`] that changes exactly when the *contents* of the
 //! prefix cache change (a block is inserted or removed); schedulers use it to skip
@@ -182,16 +193,20 @@ pub struct ReloadQuote {
 /// The per-request KV allocation produced by [`KvCacheManager::allocate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestKv {
-    reused: Vec<(TokenBlockHash, BlockId)>,
-    /// Blocks rehydrated from the CPU tier: resident like `new_full`, but their
+    /// The request's full blocks in chain order: the reused (GPU-cached) prefix,
+    /// the blocks rehydrated from the CPU tier, those rehydrated from the network
+    /// tier, then the newly computed blocks.  Sized once from the chain length.
+    /// Each block's hash lives in the manager's block table.
+    chain: Vec<BlockId>,
+    /// Length of the reused prefix of `chain`.
+    reused: usize,
+    /// Blocks rehydrated from the CPU tier: resident like new blocks, but their
     /// tokens need a host-link transfer instead of recomputation.
-    reloaded: Vec<(TokenBlockHash, BlockId)>,
+    reloaded: usize,
     /// Blocks rehydrated from the cluster-shared network tier (a network-link
     /// transfer instead of recomputation).
-    net_reloaded: Vec<(TokenBlockHash, BlockId)>,
-    new_full: Vec<(TokenBlockHash, BlockId)>,
+    net_reloaded: usize,
     partial: Option<BlockId>,
-    cached_tokens: u64,
     reloaded_bytes: u64,
     net_reloaded_bytes: u64,
     /// Net-reloaded blocks that were only visible thanks to mid-window propagation
@@ -204,13 +219,13 @@ pub struct RequestKv {
 impl RequestKv {
     /// Tokens whose KV was found in the GPU prefix cache.
     pub fn cached_tokens(&self) -> u64 {
-        self.cached_tokens
+        (self.reused * self.block_size) as u64
     }
 
     /// Tokens whose KV is being rehydrated from the CPU tier (no recomputation, but a
     /// host-link transfer of [`Self::reloaded_bytes`] bytes).
     pub fn reloaded_tokens(&self) -> u64 {
-        (self.reloaded.len() * self.block_size) as u64
+        (self.reloaded * self.block_size) as u64
     }
 
     /// Bytes that must cross the host link to rehydrate the reloaded blocks.
@@ -221,7 +236,7 @@ impl RequestKv {
     /// Tokens whose KV is being rehydrated from the network tier (no recomputation,
     /// but a network-link transfer of [`Self::net_reloaded_bytes`] bytes).
     pub fn net_reloaded_tokens(&self) -> u64 {
-        (self.net_reloaded.len() * self.block_size) as u64
+        (self.net_reloaded * self.block_size) as u64
     }
 
     /// Bytes that must cross the network link to rehydrate the net-reloaded blocks.
@@ -244,26 +259,21 @@ impl RequestKv {
     /// Tokens that must actually be forwarded through the model (neither GPU-cached
     /// nor reloaded from the CPU or network tier).
     pub fn uncached_tokens(&self) -> u64 {
-        self.total_tokens - self.cached_tokens - self.reloaded_tokens() - self.net_reloaded_tokens()
+        self.total_tokens
+            - self.cached_tokens()
+            - self.reloaded_tokens()
+            - self.net_reloaded_tokens()
     }
 
     /// Blocks resident in the pool on behalf of this request during execution.
     pub fn resident_blocks(&self) -> u64 {
-        (self.reused.len()
-            + self.reloaded.len()
-            + self.net_reloaded.len()
-            + self.new_full.len()
-            + usize::from(self.partial.is_some())) as u64
+        (self.chain.len() + usize::from(self.partial.is_some())) as u64
     }
 
     /// Tokens covered by resident blocks (i.e. tokens whose KV is kept; the rest is the
     /// discarded suffix under [`RetentionPolicy::PrefixBestEffort`]).
     pub fn resident_tokens(&self) -> u64 {
-        let full = (self.reused.len()
-            + self.reloaded.len()
-            + self.net_reloaded.len()
-            + self.new_full.len()) as u64
-            * self.block_size as u64;
+        let full = self.chain.len() as u64 * self.block_size as u64;
         if self.partial.is_some() {
             self.total_tokens.min(full + self.block_size as u64)
         } else {
@@ -277,54 +287,78 @@ impl RequestKv {
     }
 }
 
+/// Link value of "no block": the end of the free-block queue, a block not queued,
+/// or a block with no recorded child.
+const NIL: u32 = u32::MAX;
+
+/// The GPU tier's bookkeeping of one block (vLLM v1's `KVCacheBlock`), kept in the
+/// [`BlockTable`] at the block's id.
 #[derive(Debug, Clone, Copy)]
-struct CachedEntry {
-    block: BlockId,
+struct BlockRecord {
+    /// The hash the block is cached under while `cached`; while the block is a new
+    /// block of a request in flight, the hash it will be cached under at commit.
+    hash: TokenBlockHash,
     /// When a request last touched the block.  The GPU tier orders its victims by
     /// the free-block queue, not by this stamp; spills and
     /// [`KvCacheManager::drain_to_net`] carry it down to the CPU and network
     /// tiers, whose LRUs it orders.
     last_used: SimTime,
+    /// Free-block queue links ([`NIL`] at an end of the queue, or while unqueued).
+    prev: u32,
+    next: u32,
+    /// The block that last followed this one in an allocated chain ([`NIL`] if
+    /// none).  Only a hint: that block may since have been evicted, recycled or
+    /// left for another continuation, so a walk checks it ([`BlockTable::child`]).
+    child: u32,
+    /// Whether the block is in the prefix cache, under `hash`.
+    cached: bool,
 }
 
-/// Link value of "no neighbour": the end of the queue, or a block not queued.
-const NIL: u32 = u32::MAX;
+impl BlockRecord {
+    const VACANT: BlockRecord = BlockRecord {
+        hash: TokenBlockHash(0),
+        last_used: SimTime::ZERO,
+        prev: NIL,
+        next: NIL,
+        child: NIL,
+        cached: false,
+    };
+}
 
-/// The GPU tier's eviction order: a doubly linked queue of block ids, threaded
-/// through the dense [`BlockPool`] ids by two `u32` link vectors, plus the hash
-/// each queued block is cached under (vLLM v1's `FreeKVCacheBlockQueue`).
+/// The GPU tier's per-block bookkeeping: one [`BlockRecord`] per block id, with the
+/// free-block queue threaded through the records (vLLM v1's
+/// `FreeKVCacheBlockQueue`).
 ///
 /// * Queued = cached with a reference count of zero.  Nothing else is queued.
 /// * A pin unlinks its block in O(1), an unpin appends it at the tail, and
 ///   eviction pops the head.  A request hands its blocks back deepest first —
-///   [`KvCacheManager::commit`] appends its new blocks and then its reused prefix,
-///   each in reverse chain order — so a chain leaves the GPU tail first and its
-///   shared head stays resident.
+///   [`KvCacheManager::commit`] walks its chain backwards, new blocks first, then
+///   the reused prefix — so a chain leaves the GPU tail first and its shared head
+///   stays resident.
 /// * Within a slot every push happens at a non-decreasing `now`, so queue order
 ///   is `last_used` order.  [`KvCacheManager::release_uncommitted`] (no caller in
 ///   the engine; benches and tests only) appends at the tail too and leaves
 ///   `last_used` as it is.
-/// * The vectors grow with the block-id high-water mark, as the pool's reference
-///   counts do: a manager sized for a large pool allocates nothing up front.
+/// * The prefix map pairs each cached hash with exactly one cached block, and each
+///   cached record holds the hash it is paired with.  So a `child` link that
+///   [`Self::child`] accepts names the block the map would return.
+/// * The records grow with the block-id high-water mark, never past the pool's
+///   capacity: a manager sized for a large pool allocates nothing up front.
 #[derive(Debug, Clone)]
-struct FreeBlockQueue {
-    prev: Vec<u32>,
-    next: Vec<u32>,
-    hashes: Vec<TokenBlockHash>,
+struct BlockTable {
+    records: Vec<BlockRecord>,
     head: u32,
     tail: u32,
-    len: u64,
+    queued: u64,
 }
 
-impl FreeBlockQueue {
-    fn new() -> FreeBlockQueue {
-        FreeBlockQueue {
-            prev: Vec::new(),
-            next: Vec::new(),
-            hashes: Vec::new(),
+impl BlockTable {
+    fn new() -> BlockTable {
+        BlockTable {
+            records: Vec::new(),
             head: NIL,
             tail: NIL,
-            len: 0,
+            queued: 0,
         }
     }
 
@@ -332,68 +366,105 @@ impl FreeBlockQueue {
         u32::try_from(block.0)
             .ok()
             .filter(|&id| id != NIL)
-            .expect("block ids fit the queue's u32 links")
+            .expect("block ids fit the table's u32 links")
+    }
+
+    fn record(&self, block: BlockId) -> &BlockRecord {
+        &self.records[block.0 as usize]
+    }
+
+    fn record_mut(&mut self, block: BlockId) -> &mut BlockRecord {
+        &mut self.records[block.0 as usize]
+    }
+
+    /// Readies the record of a block the pool just handed out as a new block of a
+    /// chain, to be cached under `hash` if its request commits.  The table grows to
+    /// cover the block, by doubling but never past `capacity` (the pool's).
+    fn assign(&mut self, block: BlockId, hash: TokenBlockHash, capacity: u64) {
+        let slot = Self::link(block) as usize;
+        if slot >= self.records.len() {
+            if slot >= self.records.capacity() {
+                let grown = (2 * self.records.capacity())
+                    .min(capacity as usize)
+                    .max(slot + 1);
+                self.records.reserve_exact(grown - self.records.len());
+            }
+            self.records.resize(slot + 1, BlockRecord::VACANT);
+        }
+        let record = &mut self.records[slot];
+        debug_assert!(!record.cached, "the pool handed out a cached block");
+        record.hash = hash;
+        record.child = NIL;
+    }
+
+    /// The block `parent`'s child link names, if that block is cached under `hash`:
+    /// then it is the block the prefix map pairs with `hash`.
+    fn child(&self, parent: BlockId, hash: TokenBlockHash) -> Option<BlockId> {
+        let child = self.record(parent).child;
+        // `NIL` indexes past the table, which never grows past `u32::MAX` records.
+        let record = self.records.get(child as usize)?;
+        (record.cached && record.hash == hash).then_some(BlockId(u64::from(child)))
+    }
+
+    /// Points `parent`'s child link at `child`.
+    fn set_child(&mut self, parent: BlockId, child: BlockId) {
+        self.record_mut(parent).child = Self::link(child);
     }
 
     /// Queued blocks: what eviction can free.
-    fn len(&self) -> u64 {
-        self.len
+    fn queued(&self) -> u64 {
+        self.queued
     }
 
-    /// Appends an unqueued block, cached under `hash`, at the tail.
-    fn push_back(&mut self, block: BlockId, hash: TokenBlockHash) {
+    /// Appends an unqueued cached block at the tail.
+    fn push_back(&mut self, block: BlockId) {
         let id = Self::link(block);
-        let slot = id as usize;
-        if slot >= self.next.len() {
-            self.prev.resize(slot + 1, NIL);
-            self.next.resize(slot + 1, NIL);
-            self.hashes.resize(slot + 1, TokenBlockHash(0));
-        }
-        self.prev[slot] = self.tail;
-        self.next[slot] = NIL;
-        self.hashes[slot] = hash;
+        let record = &mut self.records[id as usize];
+        debug_assert!(record.cached, "only cached blocks are queued");
+        record.prev = self.tail;
+        record.next = NIL;
         match self.tail {
             NIL => self.head = id,
-            tail => self.next[tail as usize] = id,
+            tail => self.records[tail as usize].next = id,
         }
         self.tail = id;
-        self.len += 1;
+        self.queued += 1;
     }
 
     /// Unlinks a queued block.
     fn remove(&mut self, block: BlockId) {
-        let slot = Self::link(block) as usize;
-        let (prev, next) = (self.prev[slot], self.next[slot]);
+        let record = self.record(block);
+        let (prev, next) = (record.prev, record.next);
         match prev {
             NIL => self.head = next,
-            prev => self.next[prev as usize] = next,
+            prev => self.records[prev as usize].next = next,
         }
         match next {
             NIL => self.tail = prev,
-            next => self.prev[next as usize] = prev,
+            next => self.records[next as usize].prev = prev,
         }
-        self.len -= 1;
+        self.queued -= 1;
     }
 
-    /// Unlinks the head and returns it with its hash.
-    fn pop_front(&mut self) -> Option<(BlockId, TokenBlockHash)> {
+    /// Unlinks the head and returns it.
+    fn pop_front(&mut self) -> Option<BlockId> {
         if self.head == NIL {
             return None;
         }
         let block = BlockId(u64::from(self.head));
-        let hash = self.hashes[self.head as usize];
         self.remove(block);
-        Some((block, hash))
+        Some(block)
     }
 
-    /// The queued blocks with their hashes, head (next victim) first.
-    fn iter(&self) -> impl Iterator<Item = (BlockId, TokenBlockHash)> + '_ {
+    /// The queued blocks with their records, head (next victim) first.
+    fn queue(&self) -> impl Iterator<Item = (BlockId, &BlockRecord)> + '_ {
         let mut cursor = self.head;
         std::iter::from_fn(move || {
             let id = cursor;
             (id != NIL).then(|| {
-                cursor = self.next[id as usize];
-                (BlockId(u64::from(id)), self.hashes[id as usize])
+                let record = &self.records[id as usize];
+                cursor = record.next;
+                (BlockId(u64::from(id)), record)
             })
         })
     }
@@ -421,10 +492,11 @@ impl FreeBlockQueue {
 pub struct KvCacheManager {
     block_size: usize,
     pool: BlockPool,
-    cached: BlockMap<CachedEntry>,
-    /// Eviction order over the unreferenced cached blocks, oldest first: exactly
-    /// the blocks of `cached` whose reference count is zero.
-    free_queue: FreeBlockQueue,
+    /// The prefix cache: each cached hash and the one block cached under it.
+    cached: BlockMap<BlockId>,
+    /// One record per block id, with the eviction order over the unreferenced
+    /// cached blocks (oldest first) threaded through them.
+    blocks: BlockTable,
     /// Bumped whenever a block is inserted into the prefix cache.
     commit_generation: u64,
     /// Bumped whenever a block is removed from the prefix cache.
@@ -463,7 +535,7 @@ impl KvCacheManager {
             block_size,
             pool: BlockPool::new(capacity_blocks),
             cached: BlockMap::default(),
-            free_queue: FreeBlockQueue::new(),
+            blocks: BlockTable::new(),
             commit_generation: 0,
             evict_generation: 0,
             cpu: None,
@@ -784,39 +856,51 @@ impl KvCacheManager {
         self.stats.allocations += 1;
         let has_partial = !total_tokens.is_multiple_of(self.block_size as u64);
 
-        // Phase 1: reuse cached prefix blocks.  Touching a block both refreshes its
+        // Phase 1: reuse cached prefix blocks.  The chain's first block comes from
+        // the prefix map; each later one from its parent's child link when the
+        // linked block is cached under exactly the next hash, and otherwise from one
+        // map lookup, which re-points the link.  Touching a block both refreshes its
         // recency and pins it: an unreferenced block leaves the free-block queue
         // here and is appended again when the request commits or is released.
-        let mut reused = Vec::new();
+        let mut chain = Vec::with_capacity(hashes.len());
         for hash in hashes {
-            match self.cached.get_mut(hash) {
-                Some(entry) => {
-                    if self.pool.ref_count(entry.block) == Some(0) {
-                        self.free_queue.remove(entry.block);
+            let parent = chain.last().copied();
+            let block = match parent.and_then(|parent| self.blocks.child(parent, *hash)) {
+                Some(block) => block,
+                None => {
+                    let Some(&block) = self.cached.get(hash) else {
+                        break;
+                    };
+                    if let Some(parent) = parent {
+                        self.blocks.set_child(parent, block);
                     }
-                    entry.last_used = now;
-                    self.pool.add_ref(entry.block);
-                    reused.push((*hash, entry.block));
+                    block
                 }
-                None => break,
+            };
+            if self.pool.ref_count(block) == Some(0) {
+                self.blocks.remove(block);
             }
+            self.blocks.record_mut(block).last_used = now;
+            self.pool.add_ref(block);
+            chain.push(block);
         }
-        let cached_tokens = (reused.len() * self.block_size) as u64;
+        let reused = chain.len();
+        let cached_tokens = (reused * self.block_size) as u64;
 
         // Phase 2: figure out how many new blocks we need.
-        let new_full_needed = hashes.len() - reused.len();
+        let new_full_needed = hashes.len() - reused;
         let partial_needed = u64::from(has_partial);
         let needed = new_full_needed as u64 + partial_needed;
 
         if policy == RetentionPolicy::FullResidency {
-            let available = self.pool.free_blocks() + self.free_queue.len();
+            let available = self.pool.free_blocks() + self.blocks.queued();
             if needed > available {
                 // Roll back the references taken in phase 1, deepest first (the
                 // refreshed timestamps stay, so the touched prefix re-enters the
                 // queue as most recent).
-                for &(hash, block) in reused.iter().rev() {
+                for &block in chain.iter().rev() {
                     if self.pool.dec_ref(block) == 0 {
-                        self.free_queue.push_back(block, hash);
+                        self.blocks.push_back(block);
                     }
                 }
                 self.stats.failed_allocations += 1;
@@ -835,8 +919,8 @@ impl KvCacheManager {
         // segments have their recency refreshed and their transfer charged *before*
         // any spill from this very allocation can displace them in a lower tier's
         // LRU order.
-        let budget = self.pool.free_blocks() + self.free_queue.len();
-        let cpu_tail = &hashes[reused.len()..];
+        let budget = self.pool.free_blocks() + self.blocks.queued();
+        let cpu_tail = &hashes[reused..];
         let cpu_hits = match self.cpu.as_ref() {
             Some(pool) => pool.lookup_prefix_blocks(cpu_tail),
             None => 0,
@@ -921,32 +1005,27 @@ impl KvCacheManager {
         if needed > free {
             self.evict_lru_batch(needed - free, now);
         }
-        let reload_planned = cpu_planned + net_planned;
-        let mut reloaded = Vec::with_capacity(cpu_planned as usize);
-        let mut net_reloaded = Vec::with_capacity(net_planned as usize);
-        let mut new_full =
-            Vec::with_capacity(new_full_needed.saturating_sub(reload_planned as usize));
+        // Each new block is readied under its hash and linked from its parent, so
+        // the next allocation of the same chain follows the links.
+        let capacity = self.pool.total_blocks();
         let mut exhausted = false;
-        for (offset, hash) in hashes.iter().skip(reused.len()).enumerate() {
-            match self.pool.allocate() {
-                Some(block) => {
-                    if (offset as u64) < cpu_planned {
-                        reloaded.push((*hash, block));
-                    } else if (offset as u64) < reload_planned {
-                        net_reloaded.push((*hash, block));
-                    } else {
-                        new_full.push((*hash, block));
-                    }
-                }
-                None => {
-                    exhausted = true;
-                    break;
-                }
+        for hash in &hashes[reused..] {
+            let Some(block) = self.pool.allocate() else {
+                exhausted = true;
+                break;
+            };
+            self.blocks.assign(block, *hash, capacity);
+            if let Some(&parent) = chain.last() {
+                self.blocks.set_child(parent, block);
             }
+            chain.push(block);
         }
+        let written = chain.len() - reused;
+        let reloaded = (cpu_planned as usize).min(written);
+        let net_reloaded = ((cpu_planned + net_planned) as usize).min(written) - reloaded;
         debug_assert_eq!(
-            (reloaded.len() + net_reloaded.len()) as u64,
-            reload_planned,
+            (reloaded + net_reloaded) as u64,
+            cpu_planned + net_planned,
             "the reload plan is capped at free + evictable blocks"
         );
         let partial = if has_partial && !exhausted {
@@ -967,12 +1046,11 @@ impl KvCacheManager {
         }
 
         Ok(RequestKv {
+            chain,
             reused,
             reloaded,
             net_reloaded,
-            new_full,
             partial,
-            cached_tokens,
             reloaded_bytes,
             net_reloaded_bytes,
             net_propagated_blocks,
@@ -985,22 +1063,19 @@ impl KvCacheManager {
     /// (from either tier) — enter the prefix cache, the partial block is freed, and
     /// reused blocks drop back to being cached-only.  The chain's blocks join the
     /// free-block queue deepest first (the new blocks, then the reused prefix, each
-    /// in reverse chain order), so the chain is evicted tail first.
+    /// in reverse chain order), so the chain is evicted tail first.  The blocks are
+    /// unpinned by id: only a new block entering the cache touches the prefix map.
     pub fn commit(&mut self, request: RequestKv, now: SimTime) {
-        for (hash, block) in request
-            .new_full
-            .into_iter()
-            .rev()
-            .chain(request.net_reloaded.into_iter().rev())
-            .chain(request.reloaded.into_iter().rev())
-        {
+        let (reused, written) = request.chain.split_at(request.reused);
+        for &block in written.iter().rev() {
             if self.pool.dec_ref(block) == 0 {
+                let hash = self.blocks.record(block).hash;
                 if let std::collections::hash_map::Entry::Vacant(e) = self.cached.entry(hash) {
-                    e.insert(CachedEntry {
-                        block,
-                        last_used: now,
-                    });
-                    self.free_queue.push_back(block, hash);
+                    e.insert(block);
+                    let record = self.blocks.record_mut(block);
+                    record.cached = true;
+                    record.last_used = now;
+                    self.blocks.push_back(block);
                     self.stats.committed_blocks += 1;
                     self.commit_generation += 1;
                 } else {
@@ -1010,13 +1085,13 @@ impl KvCacheManager {
                 }
             }
         }
-        for (hash, block) in request.reused.into_iter().rev() {
+        for &block in reused.iter().rev() {
             let remaining = self.pool.dec_ref(block);
-            if let Some(entry) = self.cached.get_mut(&hash) {
-                entry.last_used = now;
-                if remaining == 0 {
-                    self.free_queue.push_back(block, hash);
-                }
+            let record = self.blocks.record_mut(block);
+            debug_assert!(record.cached, "a pinned block is never evicted");
+            record.last_used = now;
+            if remaining == 0 {
+                self.blocks.push_back(block);
             }
         }
         if let Some(block) = request.partial {
@@ -1030,18 +1105,13 @@ impl KvCacheManager {
     /// reused prefix rejoins the free-block queue deepest first, at the tail, with
     /// the `last_used` its allocation gave it.
     pub fn release_uncommitted(&mut self, request: RequestKv) {
-        for (hash, block) in request.reused.into_iter().rev() {
-            if self.pool.dec_ref(block) == 0 && self.cached.contains_key(&hash) {
-                self.free_queue.push_back(block, hash);
+        let (reused, written) = request.chain.split_at(request.reused);
+        for &block in reused.iter().rev() {
+            if self.pool.dec_ref(block) == 0 {
+                self.blocks.push_back(block);
             }
         }
-        for (_, block) in request
-            .reloaded
-            .into_iter()
-            .chain(request.net_reloaded)
-            .chain(request.new_full)
-            .chain(request.partial.map(|b| (TokenBlockHash(0), b)))
-        {
+        for &block in written.iter().chain(&request.partial) {
             if self.pool.dec_ref(block) == 0 {
                 self.pool.release(block);
             }
@@ -1059,13 +1129,16 @@ impl KvCacheManager {
     /// Evicts the head of the free-block queue — drops it from the cache and frees
     /// its block — and returns its `(last_used, hash)`.
     fn evict_lru_head(&mut self) -> Option<(SimTime, TokenBlockHash)> {
-        let (block, hash) = self.free_queue.pop_front()?;
-        let entry = self.cached.remove(&hash).expect("a queued block is cached");
-        debug_assert_eq!(entry.block, block, "the queue and the cache map agree");
+        let block = self.blocks.pop_front()?;
+        let record = self.blocks.record_mut(block);
+        record.cached = false;
+        let (last_used, hash) = (record.last_used, record.hash);
+        let removed = self.cached.remove(&hash);
+        debug_assert_eq!(removed, Some(block), "the table and the prefix map agree");
         self.pool.release(block);
         self.stats.evicted_blocks += 1;
         self.evict_generation += 1;
-        Some((entry.last_used, hash))
+        Some((last_used, hash))
     }
 
     /// Publishes every reusable resident block into the installed network snapshot —
@@ -1086,10 +1159,9 @@ impl KvCacheManager {
         let Some(net) = self.net.as_mut() else {
             return report;
         };
-        for (_, hash) in self.free_queue.iter() {
-            let last_used = self.cached[&hash].last_used;
+        for (_, record) in self.blocks.queue() {
             let (written, evicted) =
-                net.offload_spilled(std::slice::from_ref(&hash), last_used, now);
+                net.offload_spilled(std::slice::from_ref(&record.hash), record.last_used, now);
             report.gpu_blocks += written;
             report.evicted_blocks += evicted;
         }
@@ -1158,41 +1230,60 @@ impl KvCacheManager {
         evicted
     }
 
-    /// Test-only structural check of the free-block queue: its links agree both
-    /// ways, its head and tail are the ends of the walk, its length is the walk's,
-    /// and the queued blocks are exactly the unreferenced cached blocks, each under
-    /// the hash it is cached with.
+    /// Test-only structural check of the block table.  The free-block queue's links
+    /// agree both ways, its head and tail are the ends of the walk, its length is
+    /// the walk's, and the queued blocks are exactly the unreferenced cached
+    /// blocks.  Every record marked cached holds the hash the prefix map pairs with
+    /// its block, and no other record claims to be cached.  The table never holds
+    /// more records than the pool has blocks.
     #[cfg(test)]
     fn assert_lru_invariant(&self) {
         use std::collections::BTreeSet;
-        let queue = &self.free_queue;
+        let table = &self.blocks;
         let mut walked = Vec::new();
         let mut prev = NIL;
-        let mut cursor = queue.head;
+        let mut cursor = table.head;
         while cursor != NIL {
-            assert_eq!(
-                queue.prev[cursor as usize], prev,
-                "prev link of block {cursor}"
-            );
-            assert!(walked.len() as u64 <= queue.len, "the queue has a cycle");
+            let record = &table.records[cursor as usize];
+            assert_eq!(record.prev, prev, "prev link of block {cursor}");
+            assert!(walked.len() as u64 <= table.queued, "the queue has a cycle");
             walked.push(cursor);
             prev = cursor;
-            cursor = queue.next[cursor as usize];
+            cursor = record.next;
         }
-        assert_eq!(queue.tail, prev, "the tail ends the walk");
-        assert_eq!(queue.len, walked.len() as u64, "queue length");
-        let queued: BTreeSet<(TokenBlockHash, BlockId)> =
-            queue.iter().map(|(b, h)| (h, b)).collect();
+        assert_eq!(table.tail, prev, "the tail ends the walk");
+        assert_eq!(table.queued, walked.len() as u64, "queue length");
+        let queued: BTreeSet<BlockId> = table.queue().map(|(block, _)| block).collect();
         assert_eq!(queued.len(), walked.len(), "a block is queued twice");
-        let unreferenced: BTreeSet<(TokenBlockHash, BlockId)> = self
+        let unreferenced: BTreeSet<BlockId> = self
             .cached
-            .iter()
-            .filter(|(_, e)| self.pool.ref_count(e.block) == Some(0))
-            .map(|(h, e)| (*h, e.block))
+            .values()
+            .copied()
+            .filter(|&block| self.pool.ref_count(block) == Some(0))
             .collect();
         assert_eq!(
             queued, unreferenced,
             "the free-block queue is out of sync with the cache"
+        );
+        let mut cached_records = 0;
+        for (id, record) in table.records.iter().enumerate() {
+            if record.cached {
+                cached_records += 1;
+                assert_eq!(
+                    self.cached.get(&record.hash),
+                    Some(&BlockId(id as u64)),
+                    "block {id} is marked cached under a hash the map pairs elsewhere"
+                );
+            }
+        }
+        assert_eq!(
+            cached_records,
+            self.cached.len(),
+            "a block the map caches is not marked cached"
+        );
+        assert!(
+            table.records.capacity() as u64 <= self.pool.total_blocks(),
+            "the table outgrew the pool"
         );
     }
 }
@@ -1467,6 +1558,33 @@ mod tests {
         m.assert_lru_invariant();
     }
 
+    /// The block table grows with the block-id high-water mark by doubling, so
+    /// filling a pool reallocates it O(log capacity) times, and it never holds
+    /// room for more records than the pool has blocks.
+    #[test]
+    fn block_table_grows_by_doubling_up_to_the_pool_capacity() {
+        let mut m = KvCacheManager::new(1_000, 16);
+        let mut capacities = Vec::new();
+        for chain in 0..1_000u32 {
+            let alloc = m
+                .allocate(
+                    &tokens(chain * 16, 16),
+                    SimTime::ZERO,
+                    RetentionPolicy::FullResidency,
+                )
+                .unwrap();
+            m.commit(alloc, SimTime::ZERO);
+            capacities.push(m.blocks.records.capacity());
+        }
+        capacities.dedup();
+        assert_eq!(
+            capacities,
+            [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1_000],
+            "table capacities while the pool fills"
+        );
+        m.assert_lru_invariant();
+    }
+
     #[test]
     fn lru_index_stays_in_sync_through_rollback_and_release() {
         let mut m = KvCacheManager::new(6, 16);
@@ -1505,29 +1623,51 @@ mod tests {
         assert_eq!(m.cached_blocks(), 4);
     }
 
-    /// Model check of the free-block queue with allocations in flight, against a
-    /// flat reference: a plain `Vec` of hashes in the order their blocks became
-    /// unreferenced.  A pin removes, an unpin appends, a commit appends deepest first
-    /// (its new blocks, then its reused prefix, each in reverse chain order), and an
-    /// eviction takes the front.  Up to eight allocations are held at once and
-    /// finished out of order, by commit or release, under both retention policies and
-    /// coarse, repeating timestamps: pins outlive other requests' evictions, commits
-    /// land while a second holder still pins a block, and full-residency failures
-    /// roll their pins back.  After every operation the manager's queue must equal
-    /// the reference and pass the structural check, and on every step that is not a
-    /// release and whose `now` is not earlier than the newest queued `last_used`, a
-    /// queue in `last_used` order must stay in it.  The scenario must reach every
-    /// case above or the test fails.
+    /// Model check of the block table with allocations in flight, against two flat
+    /// references: a plain `Vec` of hashes in the order their blocks became
+    /// unreferenced, and map lookups for the blocks a walk pins.
+    ///
+    /// * A pin removes, an unpin appends, a commit appends deepest first (its new
+    ///   blocks, then its reused prefix, each in reverse chain order), and an
+    ///   eviction takes the front.
+    /// * Up to eight allocations are held at once and finished out of order, by
+    ///   commit or release, under both retention policies and coarse, repeating
+    ///   timestamps: pins outlive other requests' evictions, commits land while a
+    ///   second holder still pins a block, and full-residency failures roll their
+    ///   pins back.
+    /// * Three users' chains branch wherever one request's suffix leaves its user's
+    ///   prefix, and evictions recycle block ids, so child links go stale.
+    ///
+    /// After every allocation the pinned block ids must equal the map lookups of
+    /// the hit prefix, and every consecutive pair of the allocated chain must be
+    /// linked.  After every operation the manager's queue must equal the reference
+    /// and pass the structural check, and on every step that is not a release and
+    /// whose `now` is not earlier than the newest queued `last_used`, a queue in
+    /// `last_used` order must stay in it.  The scenario must reach every case
+    /// above, and every kind of link a walk meets, or the test fails.
     #[test]
     fn free_block_queue_matches_a_flat_reference_with_requests_in_flight() {
-        use std::collections::{BTreeSet, HashSet};
+        use std::collections::{BTreeSet, HashMap, HashSet};
 
         let (mut evictions, mut pinned_evictions, mut ordered_steps) = (0u64, 0u64, 0u64);
         let (mut rollbacks, mut shared_commits, mut releases) = (0u64, 0u64, 0u64);
+        // Links met by walks: followed, re-pointed from a sibling continuation,
+        // rejected because the linked block is no longer cached, rejected because
+        // its id was recycled into another chain, and rejected at the end of a hit
+        // prefix although the linked block holds the next hash (a new block of a
+        // request still in flight).
+        let (mut followed, mut branches, mut uncached) = (0u64, 0u64, 0u64);
+        let (mut recycled, mut in_flight_links) = (0u64, 0u64);
         let stamps = |m: &KvCacheManager| -> Vec<SimTime> {
-            m.free_queue
+            m.blocks
+                .queue()
+                .map(|(_, record)| record.last_used)
+                .collect()
+        };
+        let hashes_of = |m: &KvCacheManager, blocks: &[BlockId]| -> Vec<TokenBlockHash> {
+            blocks
                 .iter()
-                .map(|(_, hash)| m.cached[&hash].last_used)
+                .map(|&block| m.blocks.record(block).hash)
                 .collect()
         };
         for seed in 0..10u64 {
@@ -1535,6 +1675,8 @@ mod tests {
             let mut m = KvCacheManager::new(rng.gen_range(64u64..160), 16);
             let mut in_flight: Vec<RequestKv> = Vec::new();
             let mut reference: Vec<TokenBlockHash> = Vec::new();
+            // Each block hash ever allocated → the hash of the block before it.
+            let mut parent_of: HashMap<TokenBlockHash, TokenBlockHash> = HashMap::new();
             for op in 0..360u32 {
                 let now = SimTime::from_millis(u64::from(op / 4) + rng.gen_range(0u64..3));
                 let before = stamps(&m);
@@ -1553,10 +1695,36 @@ mod tests {
                     } else {
                         RetentionPolicy::PrefixBestEffort
                     };
-                    let hit_prefix: Vec<TokenBlockHash> = kvcache_hashes(&chain, 16)
-                        .into_iter()
+                    let hashes = kvcache_hashes(&chain, 16);
+                    parent_of.extend(hashes.windows(2).map(|pair| (pair[1], pair[0])));
+                    let hit_prefix: Vec<TokenBlockHash> = hashes
+                        .iter()
+                        .copied()
                         .take_while(|hash| m.cached.contains_key(hash))
                         .collect();
+                    // The map-only walk: the blocks the allocation must pin.
+                    let hit_blocks: Vec<BlockId> =
+                        hit_prefix.iter().map(|hash| m.cached[hash]).collect();
+                    for (depth, &parent) in hit_blocks.iter().enumerate() {
+                        let child = m.blocks.record(parent).child;
+                        let Some(target) = m.blocks.records.get(child as usize) else {
+                            continue;
+                        };
+                        match hit_blocks.get(depth + 1) {
+                            Some(&next) if BlockTable::link(next) == child => followed += 1,
+                            Some(_) if !target.cached => uncached += 1,
+                            Some(_) if parent_of.get(&target.hash) == Some(&hit_prefix[depth]) => {
+                                branches += 1;
+                            }
+                            Some(_) => recycled += 1,
+                            None if !target.cached
+                                && hashes.get(depth + 1) == Some(&target.hash) =>
+                            {
+                                in_flight_links += 1;
+                            }
+                            None => {}
+                        }
+                    }
                     // Pins: the hit prefix's unreferenced blocks leave the queue.
                     let was_queued: HashSet<TokenBlockHash> = hit_prefix
                         .iter()
@@ -1568,9 +1736,23 @@ mod tests {
                     let evicted_before = m.stats().evicted_blocks;
                     match m.allocate(&chain, now, policy) {
                         Ok(alloc) => {
-                            let reused: Vec<TokenBlockHash> =
-                                alloc.reused.iter().map(|(hash, _)| *hash).collect();
-                            assert_eq!(reused, hit_prefix, "seed {seed} op {op}: hit prefix");
+                            assert_eq!(
+                                &alloc.chain[..alloc.reused],
+                                &hit_blocks[..],
+                                "seed {seed} op {op}: pinned blocks"
+                            );
+                            assert_eq!(
+                                hashes_of(&m, &alloc.chain),
+                                hashes[..alloc.chain.len()],
+                                "seed {seed} op {op}: the records hold the chain's hashes"
+                            );
+                            for pair in alloc.chain.windows(2) {
+                                assert_eq!(
+                                    m.blocks.record(pair[0]).child,
+                                    BlockTable::link(pair[1]),
+                                    "seed {seed} op {op}: chain link"
+                                );
+                            }
                             let evicted: BTreeSet<TokenBlockHash> = cached_before
                                 .into_iter()
                                 .filter(|hash| !m.cached.contains_key(hash))
@@ -1581,7 +1763,7 @@ mod tests {
                                 reference.drain(..count as usize).collect();
                             assert_eq!(evicted, expected, "seed {seed} op {op}: victims");
                             evictions += count;
-                            if count > 0 && in_flight.iter().any(|held| !held.reused.is_empty()) {
+                            if count > 0 && in_flight.iter().any(|held| held.reused > 0) {
                                 pinned_evictions += 1;
                             }
                             in_flight.push(alloc);
@@ -1602,14 +1784,14 @@ mod tests {
                     let alloc = in_flight.swap_remove(rng.gen_range(0..in_flight.len()));
                     let held: HashSet<TokenBlockHash> = in_flight
                         .iter()
-                        .flat_map(|other| other.reused.iter().map(|(hash, _)| *hash))
+                        .flat_map(|other| hashes_of(&m, &other.chain[..other.reused]))
                         .collect();
-                    let unpinned = alloc
-                        .reused
-                        .iter()
+                    let (reused, written) = alloc.chain.split_at(alloc.reused);
+                    let unpinned: Vec<TokenBlockHash> = hashes_of(&m, reused)
+                        .into_iter()
                         .rev()
-                        .map(|(hash, _)| *hash)
-                        .filter(|hash| !held.contains(hash));
+                        .filter(|hash| !held.contains(hash))
+                        .collect();
                     if rng.gen_range(0u32..4) == 0 {
                         reference.extend(unpinned);
                         m.release_uncommitted(alloc);
@@ -1618,25 +1800,22 @@ mod tests {
                     } else {
                         // A new block is cached (and queued) unless its hash already
                         // is; the reused prefix follows it.
-                        let fresh: Vec<TokenBlockHash> = alloc
-                            .new_full
-                            .iter()
+                        let fresh: Vec<TokenBlockHash> = hashes_of(&m, written)
+                            .into_iter()
                             .rev()
-                            .chain(alloc.net_reloaded.iter().rev())
-                            .chain(alloc.reloaded.iter().rev())
-                            .map(|(hash, _)| *hash)
                             .filter(|hash| !m.cached.contains_key(hash))
                             .collect();
                         reference.extend(fresh);
-                        reference.extend(unpinned);
-                        if alloc.reused.iter().any(|(hash, _)| held.contains(hash)) {
+                        if unpinned.len() < reused.len() {
                             shared_commits += 1;
                         }
+                        reference.extend(unpinned);
                         m.commit(alloc, now);
                     }
                 }
                 m.assert_lru_invariant();
-                let queue: Vec<TokenBlockHash> = m.free_queue.iter().map(|(_, h)| h).collect();
+                let queue: Vec<TokenBlockHash> =
+                    m.blocks.queue().map(|(_, record)| record.hash).collect();
                 assert_eq!(queue, reference, "seed {seed} op {op}: queue order");
                 if ordered_before && not_backwards && !released {
                     assert!(
@@ -1657,6 +1836,17 @@ mod tests {
         assert!(
             ordered_steps >= 100,
             "only {ordered_steps} steps checked for last_used order"
+        );
+        assert!(followed > 0, "no child link followed");
+        assert!(branches > 0, "no link re-pointed at a branch");
+        assert!(uncached > 0, "no stale link to an evicted block rejected");
+        assert!(
+            recycled > 0,
+            "no stale link to a recycled block id rejected"
+        );
+        assert!(
+            in_flight_links > 0,
+            "no link to an uncommitted block under the next hash rejected"
         );
     }
 

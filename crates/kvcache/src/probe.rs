@@ -37,9 +37,7 @@
 //! walked against.  The CPU and network continuations are not memoised across
 //! requests: they start where the GPU walk stops.
 
-use std::collections::HashMap;
-
-use crate::hash::{BlockMap, TokenBlockHash};
+use crate::hash::{BlockMap, RequestMap, TokenBlockHash};
 use crate::manager::{KvCacheManager, TierHits};
 
 #[derive(Debug, Clone, Copy)]
@@ -75,7 +73,7 @@ struct ProbeEntry {
 /// generation value returns stale counts — create a fresh `ProbeCache` per manager.
 #[derive(Debug, Clone, Default)]
 pub struct ProbeCache {
-    entries: HashMap<u64, ProbeEntry>,
+    entries: RequestMap<ProbeEntry>,
     checkpoints: CheckpointMemo,
 }
 
