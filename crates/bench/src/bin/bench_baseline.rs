@@ -10,11 +10,14 @@
 //! measurement with a minimal sample count — CI uses this to prove the JSON stays
 //! generatable on every PR without paying full measurement time.
 //!
+//! Each `serving/*replay*` entry also records its run's simulated GPU prefix-cache
+//! hit rate, so an entry's time reads next to the cache regime it replayed.
+//!
 //! Pass `--check` to run the regression guard instead of emitting the file: the
-//! scheduling-step, KV pin/unpin, KV eviction, block-hashing, materialised-replay,
-//! decode, handoff, routing-pass and epoch-barrier groups are re-measured and compared
-//! against the committed `BENCH_baseline.json` medians, and the process exits
-//! non-zero if any entry has no committed median or is more than
+//! scheduling-step, KV pin/unpin, KV eviction, CPU-tier (`offload`), block-hashing,
+//! materialised-replay, decode, handoff, routing-pass and epoch-barrier groups are
+//! re-measured and compared against the committed `BENCH_baseline.json` medians,
+//! and the process exits non-zero if any entry has no committed median or is more than
 //! [`REGRESSION_FACTOR`]× worse twice: in this process and again in a fresh
 //! process of the same binary (`--remeasure <group>`), which re-measures the
 //! failing entry's group once so that one noisy process does not decide alone.
@@ -29,7 +32,7 @@ use std::time::Instant;
 use serde::Serialize;
 
 use gpu::HardwareSetup;
-use kvcache::{KvCacheManager, ProbeCache, RetentionPolicy};
+use kvcache::{CpuKvPool, KvCacheManager, ProbeCache, RetentionPolicy, TokenBlockHash};
 use model::ModelPreset;
 use prefillonly::{Cluster, EngineConfig, EngineInstance, EngineKind, RoutingScratch};
 use prefillonly_bench::hotpath::{
@@ -70,6 +73,10 @@ struct BaselinePoint {
     min_ns: f64,
     max_ns: f64,
     samples: usize,
+    /// A replay entry's simulated GPU prefix-cache hit rate
+    /// (`RunReport::cache_hit_rate`), so a thrash regime shows next to its time;
+    /// `null` for entries that replay nothing.
+    gpu_hit_rate: Option<f64>,
 }
 
 impl BaselinePoint {
@@ -107,6 +114,7 @@ fn record(out: &mut Vec<BaselinePoint>, name: &str, mut timings: Vec<f64>) {
         min_ns: timings[0],
         max_ns: timings[timings.len() - 1],
         samples: timings.len(),
+        gpu_hit_rate: None,
     };
     println!(
         "{name:<55} median {:>12.0} ns (min {:.0}, max {:.0})",
@@ -138,6 +146,30 @@ fn measure<I, O>(
         })
         .collect();
     record(out, name, timings);
+}
+
+/// Like [`measure`], for a cluster replay whose routine also returns the run's
+/// simulated GPU prefix-cache hit rate: the entry records it beside the timings.
+/// The replays are seeded, so every sample must reproduce the same rate.
+fn measure_replay<I, O>(
+    out: &mut Vec<BaselinePoint>,
+    name: &str,
+    samples: usize,
+    setup: impl FnMut() -> I,
+    mut replay: impl FnMut(I) -> (O, f64),
+) {
+    let mut hit_rate = None;
+    measure(out, name, samples, setup, |input| {
+        let (output, rate) = replay(input);
+        let first = *hit_rate.get_or_insert(rate);
+        assert_eq!(first, rate, "{name}: the seeded replay's hit rate varied");
+        output
+    });
+    let hit_rate = hit_rate.expect("measure runs the replay");
+    println!("{name:<55} gpu hit rate {hit_rate:.4}");
+    out.last_mut()
+        .expect("measure records the entry")
+        .gpu_hit_rate = Some(hit_rate);
 }
 
 /// Like [`measure`], but for cheap routines: each sample times a batch and divides.
@@ -336,12 +368,49 @@ fn hash_baseline(out: &mut Vec<BaselinePoint>) {
     );
 }
 
-/// Hierarchical-tier hot path: allocating a 100-block request whose prefix lives
-/// only in the CPU tier.  The allocation evicts 100 fresh GPU victims (spilling
-/// them) *and* rehydrates 100 CPU-resident blocks, covering both directions of the
-/// host-link bookkeeping.  Mirrors the `offload_reload` criterion group.
+/// The CPU tier's hot paths, the `offload` check group.
+///
+/// * `cpu_tier/spill_60_reload_16/{768,131072}`: one round of a warm, full
+///   [`CpuKvPool`] (768 blocks is `tiered_fleet`'s pool) as an eviction batch
+///   drives it: 60 single-block spills of new hashes sharing one timestamp, each
+///   displacing the least recently used resident, then a reload of 16 blocks the
+///   previous round spilled, which moves their recency forward.
+/// * `offload_reload/reload_100_from_cpu_pool_of/{2048,131072}`: allocating a
+///   100-block request whose prefix lives only in the CPU tier.  The allocation
+///   evicts 100 fresh GPU victims (spilling them) *and* rehydrates 100
+///   CPU-resident blocks, covering both directions of the host-link bookkeeping.
+///   Mirrors the `offload_reload` criterion group.
 fn offload_baselines(out: &mut Vec<BaselinePoint>) {
     const BLOCK_BYTES: u64 = 16 * 128 * 1024;
+    const SPILLS: u64 = 60;
+    for cpu_blocks in [768u64, 131_072] {
+        let mut pool = CpuKvPool::new(cpu_blocks * BLOCK_BYTES, BLOCK_BYTES);
+        // Distinct ids map to distinct, scattered hashes (the multiplier is odd).
+        let hash = |id: u64| TokenBlockHash(id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut round = 0u64;
+        let mut spill_and_reload = || {
+            round += 1;
+            let at = SimTime::from_micros(round);
+            for spill in 0..SPILLS {
+                pool.offload(&[hash(round * SPILLS + spill)], at);
+            }
+            let reload: [TokenBlockHash; 16] =
+                std::array::from_fn(|block| hash((round - 1) * SPILLS + block as u64));
+            std::hint::black_box(pool.reload_prefix(&reload, 16, at));
+        };
+        for _ in 0..cpu_blocks / SPILLS + 2 {
+            spill_and_reload();
+        }
+        measure_batched(
+            out,
+            &format!("kvcache_ops/cpu_tier/spill_60_reload_16/{cpu_blocks}"),
+            samples(25),
+            200,
+            &mut spill_and_reload,
+        );
+        assert_eq!(pool.resident_blocks(), cpu_blocks, "the pool stays full");
+    }
+
     for cpu_blocks in [2_048u64, 131_072] {
         let gpu_blocks = 2_048u64;
         let mut manager = KvCacheManager::with_offload(
@@ -494,36 +563,26 @@ fn cluster_baselines(out: &mut Vec<BaselinePoint>) {
         EngineKind::prefillonly_default(),
         dataset.max_request_tokens(),
     );
-    measure(
+    measure_replay(
         out,
         "serving/cluster_replay_96_requests/parallel",
         samples(9),
         || Cluster::new(&config),
         |mut cluster| {
-            std::hint::black_box(
-                cluster
-                    .run(&arrivals, 40.0)
-                    .expect("feasible")
-                    .records
-                    .len(),
-            );
-            cluster
+            let report = cluster.run(&arrivals, 40.0).expect("feasible");
+            std::hint::black_box(report.records.len());
+            (cluster, report.cache_hit_rate())
         },
     );
-    measure(
+    measure_replay(
         out,
         "serving/cluster_replay_96_requests/sequential",
         samples(9),
         || Cluster::new(&config),
         |mut cluster| {
-            std::hint::black_box(
-                cluster
-                    .run_sequential(&arrivals, 40.0)
-                    .expect("feasible")
-                    .records
-                    .len(),
-            );
-            cluster
+            let report = cluster.run_sequential(&arrivals, 40.0).expect("feasible");
+            std::hint::black_box(report.records.len());
+            (cluster, report.cache_hit_rate())
         },
     );
 }
@@ -562,7 +621,7 @@ fn streaming_replay_baselines(out: &mut Vec<BaselinePoint>) {
     let total = num_cohorts * 8 * 50;
     let qps = 400.0;
     let config = fleet_config(prefillonly::RoutingPolicyKind::StickyUser, 640);
-    measure(
+    measure_replay(
         out,
         &format!("{label}/parallel"),
         samples(3),
@@ -576,10 +635,10 @@ fn streaming_replay_baselines(out: &mut Vec<BaselinePoint>) {
             let report = cluster.run_stream(&mut stream, qps).expect("feasible");
             assert_eq!(report.records.len() as u64, total);
             std::hint::black_box(report.records.len());
-            cluster
+            (cluster, report.cache_hit_rate())
         },
     );
-    measure(
+    measure_replay(
         out,
         &format!("{label}/sequential"),
         samples(3),
@@ -595,7 +654,7 @@ fn streaming_replay_baselines(out: &mut Vec<BaselinePoint>) {
                 .expect("feasible");
             assert_eq!(report.records.len() as u64, total);
             std::hint::black_box(report.records.len());
-            cluster
+            (cluster, report.cache_hit_rate())
         },
     );
 }
@@ -848,7 +907,7 @@ fn decode_baselines(out: &mut Vec<BaselinePoint>) {
         EngineKind::chunked_default(),
         spec.max_request_tokens(),
     );
-    measure(
+    measure_replay(
         out,
         "serving/multi_turn_replay_48_requests/parallel",
         samples(9),
@@ -857,10 +916,10 @@ fn decode_baselines(out: &mut Vec<BaselinePoint>) {
             let report = cluster.run(&trace, qps).expect("feasible");
             assert!(report.decode_tokens() > 0);
             std::hint::black_box(report.records.len());
-            cluster
+            (cluster, report.cache_hit_rate())
         },
     );
-    measure(
+    measure_replay(
         out,
         "serving/multi_turn_replay_48_requests/sequential",
         samples(9),
@@ -869,7 +928,7 @@ fn decode_baselines(out: &mut Vec<BaselinePoint>) {
             let report = cluster.run_sequential(&trace, qps).expect("feasible");
             assert!(report.decode_tokens() > 0);
             std::hint::black_box(report.records.len());
-            cluster
+            (cluster, report.cache_hit_rate())
         },
     );
 }
@@ -904,7 +963,7 @@ fn handoff_baselines(out: &mut Vec<BaselinePoint>) {
         ("serving/disaggregated_replay_48_requests/parallel", false),
         ("serving/disaggregated_replay_48_requests/sequential", true),
     ] {
-        measure(
+        measure_replay(
             out,
             name,
             samples(9),
@@ -918,7 +977,7 @@ fn handoff_baselines(out: &mut Vec<BaselinePoint>) {
                 .expect("feasible");
                 assert_eq!(report.handed_off_requests(), spec.num_requests());
                 std::hint::black_box(report.records.len());
-                cluster
+                (cluster, report.cache_hit_rate())
             },
         );
     }
@@ -958,10 +1017,11 @@ type Group = fn(&mut Vec<BaselinePoint>);
 
 /// The groups `--check` re-measures, each under the name a fresh process
 /// re-measures it by (`--remeasure <group>`).
-const CHECK_GROUPS: [(&str, Group); 9] = [
+const CHECK_GROUPS: [(&str, Group); 10] = [
     ("scheduler", scheduler_baselines),
     ("warm_chain", warm_chain_baseline),
     ("thrash_chains", thrash_chains_baseline),
+    ("offload", offload_baselines),
     ("hashing", hash_baseline),
     ("cluster", cluster_baselines),
     ("decode", decode_baselines),
@@ -1034,8 +1094,9 @@ fn committed_medians(json: &str) -> Vec<(String, f64)> {
 }
 
 /// The CI regression guard: re-measures the scheduling step, the KV manager's
-/// pin/unpin and eviction paths, block hashing, the materialised replays of both flavours
-/// (colocated and decode-enabled), the KV-handoff plane, and the routing-pass and
+/// pin/unpin and eviction paths, the CPU tier's spills and reloads, block hashing,
+/// the materialised replays of both flavours (colocated and decode-enabled), the
+/// KV-handoff plane, and the routing-pass and
 /// epoch-barrier groups (the per-epoch machinery this repo optimises hardest), and
 /// compares each median against the committed `BENCH_baseline.json`.  An entry more
 /// than [`REGRESSION_FACTOR`]× over its committed median has its group re-measured
@@ -1058,8 +1119,9 @@ fn regression_check() -> i32 {
     }
 
     println!(
-        "Regression guard: scheduling step + KV pin/unpin + KV eviction + block hashing + \
-         replays + handoff plane + routing pass + epoch barriers vs committed medians\n"
+        "Regression guard: scheduling step + KV pin/unpin + KV eviction + CPU tier + \
+         block hashing + replays + handoff plane + routing pass + epoch barriers vs \
+         committed medians\n"
     );
     let mut results = Vec::new();
     let mut groups = Vec::new();
