@@ -4,17 +4,20 @@
 //!
 //! The `calibrated_probe` group is the tentpole measurement: a calibrated select over
 //! a *real* KV-cache-backed probe, comparing the seed's full hash-chain walk per
-//! request per step against the generation-memoised [`kvcache::ProbeCache`] when the
-//! cache contents are unchanged between steps (the common case), and the memoised
-//! probe right after an eviction (`after_eviction`), when every request re-walks
-//! and the shared-prefix checkpoint memo walks each cohort's prefix once.
+//! request per step against the memoised [`kvcache::ProbeCache`] when the cache
+//! contents are unchanged between steps (`incremental`), and the memoised probe
+//! right after one eviction.  After the eviction of an unrelated block
+//! (`after_eviction`) every memoised result survives, since the eviction watermark
+//! stays below every memoised prefix's lowest queue stamp; after the eviction of one
+//! cohort's prefix tail (`after_prefix_eviction`) that cohort's requests re-walk,
+//! and the shared-prefix checkpoint memo walks its prefix once.
 
 use std::cell::RefCell;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kvcache::ProbeCache;
 use prefillonly_bench::hotpath::{
-    calibrated_queue as queue, cohort_cache, AfterEviction, FullWalkProbe, MemoProbe,
+    calibrated_queue as queue, cohort_cache, AfterEviction, FullWalkProbe, MemoProbe, Victim,
 };
 use scheduler::{
     CacheProbe, FcfsPolicy, JctEstimator, SchedulingPolicy, SrjfPolicy, WaitingRequest,
@@ -60,7 +63,8 @@ fn bench_select(c: &mut Criterion) {
 }
 
 /// Calibrated select against a real KV cache: seed full-walk probe vs the incremental
-/// generation-memoised probe, with the cache unchanged between steps.
+/// memoised probe, with the cache unchanged between steps, and the memoised probe
+/// right after one eviction.
 fn bench_calibrated_probe(c: &mut Criterion) {
     let estimator = JctEstimator::proxy(1.5e-4, 0.02);
     let calibrated = SrjfPolicy::with_calibration(estimator, 500.0);
@@ -90,24 +94,30 @@ fn bench_calibrated_probe(c: &mut Criterion) {
         });
     }
 
-    // One select right after an unrelated eviction, with the probe memo warmed
-    // before it: every memoised result is stale.  Copy and eviction are untimed.
+    // One select right after one eviction, with the probe memo warmed before it:
+    // of an unrelated block (every memoised result survives) or of one cohort's
+    // prefix tail (that cohort re-walks).  Copy and eviction are untimed.
     let q = queue(512);
-    let scenario = AfterEviction::new(&calibrated, &q, now);
-    group.bench_with_input(BenchmarkId::new("after_eviction", 512), &q, |b, q| {
-        b.iter_with_setup(
-            || scenario.sample(now),
-            |(kv, memo)| {
-                let probe = MemoProbe {
-                    kv: &kv,
-                    hashes: &scenario.hashes,
-                    memo: &memo,
-                };
-                std::hint::black_box(calibrated.select(q, now, &probe));
-                (kv, memo)
-            },
-        )
-    });
+    for (name, victim) in [
+        ("after_eviction", Victim::Unrelated),
+        ("after_prefix_eviction", Victim::PrefixTail),
+    ] {
+        let scenario = AfterEviction::new(&calibrated, &q, now, victim);
+        group.bench_with_input(BenchmarkId::new(name, 512), &q, |b, q| {
+            b.iter_with_setup(
+                || scenario.sample(now),
+                |(kv, memo)| {
+                    let probe = MemoProbe {
+                        kv: &kv,
+                        hashes: &scenario.hashes,
+                        memo: &memo,
+                    };
+                    std::hint::black_box(calibrated.select(q, now, &probe));
+                    (kv, memo)
+                },
+            )
+        });
+    }
     group.finish();
 }
 

@@ -36,7 +36,7 @@ use kvcache::{CpuKvPool, KvCacheManager, ProbeCache, RetentionPolicy, TokenBlock
 use model::ModelPreset;
 use prefillonly::{Cluster, EngineConfig, EngineInstance, EngineKind, RoutingScratch};
 use prefillonly_bench::hotpath::{
-    calibrated_queue, cohort_cache, AfterEviction, FullWalkProbe, MemoProbe, ThrashChains,
+    calibrated_queue, cohort_cache, AfterEviction, FullWalkProbe, MemoProbe, ThrashChains, Victim,
     WarmChain,
 };
 use scheduler::{JctEstimator, SchedulingPolicy, SrjfPolicy};
@@ -228,26 +228,32 @@ fn scheduler_baselines(out: &mut Vec<BaselinePoint>) {
         },
     );
 
-    // One select right after an unrelated eviction: every memoised result is stale.
-    // The copy and the eviction stay in the untimed setup.  Each sample is one
-    // sub-millisecond select, so many samples keep the median from resting on one
-    // short burst of host noise.
-    let scenario = AfterEviction::new(&calibrated, &queue, now);
-    measure(
-        out,
-        "scheduler_step/calibrated_select_512/after_eviction",
-        samples(101),
-        || scenario.sample(now),
-        |(kv, memo)| {
-            let probe = MemoProbe {
-                kv: &kv,
-                hashes: &scenario.hashes,
-                memo: &memo,
-            };
-            std::hint::black_box(calibrated.select(&queue, now, &probe));
-            (kv, memo)
-        },
-    );
+    // One select right after one eviction: of an unrelated block, which every
+    // memoised result survives, or of cohort 0's prefix tail, which that cohort's
+    // requests re-walk.  The copy and the eviction stay in the untimed setup.  Each
+    // sample is one sub-millisecond select, so many samples keep the median from
+    // resting on one short burst of host noise.
+    for (name, victim) in [
+        ("after_eviction", Victim::Unrelated),
+        ("after_prefix_eviction", Victim::PrefixTail),
+    ] {
+        let scenario = AfterEviction::new(&calibrated, &queue, now, victim);
+        measure(
+            out,
+            &format!("scheduler_step/calibrated_select_512/{name}"),
+            samples(101),
+            || scenario.sample(now),
+            |(kv, memo)| {
+                let probe = MemoProbe {
+                    kv: &kv,
+                    hashes: &scenario.hashes,
+                    memo: &memo,
+                };
+                std::hint::black_box(calibrated.select(&queue, now, &probe));
+                (kv, memo)
+            },
+        );
+    }
 }
 
 fn kvcache_baselines(out: &mut Vec<BaselinePoint>) {

@@ -23,6 +23,12 @@
 //! * no tiers, a CPU tier, CPU plus net tiers, and the last with window metrics,
 //!   on a 4-GPU L4 fleet squeezed to `memory_utilization = 0.70` so they spill;
 //! * `run`, `run_sequential`, `run_stream` and `run_stream_sequential`;
+//! * then the tierless FCFS baselines, one trace each: PagedAttention on the
+//!   4-GPU fleet over the shared-prefix trace, and tensor and pipeline parallelism
+//!   across an L4 pair squeezed to `memory_utilization = 0.45` over the
+//!   post-recommendation trace, so both evict (and pipeline parallelism, whose
+//!   running requests pin their blocks past the stage-free time, fails
+//!   allocations);
 //! * then chunked prefill under KV pressure (full-residency allocation failures),
 //!   a disaggregated fleet (handoffs), and a drain-to-net plus warm join over the
 //!   post-recommendation trace, which also prints each drain's spill counts.
@@ -188,6 +194,21 @@ fn main() {
                 replay_grid(&label, config, trace, qps);
             }
         }
+    }
+
+    // The tierless FCFS baselines, one trace each: PagedAttention on the 4-GPU
+    // fleet, and tensor and pipeline parallelism across an L4 pair squeezed until
+    // the post-recommendation trace evicts.
+    let mut paged = l4_config(4, EngineKind::PagedAttention, fleet_len);
+    paged.memory_utilization = 0.70;
+    replay_grid("paged_attention fleet", &paged, &fleet, fleet_qps);
+    for (label, kind) in [
+        ("tensor_parallel posts", EngineKind::TensorParallel),
+        ("pipeline_parallel posts", EngineKind::PipelineParallel),
+    ] {
+        let mut config = l4_config(2, kind, posts_len);
+        config.memory_utilization = 0.45;
+        replay_grid(label, &config, &posts, posts_qps);
     }
 
     // Decode-bearing conversations: chunked prefill under KV pressure, where

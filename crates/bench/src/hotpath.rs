@@ -1,8 +1,9 @@
 //! Shared hot-path benchmark scenario: a deep calibrated-scheduling queue over a
 //! warmed prefix cache, plus the two [`CacheProbe`] adapters being compared (the
-//! seed's full hash-chain walk vs the generation-memoised incremental probe), and
-//! the same queue right after an unrelated eviction, when every memoised result is
-//! stale and only the shared-prefix checkpoint memo spares the re-walks.  Next to it
+//! seed's full hash-chain walk vs the memoised incremental probe), and the same
+//! queue right after one eviction ([`AfterEviction`]): of an unrelated block, which
+//! every memoised result survives, or of one cohort's prefix tail, which that
+//! cohort's requests re-walk through the shared-prefix checkpoint memo.  Next to it
 //! sit the KV manager's pin/unpin path ([`WarmChain`]) and its eviction path
 //! ([`ThrashChains`]).
 //!
@@ -40,7 +41,8 @@ impl CacheProbe for FullWalkProbe<'_> {
     }
 }
 
-/// The incremental probe: O(1) per query while the cache generation is unchanged.
+/// The incremental probe: O(1) per query while nothing was committed and no
+/// eviction reached the request's hit prefix.
 pub struct MemoProbe<'a> {
     /// The manager to probe.
     pub kv: &'a KvCacheManager,
@@ -90,16 +92,29 @@ pub fn cohort_cache(
     (kv, cohort_chains(queue))
 }
 
-/// The `after_eviction` scenario: [`cohort_cache`] in a pool that is full but for
-/// one block, whose least recently used entry is one unrelated block, and a probe
-/// memo warmed by one select before anything is evicted.  Each [`Self::sample`]
-/// evicts exactly that block from a copy of the pool, so every memoised probe result
-/// is stale while every cohort prefix stays resident.
+/// Which block the eviction of an [`AfterEviction`] sample takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Victim {
+    /// One block no waiting request shares, committed before every cohort
+    /// prefix: it has the lowest queue stamp, so its eviction reaches no memoised
+    /// prefix and every memoised probe result survives.
+    Unrelated,
+    /// The tail block of cohort 0's prefix, the first block its commit queued:
+    /// cohort 0's requests (one in [`COHORTS`]) must re-walk their chains, and the
+    /// other cohorts' results survive.
+    PrefixTail,
+}
+
+/// The `after_eviction` and `after_prefix_eviction` scenarios: [`cohort_cache`] in
+/// a pool that is full but for one block, whose free-block queue head is the
+/// [`Victim`], and a probe memo warmed by one select before anything is evicted.
+/// Each [`Self::sample`] evicts exactly that block from a copy of the pool.
 pub struct AfterEviction {
     kv: KvCacheManager,
     /// Per-request hash chains.
     pub hashes: HashMap<u64, Vec<TokenBlockHash>>,
     warm: RefCell<ProbeCache>,
+    victim: Victim,
 }
 
 impl AfterEviction {
@@ -108,14 +123,18 @@ impl AfterEviction {
         policy: &dyn SchedulingPolicy,
         queue: &[WaitingRequest],
         now: SimTime,
+        victim: Victim,
     ) -> AfterEviction {
-        let prefix_blocks = COHORTS * COHORT_PREFIX_TOKENS as u64 / BLOCK_SIZE as u64;
-        let mut kv = KvCacheManager::new(prefix_blocks + 2, BLOCK_SIZE);
-        let unrelated: Vec<u32> = (3_000_000_000..3_000_000_000 + BLOCK_SIZE as u32).collect();
-        let alloc = kv
-            .allocate(&unrelated, SimTime::ZERO, RetentionPolicy::FullResidency)
-            .expect("the pool holds the unrelated block");
-        kv.commit(alloc, SimTime::ZERO);
+        let prefix_blocks = COHORTS * COHORT_PREFIX_BLOCKS as u64;
+        let unrelated = victim == Victim::Unrelated;
+        let mut kv = KvCacheManager::new(prefix_blocks + 1 + u64::from(unrelated), BLOCK_SIZE);
+        if unrelated {
+            let block: Vec<u32> = (3_000_000_000..3_000_000_000 + BLOCK_SIZE as u32).collect();
+            let alloc = kv
+                .allocate(&block, SimTime::ZERO, RetentionPolicy::FullResidency)
+                .expect("the pool holds the unrelated block");
+            kv.commit(alloc, SimTime::ZERO);
+        }
         warm_cohorts(&mut kv, now);
         let hashes = cohort_chains(queue);
         let warm = RefCell::new(ProbeCache::new());
@@ -125,24 +144,39 @@ impl AfterEviction {
             memo: &warm,
         };
         policy.select(queue, now, &probe);
-        AfterEviction { kv, hashes, warm }
+        AfterEviction {
+            kv,
+            hashes,
+            warm,
+            victim,
+        }
     }
 
-    /// The untimed set-up of one sample: a copy of the pool with the unrelated block
+    /// The untimed set-up of one sample: a copy of the pool with the victim
     /// evicted, and a copy of the warm memo.  A two-block request needs one block
-    /// more than is free, so its allocation evicts the LRU entry; the request is then
-    /// released without caching anything.
+    /// more than is free, so its allocation evicts the head of the free-block queue;
+    /// the request is then released without caching anything.
     pub fn sample(&self, now: SimTime) -> (KvCacheManager, RefCell<ProbeCache>) {
         let mut kv = self.kv.clone();
         let request: Vec<u32> = (3_100_000_000..3_100_000_000 + 2 * BLOCK_SIZE as u32).collect();
         let alloc = kv
             .allocate(&request, now, RetentionPolicy::FullResidency)
-            .expect("evicting the unrelated block makes room");
+            .expect("evicting the victim makes room");
         kv.release_uncommitted(alloc);
         assert_eq!(
             kv.stats().evicted_blocks,
             self.kv.stats().evicted_blocks + 1,
-            "exactly the unrelated block leaves the cache"
+            "exactly the victim leaves the cache"
+        );
+        let cohort_0 = &self.hashes[&0];
+        let want = match self.victim {
+            Victim::Unrelated => COHORT_PREFIX_BLOCKS,
+            Victim::PrefixTail => COHORT_PREFIX_BLOCKS - 1,
+        };
+        assert_eq!(
+            kv.lookup_cached_blocks_from_hashes(cohort_0),
+            want,
+            "cohort 0's cached prefix after the eviction"
         );
         (kv, self.warm.clone())
     }
@@ -265,6 +299,9 @@ impl ThrashChains {
 
 /// Tokens of each cohort's shared prefix.
 const COHORT_PREFIX_TOKENS: u32 = 4_000;
+
+/// Full blocks of each cohort's shared prefix.
+const COHORT_PREFIX_BLOCKS: usize = COHORT_PREFIX_TOKENS as usize / BLOCK_SIZE;
 
 fn cohort_prefix(cohort: u32) -> Vec<u32> {
     (cohort * 1_000_000..cohort * 1_000_000 + COHORT_PREFIX_TOKENS).collect()

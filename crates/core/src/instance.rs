@@ -273,9 +273,10 @@ pub struct EngineInstance {
     queue: WaitingQueue,
     /// Each waiting request with its block-hash chain, by request id.
     pending: RequestMap<PendingRequest>,
-    /// Memoised cache-probe results per waiting request, keyed by the KV manager's
-    /// generation counters.  `RefCell` because the probe is handed to the scheduling
-    /// policy behind an immutable [`CacheProbe`] reference.
+    /// Memoised cache-probe results per waiting request, kept valid by the KV
+    /// manager's commit generation and eviction watermark.  `RefCell` because the
+    /// probe is handed to the scheduling policy behind an immutable [`CacheProbe`]
+    /// reference.
     probe_cache: RefCell<ProbeCache>,
     running: RequestMap<RunningRequest>,
     stage_free_at: Vec<SimTime>,
@@ -302,11 +303,12 @@ pub struct EngineInstance {
 }
 
 /// The engine-side [`CacheProbe`]: answers "how many tokens of this waiting request
-/// currently hit the prefix cache" from the memoised [`ProbeCache`], which degrades to
-/// a hash-chain walk only when the cache contents actually changed (and only from the
-/// previously hit depth when nothing was evicted).  Those walks share a checkpoint
-/// memo across the queue, so requests behind one long shared prefix — a user's burst
-/// behind its profile — walk that prefix once per cache generation, not once each.
+/// currently hit the prefix cache" from the memoised [`ProbeCache`], which walks the
+/// request's hash chain only when blocks were committed since its last probe (from
+/// the previously hit depth) or an eviction may have reached its hit prefix (from
+/// block zero).  Those walks share a checkpoint memo across the queue, so requests
+/// behind one long shared prefix — a user's burst behind its profile — walk that
+/// prefix once per cache generation, not once each.
 struct KvCacheProbe<'a> {
     kv: &'a KvCacheManager,
     pending: &'a RequestMap<PendingRequest>,
@@ -603,25 +605,14 @@ impl EngineInstance {
             request.tokens.len() / self.kv.block_size(),
             "precomputed chain must match the instance's block geometry"
         );
-        // The arrival-time probe doubles as the seed of the memoised probe cache, so
-        // the first scheduling step already starts from a known hit depth.
-        let hits_at_arrival = self
-            .probe_cache
-            .borrow_mut()
-            .tier_hits(&self.kv, request.id, &hashes);
-        let cached_at_arrival = effective_cached_tokens(
-            hits_at_arrival,
-            self.kv.capacity_blocks(),
-            self.kv.block_size(),
-            self.cpu_hit_discount,
-            self.net_hit_discount,
-        );
+        // No arrival-time probe: the engine's policies (FCFS, calibrated SRJF) never
+        // read `cached_tokens_at_arrival`, and calibrated SRJF probes at selection.
         self.queue.push(WaitingRequest {
             id: request.id,
             arrival: now,
             total_tokens: request.num_tokens(),
             decode_tokens: request.decode_tokens,
-            cached_tokens_at_arrival: cached_at_arrival,
+            cached_tokens_at_arrival: 0,
         });
         self.pending
             .insert(request.id, PendingRequest { request, hashes });
@@ -1290,6 +1281,50 @@ mod tests {
             other => panic!("expected admission, got {other:?}"),
         }
         assert_eq!(decode.stats().completed, 1);
+    }
+
+    /// Probes only where a score is read.  Enqueueing probes nothing; a
+    /// calibrated-SRJF instance starts a lone arrival and leaves its probe memo
+    /// empty (that the lone arrival is not even scored is
+    /// `scheduler::policy::tests::no_probe_without_a_choice`); a two-deep
+    /// calibrated queue is probed, and the request left waiting keeps its memoised
+    /// entry; an FCFS instance holds no entry for its waiting requests.
+    #[test]
+    fn instances_probe_only_where_a_score_is_read() {
+        let now = SimTime::ZERO;
+        let mut po = EngineInstance::new(&config(EngineKind::prefillonly_default()), 0);
+        po.enqueue(request(1, 1, 4_000, now), now);
+        assert!(po.probe_cache.borrow().is_empty(), "enqueue probes nothing");
+        let lone = po.try_start(now).expect("idle instance starts the arrival");
+        assert!(po.probe_cache.borrow().is_empty());
+
+        let later = lone.completion;
+        po.complete(1, later);
+        po.enqueue(request(2, 2, 4_000, later), later);
+        po.enqueue(request(3, 3, 4_000, later), later);
+        assert!(po.probe_cache.borrow().is_empty());
+        po.try_start(later)
+            .expect("idle instance starts one of two");
+        assert_eq!(
+            po.probe_cache.borrow().len(),
+            1,
+            "the waiting one was probed"
+        );
+
+        let mut paged = EngineInstance::new(&config(EngineKind::PagedAttention), 0);
+        for id in 1..=3 {
+            paged.enqueue(request(id, id, 4_000, now), now);
+        }
+        let mut at = now;
+        while let Some(started) = paged.try_start(at) {
+            assert!(
+                paged.probe_cache.borrow().is_empty(),
+                "FCFS never probes its waiting requests"
+            );
+            at = started.completion;
+            paged.complete(started.request_id, at);
+        }
+        assert_eq!(paged.stats().completed, 3);
     }
 
     #[test]

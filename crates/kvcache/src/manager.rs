@@ -21,8 +21,10 @@
 //!
 //! The manager also exposes a monotonically increasing
 //! [`KvCacheManager::generation`] that changes exactly when the *contents* of the
-//! prefix cache change (a block is inserted or removed); schedulers use it to skip
-//! re-probing hash chains when nothing changed between scheduling steps.
+//! prefix cache change (a block is inserted or removed), and an eviction watermark
+//! over the free-block queue's push stamps ([`KvCacheManager::evicted_below`]);
+//! schedulers use them to skip re-probing hash chains whose cached prefix no
+//! eviction reached.
 //!
 //! # Hierarchical tiers (§9 extension)
 //!
@@ -303,6 +305,11 @@ struct BlockRecord {
     /// [`KvCacheManager::drain_to_net`] carry it down to the CPU and network
     /// tiers, whose LRUs it orders.
     last_used: SimTime,
+    /// The stamp of the block's last push onto the free-block queue
+    /// ([`BlockTable::push_back`]).  A pinned block keeps the stamp of its last
+    /// push, and every cached block has been pushed at least once: a block enters
+    /// the cache unreferenced, at its commit.
+    queued_at: u64,
     /// Free-block queue links ([`NIL`] at an end of the queue, or while unqueued).
     prev: u32,
     next: u32,
@@ -318,6 +325,7 @@ impl BlockRecord {
     const VACANT: BlockRecord = BlockRecord {
         hash: TokenBlockHash(0),
         last_used: SimTime::ZERO,
+        queued_at: 0,
         prev: NIL,
         next: NIL,
         child: NIL,
@@ -339,6 +347,10 @@ impl BlockRecord {
 ///   is `last_used` order.  [`KvCacheManager::release_uncommitted`] (no caller in
 ///   the engine; benches and tests only) appends at the tail too and leaves
 ///   `last_used` as it is.
+/// * Each push stamps its record with the next value of a table-wide counter
+///   (`queued_at`).  Pushes append, unlinks keep the order of the rest and pops
+///   take the head, so the queue is in stamp order from head to tail and
+///   successive pops return strictly increasing stamps.
 /// * The prefix map pairs each cached hash with exactly one cached block, and each
 ///   cached record holds the hash it is paired with.  So a `child` link that
 ///   [`Self::child`] accepts names the block the map would return.
@@ -350,6 +362,8 @@ struct BlockTable {
     head: u32,
     tail: u32,
     queued: u64,
+    /// The stamp the next push writes.
+    next_stamp: u64,
 }
 
 impl BlockTable {
@@ -359,6 +373,7 @@ impl BlockTable {
             head: NIL,
             tail: NIL,
             queued: 0,
+            next_stamp: 0,
         }
     }
 
@@ -416,11 +431,13 @@ impl BlockTable {
         self.queued
     }
 
-    /// Appends an unqueued cached block at the tail.
+    /// Appends an unqueued cached block at the tail, stamping it.
     fn push_back(&mut self, block: BlockId) {
         let id = Self::link(block);
         let record = &mut self.records[id as usize];
         debug_assert!(record.cached, "only cached blocks are queued");
+        record.queued_at = self.next_stamp;
+        self.next_stamp += 1;
         record.prev = self.tail;
         record.next = NIL;
         match self.tail {
@@ -472,6 +489,22 @@ impl BlockTable {
 
 /// Paged KV-cache manager with prefix caching.
 ///
+/// # Queue stamps and the eviction watermark
+///
+/// Every push onto the GPU free-block queue stamps the block with the next value of
+/// a counter, and every eviction raises [`Self::evicted_below`] to one past the
+/// evicted block's stamp.  The queue is in stamp order and evicts from its head, so
+/// evictions pop strictly increasing stamps and the watermark only rises.
+///
+/// A cached block found with stamp `s` can leave the cache only through an
+/// eviction, which pops it with a stamp of at least `s` (a pinned block keeps its
+/// last stamp and is re-stamped higher when it is unpinned), and that eviction
+/// lifts the watermark above `s`.  So while [`Self::evicted_below`] is at most the
+/// lowest stamp a walk saw over a hit prefix, every block of that prefix is still
+/// cached: [`Self::resume_cached_blocks_from_hashes`] returns that lowest stamp
+/// beside the depth, and [`crate::ProbeCache`] keeps a depth across every eviction
+/// that missed it.
+///
 /// ```
 /// use kvcache::{KvCacheManager, RetentionPolicy};
 /// use simcore::SimTime;
@@ -501,6 +534,9 @@ pub struct KvCacheManager {
     commit_generation: u64,
     /// Bumped whenever a block is removed from the prefix cache.
     evict_generation: u64,
+    /// One past the queue stamp of the last evicted block (0 before any eviction):
+    /// every block evicted so far had a stamp below it.
+    evicted_below: u64,
     /// The CPU tier eviction victims spill into (`None` = discard-on-evict).
     cpu: Option<CpuKvPool>,
     /// The cluster-shared network tier CPU eviction victims cascade into (`None` =
@@ -538,6 +574,7 @@ impl KvCacheManager {
             blocks: BlockTable::new(),
             commit_generation: 0,
             evict_generation: 0,
+            evicted_below: 0,
             cpu: None,
             net: None,
             net_stats: OffloadStats::default(),
@@ -700,6 +737,22 @@ impl KvCacheManager {
         self.evict_generation
     }
 
+    /// The commit half of [`Self::generation`]: bumped only when a block *enters*
+    /// the prefix cache.  While it is unchanged, no miss of a hash-chain walk can
+    /// have turned into a hit.
+    pub fn commit_generation(&self) -> u64 {
+        self.commit_generation
+    }
+
+    /// The eviction watermark: one past the queue stamp of the last evicted block,
+    /// 0 before any eviction (see the type docs).  Every block evicted so far had a
+    /// stamp below it, so a prefix whose lowest stamp, as
+    /// [`Self::resume_cached_blocks_from_hashes`] returned it, is at least this
+    /// value is still cached in full.
+    pub fn evicted_below(&self) -> u64 {
+        self.evicted_below
+    }
+
     /// Returns how many leading tokens of `tokens` would hit the prefix cache right
     /// now, without allocating anything.  This is the `n_cached` input of the
     /// continuous JCT calibration (Algorithm 1, line 7).
@@ -717,7 +770,7 @@ impl KvCacheManager {
 
     /// Number of leading blocks of `hashes` that currently hit the prefix cache.
     pub fn lookup_cached_blocks_from_hashes(&self, hashes: &[TokenBlockHash]) -> usize {
-        self.walk_hash_chain(hashes, 0)
+        self.walk_hash_chain(hashes)
     }
 
     /// Per-tier prefix hits of a hash chain: the GPU-cached prefix, how far the CPU
@@ -725,7 +778,7 @@ impl KvCacheManager {
     /// starts where the tier above stopped — blocks behind a miss in every upper tier
     /// are unreachable without recomputation, exactly as at allocation time.
     pub fn lookup_tier_hits_from_hashes(&self, hashes: &[TokenBlockHash]) -> TierHits {
-        let gpu_blocks = self.walk_hash_chain(hashes, 0);
+        let gpu_blocks = self.walk_hash_chain(hashes);
         let cpu_blocks = self.cpu_prefix_blocks_after(hashes, gpu_blocks);
         TierHits {
             gpu_blocks,
@@ -752,40 +805,49 @@ impl KvCacheManager {
         }
     }
 
-    /// Resumes a hash-chain walk from a previously measured hit depth.
+    /// Resumes a hash-chain walk from a previously measured hit depth, and returns
+    /// the new depth with the lowest queue stamp of the blocks it walked
+    /// (`u64::MAX` when it walked none).
     ///
-    /// Sound only while [`Self::evict_generation`] is unchanged since `prev_hit_blocks`
-    /// was measured: with no evictions in between, the previously hit prefix is still
-    /// resident, so the walk can skip straight to block `prev_hit_blocks` instead of
-    /// re-verifying the prefix.  This is what makes continuous JCT calibration
-    /// (Algorithm 1) cheap at high queue depth — each scheduling step pays O(new hits)
-    /// per waiting request instead of O(chain length).
+    /// Sound only while blocks `[0, prev_hit_blocks)` are all still cached, which
+    /// holds while [`Self::evicted_below`] is at most the lowest stamp the walks that
+    /// found them returned (see the type docs).  The walk then skips straight to
+    /// block `prev_hit_blocks` instead of re-verifying the prefix.  This is what makes
+    /// continuous JCT calibration (Algorithm 1) cheap at high queue depth — each
+    /// scheduling step pays O(new hits) per waiting request instead of O(chain
+    /// length).
     pub fn resume_cached_blocks_from_hashes(
         &self,
         hashes: &[TokenBlockHash],
         prev_hit_blocks: usize,
-    ) -> usize {
+    ) -> (usize, u64) {
         debug_assert!(prev_hit_blocks <= hashes.len());
         debug_assert!(
             hashes
                 .iter()
                 .take(prev_hit_blocks)
                 .all(|h| self.cached.contains_key(h)),
-            "resume depth is stale: an eviction invalidated the previous walk"
+            "resume depth is stale: an eviction reached the previously hit prefix"
         );
-        self.walk_hash_chain(hashes, prev_hit_blocks)
+        let mut hits = prev_hit_blocks;
+        let mut min_stamp = u64::MAX;
+        for hash in &hashes[prev_hit_blocks..] {
+            let Some(&block) = self.cached.get(hash) else {
+                break;
+            };
+            min_stamp = min_stamp.min(self.blocks.record(block).queued_at);
+            hits += 1;
+        }
+        (hits, min_stamp)
     }
 
-    fn walk_hash_chain(&self, hashes: &[TokenBlockHash], start: usize) -> usize {
-        let mut hits = start;
-        for hash in &hashes[start..] {
-            if self.cached.contains_key(hash) {
-                hits += 1;
-            } else {
-                break;
-            }
-        }
-        hits
+    /// Leading blocks of `hashes` in the prefix map: the walk of lookups and
+    /// routing, which need no stamps.
+    fn walk_hash_chain(&self, hashes: &[TokenBlockHash]) -> usize {
+        hashes
+            .iter()
+            .take_while(|hash| self.cached.contains_key(hash))
+            .count()
     }
 
     /// Allocates KV residency for a request.
@@ -1126,13 +1188,15 @@ impl KvCacheManager {
         while self.evict_lru_head().is_some() {}
     }
 
-    /// Evicts the head of the free-block queue — drops it from the cache and frees
-    /// its block — and returns its `(last_used, hash)`.
+    /// Evicts the head of the free-block queue — drops it from the cache, frees its
+    /// block and lifts the eviction watermark past its stamp — and returns its
+    /// `(last_used, hash)`.  The only way a block leaves the prefix cache.
     fn evict_lru_head(&mut self) -> Option<(SimTime, TokenBlockHash)> {
         let block = self.blocks.pop_front()?;
         let record = self.blocks.record_mut(block);
         record.cached = false;
         let (last_used, hash) = (record.last_used, record.hash);
+        self.evicted_below = record.queued_at + 1;
         let removed = self.cached.remove(&hash);
         debug_assert_eq!(removed, Some(block), "the table and the prefix map agree");
         self.pool.release(block);
@@ -1233,11 +1297,12 @@ impl KvCacheManager {
     /// Test-only structural check of the block table.  The free-block queue's links
     /// agree both ways, its head and tail are the ends of the walk, its length is
     /// the walk's, and the queued blocks are exactly the unreferenced cached
-    /// blocks.  Every record marked cached holds the hash the prefix map pairs with
-    /// its block, and no other record claims to be cached.  The table never holds
-    /// more records than the pool has blocks.
+    /// blocks.  Queue stamps strictly increase from head to tail, and none is below
+    /// the eviction watermark.  Every record marked cached holds the hash the
+    /// prefix map pairs with its block, and no other record claims to be cached.
+    /// The table never holds more records than the pool has blocks.
     #[cfg(test)]
-    fn assert_lru_invariant(&self) {
+    pub(crate) fn assert_lru_invariant(&self) {
         use std::collections::BTreeSet;
         let table = &self.blocks;
         let mut walked = Vec::new();
@@ -1247,6 +1312,22 @@ impl KvCacheManager {
             let record = &table.records[cursor as usize];
             assert_eq!(record.prev, prev, "prev link of block {cursor}");
             assert!(walked.len() as u64 <= table.queued, "the queue has a cycle");
+            assert!(
+                record.queued_at >= self.evicted_below,
+                "block {cursor} is queued with stamp {} under the watermark {}",
+                record.queued_at,
+                self.evicted_below
+            );
+            assert!(
+                record.queued_at < table.next_stamp,
+                "block {cursor} holds a stamp no push wrote"
+            );
+            if prev != NIL {
+                assert!(
+                    table.records[prev as usize].queued_at < record.queued_at,
+                    "stamps do not increase from head to tail at block {cursor}"
+                );
+            }
             walked.push(cursor);
             prev = cursor;
             cursor = record.next;
@@ -1534,7 +1615,10 @@ mod tests {
 
         // Nothing cached: both walks agree at depth 0.
         assert_eq!(m.lookup_cached_blocks_from_hashes(&hashes), 0);
-        assert_eq!(m.resume_cached_blocks_from_hashes(&hashes, 0), 0);
+        assert_eq!(
+            m.resume_cached_blocks_from_hashes(&hashes, 0),
+            (0, u64::MAX)
+        );
 
         // Cache the 4-block prefix; a resumed walk from the old depth finds them.
         let a = m
@@ -1543,7 +1627,7 @@ mod tests {
         m.commit(a, SimTime::ZERO);
         let full = m.lookup_cached_blocks_from_hashes(&hashes);
         assert_eq!(full, 4);
-        assert_eq!(m.resume_cached_blocks_from_hashes(&hashes, 0), full);
+        assert_eq!(m.resume_cached_blocks_from_hashes(&hashes, 0).0, full);
 
         // Cache the whole chain; resuming from depth 4 walks only the new blocks.
         let b = m
@@ -1554,7 +1638,7 @@ mod tests {
             )
             .unwrap();
         m.commit(b, SimTime::from_secs(1));
-        assert_eq!(m.resume_cached_blocks_from_hashes(&hashes, full), 8);
+        assert_eq!(m.resume_cached_blocks_from_hashes(&hashes, full).0, 8);
         m.assert_lru_invariant();
     }
 

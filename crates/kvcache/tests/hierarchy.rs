@@ -565,10 +565,12 @@ fn hierarchical_shadow_model_agreement() {
 /// `ProbeCache::tier_hits` always agrees with a fresh three-tier walk.  Chains longer
 /// than two 64-block checkpoints, sharing a prefix that ends before, at and after a
 /// checkpoint boundary, are probed under several request ids, so the cross-request
-/// checkpoint memo is exercised across commits, evictions and spills.
+/// checkpoint memo is exercised across commits, evictions and spills.  Some
+/// allocations stay in flight for several steps, pinning their prefixes across
+/// probes and other requests' evictions, before they commit or release.
 #[test]
 fn probe_matches_tier_walk_under_offload() {
-    use kvcache::ProbeCache;
+    use kvcache::{ProbeCache, RequestKv};
 
     let mut deep_probes = 0usize;
     for seed in 0..48u64 {
@@ -609,10 +611,22 @@ fn probe_matches_tier_walk_under_offload() {
         net.offload(&chains[0], SimTime::ZERO);
         kv.install_net_pool(net);
 
-        for step in 0..300 {
+        // Allocations in flight: the step they finish at, whether they commit.
+        let mut in_flight: Vec<(u64, bool, RequestKv)> = Vec::new();
+        for step in 0..300u64 {
             let now = SimTime::from_millis(step);
+            let (due, held): (Vec<_>, Vec<_>) =
+                in_flight.drain(..).partition(|(at, ..)| *at <= step);
+            in_flight = held;
+            for (_, commit, alloc) in due {
+                if commit {
+                    kv.commit(alloc, now);
+                } else {
+                    kv.release_uncommitted(alloc);
+                }
+            }
             let idx = rng.gen_range(0usize..chains.len());
-            match rng.gen_range(0u32..3) {
+            match rng.gen_range(0u32..4) {
                 0 => {
                     let request_id = idx as u64 + chains.len() as u64 * rng.gen_range(0u64..3);
                     let got = probe.tier_hits(&kv, request_id, &chains[idx]);
@@ -621,6 +635,21 @@ fn probe_matches_tier_walk_under_offload() {
                     deep_probes += usize::from(want.gpu_blocks >= 64);
                 }
                 1 => {
+                    // Pin the chain's cached prefix for a few steps, then commit or
+                    // release the allocation.
+                    let total = chains[idx].len() as u64 * BLOCK_SIZE as u64;
+                    let alloc = kv
+                        .allocate_from_hashes(
+                            &chains[idx],
+                            total,
+                            now,
+                            RetentionPolicy::PrefixBestEffort,
+                        )
+                        .expect("best effort never fails");
+                    let finish = step + rng.gen_range(1u64..8);
+                    in_flight.push((finish, rng.gen_range(0u32..4) != 0, alloc));
+                }
+                2 => {
                     let total = chains[idx].len() as u64 * BLOCK_SIZE as u64;
                     if let Ok(alloc) = kv.allocate_from_hashes(
                         &chains[idx],

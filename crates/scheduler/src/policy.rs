@@ -124,12 +124,18 @@ impl SrjfPolicy {
 }
 
 impl SchedulingPolicy for SrjfPolicy {
+    /// The lowest-scoring request, ties broken by the lower id.  A one-request queue
+    /// leaves no choice, so its request is returned without a score (and without a
+    /// cache probe).
     fn select(
         &self,
         queue: &[WaitingRequest],
         now: SimTime,
         cache: &dyn CacheProbe,
     ) -> Option<usize> {
+        if queue.len() == 1 {
+            return Some(0);
+        }
         let mut best: Option<(usize, f64, u64)> = None;
         for (idx, request) in queue.iter().enumerate() {
             let score = self.score(request, now, cache);
@@ -201,6 +207,15 @@ mod tests {
         }
     }
 
+    /// A probe that fails the test if any request is scored against it.
+    struct PanickingProbe;
+
+    impl CacheProbe for PanickingProbe {
+        fn cached_tokens(&self, request: &WaitingRequest) -> u64 {
+            panic!("request {} was probed", request.id)
+        }
+    }
+
     fn request(id: u64, arrival_ms: u64, tokens: u64) -> WaitingRequest {
         WaitingRequest {
             id,
@@ -232,6 +247,22 @@ mod tests {
         assert!(FcfsPolicy.select(&[], SimTime::ZERO, &cache).is_none());
         let srjf = SrjfPolicy::with_calibration(estimator(), 0.0);
         assert!(srjf.select(&[], SimTime::ZERO, &cache).is_none());
+    }
+
+    /// Where there is no choice, no score is read: SRJF returns a one-request
+    /// queue's entry without probing it, and FCFS never probes at all.
+    #[test]
+    fn no_probe_without_a_choice() {
+        let now = SimTime::from_secs(1);
+        let lone = [request(9, 0, 50_000)];
+        for srjf in [
+            SrjfPolicy::classic(estimator()),
+            SrjfPolicy::with_calibration(estimator(), 500.0),
+        ] {
+            assert_eq!(srjf.select(&lone, now, &PanickingProbe), Some(0));
+        }
+        let queue = [request(3, 30, 100), request(1, 10, 900)];
+        assert_eq!(FcfsPolicy.select(&queue, now, &PanickingProbe), Some(1));
     }
 
     #[test]

@@ -20,6 +20,11 @@ pub struct WaitingRequest {
     /// Prefix-cache hit tokens measured when the request *arrived*.  Classic (non-
     /// calibrating) SRJF freezes its decision on this value; continuous calibration
     /// ignores it and re-probes the cache at every scheduling step.
+    ///
+    /// Engine queues leave it at 0: no engine kind schedules with classic SRJF, and
+    /// FCFS and calibrated SRJF never read it, so an engine does not probe the cache
+    /// at arrival.  Only callers that build classic SRJF over their own queues set
+    /// it.
     pub cached_tokens_at_arrival: u64,
 }
 
