@@ -836,8 +836,7 @@ fn epoch_snapshot_baselines(out: &mut Vec<BaselinePoint>) {
 /// Epoch-barrier overhead at fleet depth: a *sparse* trace (every epoch nearly
 /// empty) over a 64-instance deployment with the shared tier and a short
 /// propagation delay, so the replay cost is dominated by the per-epoch
-/// install/route/barrier/merge machinery.  The adaptive entry lets near-idle
-/// epochs stretch towards `max_ms`, cutting the barrier count.
+/// install/route/barrier/merge machinery.
 fn epoch_barrier_baselines(out: &mut Vec<BaselinePoint>) {
     let num_cohorts = if smoke() { 4 } else { 16 };
     let spec = SharedPrefixFleetSpec {
@@ -848,31 +847,25 @@ fn epoch_barrier_baselines(out: &mut Vec<BaselinePoint>) {
         requests_per_user: 8,
     };
     let qps = 10.0; // ~2.5 arrivals per 250 ms epoch: barrier-dominated
-    let base = fleet_config(prefillonly::RoutingPolicyKind::StickyUser, 320)
+    let config = fleet_config(prefillonly::RoutingPolicyKind::StickyUser, 320)
         .with_net_kv(64 << 30)
         .with_net_propagation_ms(250);
-    let adaptive = base.clone().with_adaptive_epochs(64, 250, 8_000);
-    for (name, config) in [
-        ("serving/epoch_barriers_64_instances/fixed", base),
-        ("serving/epoch_barriers_64_instances/adaptive", adaptive),
-    ] {
-        measure(
-            out,
-            name,
-            samples(5),
-            || {
-                (
-                    Cluster::new(&config),
-                    SharedPrefixFleetStream::new(spec, qps, 11),
-                )
-            },
-            |(mut cluster, mut stream)| {
-                let report = cluster.run_stream(&mut stream, qps).expect("feasible");
-                std::hint::black_box(report.records.len());
-                cluster
-            },
-        );
-    }
+    measure(
+        out,
+        "serving/epoch_barriers_64_instances/fixed",
+        samples(5),
+        || {
+            (
+                Cluster::new(&config),
+                SharedPrefixFleetStream::new(spec, qps, 11),
+            )
+        },
+        |(mut cluster, mut stream)| {
+            let report = cluster.run_stream(&mut stream, qps).expect("feasible");
+            std::hint::black_box(report.records.len());
+            cluster
+        },
+    );
 }
 
 /// Decode-stage hot paths: the per-step roofline price itself (the inner loop of

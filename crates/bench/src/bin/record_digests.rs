@@ -30,15 +30,24 @@
 //!   running requests pin their blocks past the stage-free time, fails
 //!   allocations);
 //! * then chunked prefill under KV pressure (full-residency allocation failures),
-//!   a disaggregated fleet (handoffs), and a drain-to-net plus warm join over the
-//!   post-recommendation trace, which also prints each drain's spill counts.
+//!   a disaggregated fleet (handoffs), and a chunked-prefill Prefill : Decode L4
+//!   pair whose decode slot runs out of room, so handoff admissions retry;
+//! * then a drain-to-net over the post-recommendation trace, which also prints
+//!   each drain's spill counts (its join lands after the trace's last arrival);
+//! * then the elasticity ablation's drain-to-net handoff trace with a warm and a
+//!   cold join, one replay per entry point each.  The program panics unless both
+//!   joins apply, each joined slot serves records and the warm and cold digests
+//!   differ, so the grid cannot silently stop covering a join.
 //!
-//! The program uses the public API only, so the same file builds in an older
-//! checkout of the workspace.
+//! The program uses the public API and `prefillonly_bench`'s shared scenarios
+//! only, so the same file builds in an older checkout of the workspace.
 
 use gpu::{HardwareSetup, NetLinkKind};
 use model::ModelPreset;
 use prefillonly::{Cluster, EngineConfig, EngineKind, RoutingPolicyKind, RunReport};
+use prefillonly_bench::{
+    elastic_fleet_handoff, ELASTIC_DRAIN_AT_MS, ELASTIC_FLEET_QPS, ELASTIC_JOIN_AT_MS,
+};
 use simcore::{SimRng, SimTime};
 use workload::{
     assign_poisson_arrivals_with, collect_stream, conversation_trace, ArrivalGranularity,
@@ -65,21 +74,30 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// One replay of `trace` through `entry` on `cluster`.
-fn replay(cluster: &mut Cluster, entry: &str, trace: &[ArrivalPattern], qps: f64) -> String {
-    let report = match entry {
+fn replay_report(
+    cluster: &mut Cluster,
+    entry: &str,
+    trace: &[ArrivalPattern],
+    qps: f64,
+) -> Result<RunReport, prefillonly::RunError> {
+    match entry {
         "run" => cluster.run(trace, qps),
         "run_sequential" => cluster.run_sequential(trace, qps),
         "run_stream" => cluster.run_stream(&mut SliceArrivalStream::sorting(trace), qps),
         _ => cluster.run_stream_sequential(&mut SliceArrivalStream::sorting(trace), qps),
-    };
-    match report {
+    }
+}
+
+/// [`replay_report`], described as one digest line.
+fn replay(cluster: &mut Cluster, entry: &str, trace: &[ArrivalPattern], qps: f64) -> String {
+    match replay_report(cluster, entry, trace, qps) {
         Ok(report) => describe(&report),
         Err(err) => format!("error {err:?}"),
     }
 }
 
-fn describe(report: &RunReport) -> String {
-    let digest = fnv1a(
+fn digest(report: &RunReport) -> u64 {
+    fnv1a(
         format!(
             "{:?}",
             (
@@ -91,10 +109,14 @@ fn describe(report: &RunReport) -> String {
             )
         )
         .as_bytes(),
-    );
+    )
+}
+
+fn describe(report: &RunReport) -> String {
     format!(
-        "{digest:016x} records={} evicted={} spilled={} reloaded={} net_reloaded={} \
+        "{:016x} records={} evicted={} spilled={} reloaded={} net_reloaded={} \
          failed_allocations={} handoff_records={}",
+        digest(report),
         report.records.len(),
         report.cache.evicted_blocks,
         report.offload.offloaded_blocks,
@@ -250,8 +272,40 @@ fn main() {
         );
     }
 
-    // An elastic fleet: one instance drains into the net tier at 2.5 s and a warm
-    // instance joins at 10 s.
+    // A chunked-prefill Prefill : Decode pair: chunked prefill keeps every
+    // prompt's full KV resident, so the decode slot runs out of room and handoff
+    // admissions retry at later boundaries.
+    let retry_spec = ConversationSpec {
+        num_sessions: 10,
+        turns_per_session: 3,
+        system_prompt_tokens: 1_024,
+        first_turn_input_tokens: 2_048,
+        turn_input_tokens: 256,
+        decode_tokens_per_turn: 96,
+        think_time_ms: 2_000,
+    };
+    let retry_qps = 1.0;
+    let retry_chat = conversation_trace(&retry_spec, retry_qps, 77);
+    let mut retry_fleet = l4_config(
+        2,
+        EngineKind::chunked_default(),
+        retry_spec.max_request_tokens(),
+    )
+    .with_cpu_offload(768 << 20)
+    .with_net_kv(64 << 30)
+    .with_routing(RoutingPolicyKind::CacheAware)
+    .with_net_propagation_ms(2_000)
+    .with_roles(vec![InstanceRole::Prefill, InstanceRole::Decode]);
+    retry_fleet.memory_utilization = 0.70;
+    replay_grid(
+        "chat_handoff_retries cache_aware",
+        &retry_fleet,
+        &retry_chat,
+        retry_qps,
+    );
+
+    // An elastic fleet: one instance drains into the net tier at 2.5 s; the warm
+    // join at 10 s comes after the trace's last arrival and does not apply.
     let elastic_posts =
         post_recommendation_trace(&posts_spec, posts_qps, ArrivalGranularity::PerUser);
     let elastic = l4_config(4, EngineKind::prefillonly_default(), posts_len)
@@ -287,5 +341,61 @@ fn main() {
                 drain.spill.evicted_blocks
             );
         }
+    }
+
+    // The elasticity ablation's handoff trace: one instance drains into the net
+    // tier and a replacement joins warm (attached to the net tier) or cold.
+    let (handoff_config, handoff_trace) = elastic_fleet_handoff();
+    for entry in ENTRY_POINTS {
+        let mut digests = Vec::new();
+        for (warmth, attached) in [("warm", true), ("cold", false)] {
+            let mut cluster = Cluster::new(&handoff_config);
+            cluster.schedule_membership(MembershipSchedule::new(vec![
+                MembershipEvent {
+                    at: SimTime::from_millis(ELASTIC_DRAIN_AT_MS),
+                    change: MembershipChange::Drain { spill: true },
+                },
+                MembershipEvent {
+                    at: SimTime::from_millis(ELASTIC_JOIN_AT_MS),
+                    change: MembershipChange::Join {
+                        attached,
+                        role: InstanceRole::Colocated,
+                    },
+                },
+            ]));
+            let report = replay_report(&mut cluster, entry, &handoff_trace, ELASTIC_FLEET_QPS)
+                .expect("the handoff trace is feasible");
+            let join = cluster
+                .membership_log()
+                .iter()
+                .find(|applied| matches!(applied.change, MembershipChange::Join { .. }))
+                .unwrap_or_else(|| {
+                    panic!("elastic_handoff {warmth} {entry}: the join never applied")
+                });
+            let joined: Vec<_> = report
+                .records
+                .iter()
+                .filter(|r| r.instance == join.slot && r.arrival >= join.at)
+                .collect();
+            assert!(
+                !joined.is_empty(),
+                "elastic_handoff {warmth} {entry}: the joined slot {} served no record",
+                join.slot
+            );
+            let joiner_net_tokens: u64 = joined.iter().map(|r| r.net_reloaded_tokens).sum();
+            println!(
+                "elastic_handoff {warmth} {entry} joined_slot={} joined_at={} \
+                 joiner_records={} joiner_net_reloaded_tokens={joiner_net_tokens} {}",
+                join.slot,
+                join.at,
+                joined.len(),
+                describe(&report)
+            );
+            digests.push(digest(&report));
+        }
+        assert_ne!(
+            digests[0], digests[1],
+            "elastic_handoff {entry}: warm and cold joins replayed identically"
+        );
     }
 }

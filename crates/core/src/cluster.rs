@@ -91,13 +91,13 @@
 //! which is what lets a million-request trace replay in a few hundred megabytes
 //! instead of tens of gigabytes.
 //!
-//! Epoch boundaries come from an adaptive clock ([`EpochLengthPolicy`]): the
-//! next epoch's length is a pure function of the configuration and the arrival
-//! counts of *completed* epochs — shorter under burst, longer when idle — so
-//! parallel and sequential replay (and any rerun) cut the stream identically and
-//! the byte-identity guarantee carries over unchanged.  Deployments with
-//! propagation epochs replay byte-identically to [`Cluster::run`] on the
-//! materialised trace; without the shared tier the chunk cadence is a
+//! Deployments with propagation epochs cut the stream every
+//! `net_propagation_ms` and replay byte-identically to [`Cluster::run`] on the
+//! materialised trace.  Everything else is cut into *chunks* by an adaptive
+//! clock: the next chunk's length is a pure function of the arrival counts of
+//! *completed* chunks — shorter under burst, longer when idle — so parallel and
+//! sequential replay (and any rerun) cut the stream identically and the
+//! byte-identity guarantee carries over unchanged.  The chunk cadence is a
 //! routing-snapshot cadence only (state-dependent policies see refreshed loads
 //! per chunk, which a single replay window by design does not), and the tier
 //! snapshots are installed once up front and merged once at the end, exactly as
@@ -112,31 +112,29 @@
 //! slots (routing, handoff dispatch, membership, tier merges) runs on the calling
 //! thread at the epoch barrier, identically in both flavours.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
 use simcore::{EventQueue, SimDuration, SimTime};
 
-use kvcache::{
-    CacheStats, DrainSpill, HandoffLedger, HandoffRecord, NetKvPool, NetPoolView, OffloadStats,
-    ViewDelta,
-};
+use kvcache::{CacheStats, DrainSpill, NetKvPool, NetPoolView, OffloadStats, ViewDelta};
 use workload::{
     ArrivalPattern, ArrivalStream, InstanceRole, MembershipChange, MembershipSchedule,
     SliceArrivalStream, StreamedArrival,
 };
 
 use crate::baselines::engine_display_name;
-use crate::config::{ConfigError, EngineConfig, EpochLengthPolicy};
-use crate::instance::{EngineInstance, HandoffAdmission, InstanceProfile, KvHandoff};
+use crate::config::{ConfigError, EngineConfig};
+use crate::handoff::HandoffsInFlight;
+use crate::instance::{EngineInstance, HandoffAdmission, InstanceProfile};
 use crate::report::{RequestRecord, RunReport, SlotWindow, WindowMetrics};
 use crate::request::PrefillRequest;
 use crate::routing::{
     InstanceLoad, RouteQuery, RouterSnapshot, RoutingDecision, RoutingPolicy, RoutingReason,
 };
 
-/// Base chunk length of a streamed replay without propagation epochs (the clock
-/// adapts from here towards the arrival target).
+/// Base chunk length of a streamed replay without propagation epochs (the chunk
+/// clock adapts from here towards the arrival target).
 const STREAM_CHUNK_BASE_MS: u64 = 1_000;
 /// Arrivals per chunk the tierless streaming clock self-paces towards: large
 /// enough to amortise the per-chunk routing snapshot, small enough that the
@@ -236,28 +234,37 @@ impl RoutingScratch {
     }
 }
 
-/// Deterministic generator of propagation-epoch boundaries (see
-/// [`EpochLengthPolicy`]): the next boundary is a pure function of the
-/// configuration and the arrival counts of completed epochs, so parallel and
-/// sequential replay — and any number of reruns — cut the window identically.
+/// Deterministic generator of epoch boundaries: the next boundary is a pure
+/// function of the clock's kind and the arrival counts of completed epochs, so
+/// parallel and sequential replay — and any number of reruns — cut the window
+/// identically.
 #[derive(Debug)]
 struct EpochClock {
-    policy: EpochLengthPolicy,
+    /// Whether epoch lengths adapt to arrival counts ([`Self::chunking`]) or
+    /// stay fixed ([`Self::fixed`]).
+    adaptive: bool,
     len_ms: u64,
     boundary: SimTime,
 }
 
 impl EpochClock {
-    fn new(base_ms: u64, policy: EpochLengthPolicy) -> EpochClock {
-        debug_assert!(base_ms > 0, "epoch clocks need a finite base length");
-        let len_ms = match policy {
-            EpochLengthPolicy::Fixed => base_ms,
-            EpochLengthPolicy::Adaptive { min_ms, max_ms, .. } => base_ms.clamp(min_ms, max_ms),
-        };
+    /// Propagation epochs: every epoch is exactly `len_ms` long.
+    fn fixed(len_ms: u64) -> EpochClock {
+        debug_assert!(len_ms > 0, "epoch clocks need a finite length");
         EpochClock {
-            policy,
+            adaptive: false,
             len_ms,
             boundary: SimTime::ZERO + SimDuration::from_millis(len_ms),
+        }
+    }
+
+    /// The chunk clock of a streamed replay without propagation epochs: starts at
+    /// [`STREAM_CHUNK_BASE_MS`] and self-paces towards
+    /// [`STREAM_CHUNK_TARGET_ARRIVALS`] arrivals per chunk (see [`Self::advance`]).
+    fn chunking() -> EpochClock {
+        EpochClock {
+            adaptive: true,
+            ..EpochClock::fixed(STREAM_CHUNK_BASE_MS)
         }
     }
 
@@ -267,21 +274,16 @@ impl EpochClock {
         self.boundary
     }
 
-    /// Closes the current epoch, adapting the next epoch's length to the closed
-    /// epoch's arrival count: halve under burst (more than twice the target),
-    /// double when near-idle (less than half the target), clamped to the
-    /// configured bounds.  [`EpochLengthPolicy::Fixed`] never adapts.
+    /// Closes the current epoch.  The chunk clock adapts the next chunk's length
+    /// to the closed one's arrival count: it halves under burst (more than twice
+    /// the target) and doubles when near-idle (less than half the target), within
+    /// `[1, STREAM_CHUNK_MAX_MS]` ms.  A fixed clock never adapts.
     fn advance(&mut self, arrivals_in_epoch: u64) {
-        if let EpochLengthPolicy::Adaptive {
-            target_arrivals,
-            min_ms,
-            max_ms,
-        } = self.policy
-        {
-            if arrivals_in_epoch > target_arrivals.saturating_mul(2) {
-                self.len_ms = (self.len_ms / 2).max(min_ms);
-            } else if arrivals_in_epoch.saturating_mul(2) < target_arrivals {
-                self.len_ms = self.len_ms.saturating_mul(2).min(max_ms);
+        if self.adaptive {
+            if arrivals_in_epoch > STREAM_CHUNK_TARGET_ARRIVALS * 2 {
+                self.len_ms = (self.len_ms / 2).max(1);
+            } else if arrivals_in_epoch.saturating_mul(2) < STREAM_CHUNK_TARGET_ARRIVALS {
+                self.len_ms = (self.len_ms * 2).min(STREAM_CHUNK_MAX_MS);
             }
         }
         self.boundary += SimDuration::from_millis(self.len_ms);
@@ -580,13 +582,9 @@ pub struct Cluster {
     /// the first multi-instance parallel window and reused across every epoch and
     /// window thereafter (replacing per-epoch thread spawn/teardown).
     worker_pool: Option<WorkerPool>,
-    /// In-flight prefill→decode KV handoffs of the disaggregation plane, ordered
-    /// by `(ready_at, request_id)`; drained at epoch boundaries exactly like
-    /// published net-tier spills (see [`kvcache::HandoffLedger`]).
-    handoff_ledger: HandoffLedger,
-    /// The full payload of each in-flight handoff, keyed by request id (the
-    /// ledger keeps only the deterministic accounting record).
-    handoff_payloads: HashMap<u64, KvHandoff>,
+    /// In-flight prefill→decode KV handoffs of the disaggregation plane, drained
+    /// at epoch boundaries exactly like published net-tier spills.
+    handoffs: HandoffsInFlight,
     /// Per-boundary fleet samples collected when
     /// [`EngineConfig::track_window_metrics`] is set; drained into
     /// [`RunReport::windows`] by [`Self::finish_report`].
@@ -641,8 +639,7 @@ impl Cluster {
             retired_cache: CacheStats::default(),
             retired_offload: OffloadStats::default(),
             worker_pool: None,
-            handoff_ledger: HandoffLedger::default(),
-            handoff_payloads: HashMap::new(),
+            handoffs: HandoffsInFlight::default(),
             window_metrics: Vec::new(),
         })
     }
@@ -1033,7 +1030,7 @@ impl Cluster {
             // anywhere — no in-flight handoff, no queued event, no instance
             // holding work — so later boundaries would be empty spins.
             if stream_done
-                && self.handoff_ledger.is_empty()
+                && self.handoffs.is_empty()
                 && queues.iter().all(|queue| queue.events.is_empty())
                 && self
                     .instances
@@ -1053,10 +1050,8 @@ impl Cluster {
     }
 
     /// The epoch clock of one streamed replay: epoch-sharing deployments cut at the
-    /// configured propagation delay (adapted per [`EpochLengthPolicy`]); everything
-    /// else chunks purely for bounded arrival memory, self-pacing towards
-    /// [`STREAM_CHUNK_TARGET_ARRIVALS`] arrivals per chunk unless the configuration
-    /// asks for specific adaptive bounds.
+    /// configured propagation delay; everything else chunks purely for bounded
+    /// arrival memory ([`EpochClock::chunking`]).
     fn stream_clock(&self) -> EpochClock {
         // A disaggregated fleet's KV handoffs ride the same inter-node fabric as
         // published spills, so the propagation delay sets the boundary cadence
@@ -1066,17 +1061,9 @@ impl Cluster {
         if self.uses_propagation_epochs()
             || (self.fleet_disaggregated() && self.config.net_propagation_ms > 0)
         {
-            return EpochClock::new(self.config.net_propagation_ms, self.config.epoch_length);
+            return EpochClock::fixed(self.config.net_propagation_ms);
         }
-        let policy = match self.config.epoch_length {
-            adaptive @ EpochLengthPolicy::Adaptive { .. } => adaptive,
-            EpochLengthPolicy::Fixed => EpochLengthPolicy::Adaptive {
-                target_arrivals: STREAM_CHUNK_TARGET_ARRIVALS,
-                min_ms: 1,
-                max_ms: STREAM_CHUNK_MAX_MS,
-            },
-        };
-        EpochClock::new(STREAM_CHUNK_BASE_MS, policy)
+        EpochClock::chunking()
     }
 
     /// Routes one epoch's batch into `scratch` (a decision per batch position, plus
@@ -1244,20 +1231,12 @@ impl Cluster {
         })
     }
 
-    /// Drains every instance's handoff outbox (slot-index order, so the ledger's
-    /// cumulative totals accrue deterministically) into the in-flight ledger.
+    /// Drains every instance's handoff outbox (slot-index order) into the
+    /// in-flight handoffs.
     fn collect_handoffs(&mut self) {
         for slot in 0..self.instances.len() {
             for handoff in self.instances[slot].take_handoffs() {
-                self.handoff_ledger.push(HandoffRecord {
-                    request_id: handoff.request.id,
-                    from_slot: handoff.prefill_slot,
-                    blocks: handoff.blocks,
-                    bytes: handoff.bytes,
-                    emitted_at: handoff.first_token,
-                    ready_at: handoff.ready_at,
-                });
-                self.handoff_payloads.insert(handoff.request.id, handoff);
+                self.handoffs.push(handoff);
             }
         }
     }
@@ -1270,25 +1249,20 @@ impl Cluster {
     /// re-enqueued for the next boundary; chains larger than an empty pool are
     /// dropped (counted by the decode instance as rejected).
     fn dispatch_ready_handoffs(&mut self, boundary: SimTime, queues: &mut [SlotQueue]) {
-        let ready = self.handoff_ledger.take_ready(boundary);
+        let ready = self.handoffs.take_ready(boundary);
         if ready.is_empty() {
             return;
         }
         let mut assigned: Vec<u64> = vec![0; self.instances.len()];
-        for record in ready {
-            let payload = self
-                .handoff_payloads
-                .remove(&record.request_id)
-                .expect("every in-flight handoff keeps its payload");
+        for handoff in ready {
             let Some(target) = self.least_loaded_decode_slot(&assigned) else {
                 // No decode-capable slot is active right now (mid-drain churn):
                 // keep the handoff in flight and retry at the next boundary.
-                self.handoff_payloads.insert(record.request_id, payload);
-                self.handoff_ledger.requeue(record);
+                self.handoffs.requeue(handoff);
                 continue;
             };
-            let tokens = payload.request.num_tokens();
-            match self.instances[target].admit_handoff(payload, boundary) {
+            let tokens = handoff.request.num_tokens();
+            match self.instances[target].admit_handoff(handoff, boundary) {
                 HandoffAdmission::Admitted(started) => {
                     assigned[target] += tokens;
                     queues[target].events.push(
@@ -1296,10 +1270,7 @@ impl Cluster {
                         InstanceEvent::Complete(started.request_id),
                     );
                 }
-                HandoffAdmission::Retry(payload) => {
-                    self.handoff_payloads.insert(record.request_id, payload);
-                    self.handoff_ledger.requeue(record);
-                }
+                HandoffAdmission::Retry(handoff) => self.handoffs.requeue(handoff),
                 HandoffAdmission::Rejected => {}
             }
         }
@@ -1747,10 +1718,10 @@ impl Cluster {
             total.merge(&instance.offload_stats());
         }
         total.net_evicted_blocks += self.net_merge_evictions;
-        // The fabric ledger accounts handoffs at enqueue (the charged side), so
-        // the totals are independent of admission retries on the decode side.
-        total.handoff_records += self.handoff_ledger.total_records();
-        total.handoff_bytes += self.handoff_ledger.total_bytes();
+        // Handoffs are counted when emitted (the charged side), so the totals are
+        // independent of admission retries on the decode side.
+        total.handoff_records += self.handoffs.emitted;
+        total.handoff_bytes += self.handoffs.emitted_bytes;
         total
     }
 
@@ -2146,32 +2117,21 @@ mod tests {
         assert_eq!(pa.generation(), pb.generation());
     }
 
-    /// Acceptance: with `net_kv_capacity_bytes = 0` the engine is byte-identical to
-    /// the PR 2 two-tier engine.  That engine's reload behaviour ("always reload
-    /// whatever is present") is kept as [`ReloadPolicyKind::Always`]; on the
-    /// two-tier evaluated configuration the modelled per-request decision reaches
-    /// the same verdict for every segment (PCIe reloads of profile-sized segments
-    /// always beat recomputation), so the default engine replays byte-for-byte like
-    /// the old one — offload statistics included.
+    /// With `net_kv_capacity_bytes = 0` the modelled reload decision never declines
+    /// a CPU segment on the two-tier evaluated configuration: PCIe reloads of
+    /// profile-sized segments always beat recomputation, so every reloadable block
+    /// is reloaded, as the two-tier engine's "always reload" did.
     #[test]
     fn modeled_reload_policy_without_net_tier_matches_the_two_tier_engine() {
         let (config, arrivals) = offload_pressure_config(64 << 30);
         assert_eq!(config.net_kv_capacity_bytes, 0);
-        assert_eq!(
-            config.reload_policy,
-            crate::config::ReloadPolicyKind::Modeled
+        let report = Cluster::new(&config).run(&arrivals, 3.0).unwrap();
+        assert!(
+            report.offload.reloaded_blocks > 0,
+            "the CPU tier must be active"
         );
-        let two_tier = config
-            .clone()
-            .with_reload_policy(crate::config::ReloadPolicyKind::Always);
-        let a = Cluster::new(&config).run(&arrivals, 3.0).unwrap();
-        let b = Cluster::new(&two_tier).run(&arrivals, 3.0).unwrap();
-        assert!(a.offload.reloaded_blocks > 0, "the CPU tier must be active");
-        assert_eq!(a.records, b.records);
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.cache, b.cache);
-        assert_eq!(a.offload, b.offload);
-        assert!(a.records.iter().all(|r| r.net_reloaded_tokens == 0));
+        assert_eq!(report.offload.declined_reload_blocks, 0);
+        assert!(report.records.iter().all(|r| r.net_reloaded_tokens == 0));
     }
 
     /// `net_kv_capacity_bytes = 0` is inert — no shared pool, no net statistics —
@@ -2284,8 +2244,7 @@ mod tests {
             retired_cache: CacheStats::default(),
             retired_offload: OffloadStats::default(),
             worker_pool: None,
-            handoff_ledger: HandoffLedger::default(),
-            handoff_payloads: HashMap::new(),
+            handoffs: HandoffsInFlight::default(),
             window_metrics: Vec::new(),
         };
         let a = shared.run(&arrivals, 5.0).unwrap();
@@ -2661,35 +2620,6 @@ mod tests {
         }
     }
 
-    /// The byte-identity guarantee extends to adaptive epoch lengths: the clock is
-    /// a pure function of the trace prefix, so the threaded replay cuts the window
-    /// exactly like the sequential reference even while epochs shrink under burst.
-    #[test]
-    fn parallel_stream_replay_matches_sequential_with_adaptive_epochs() {
-        let (config, arrivals) = net_pressure_config(64 << 30);
-        // Target 2 arrivals/epoch under a ~6 arrivals/epoch load, so the clock
-        // demonstrably adapts (halves towards min_ms) during the replay.
-        let config = config
-            .with_routing(crate::routing::RoutingPolicyKind::CacheAware)
-            .with_net_propagation_ms(2_000)
-            .with_adaptive_epochs(2, 250, 8_000);
-        let mut parallel = Cluster::new(&config);
-        assert!(parallel.instances().len() > 1);
-        let mut sequential = Cluster::new(&config);
-        for window in 0..2 {
-            let a = parallel.run(&arrivals, 3.0).unwrap();
-            let b = sequential.run_sequential(&arrivals, 3.0).unwrap();
-            assert_eq!(a.records, b.records, "window {window}");
-            assert_eq!(a.makespan, b.makespan, "window {window}");
-            assert_eq!(a.cache, b.cache, "window {window}");
-            assert_eq!(a.offload, b.offload, "window {window}");
-        }
-        let pa = parallel.net_pool().unwrap();
-        let pb = sequential.net_pool().unwrap();
-        assert_eq!(pa.resident_blocks(), pb.resident_blocks());
-        assert_eq!(pa.generation(), pb.generation());
-    }
-
     /// Without a shared tier the streamed replay chunks purely for bounded memory;
     /// under sticky routing (cadence-independent decisions) it must replay the
     /// window path's records exactly, and parallel must match sequential.
@@ -2887,68 +2817,46 @@ mod tests {
         }
     }
 
-    /// The adaptive epoch clock: halves under burst, doubles when near-idle, clamps
-    /// to its bounds; the fixed policy never adapts.
+    /// The chunk clock starts at [`STREAM_CHUNK_BASE_MS`], halves under burst
+    /// down to 1 ms, doubles when near-idle up to [`STREAM_CHUNK_MAX_MS`], holds
+    /// its length in between and clamps at both ends; a fixed clock never adapts.
     #[test]
     fn epoch_clock_adapts_within_bounds() {
-        let policy = EpochLengthPolicy::Adaptive {
-            target_arrivals: 10,
-            min_ms: 250,
-            max_ms: 4_000,
-        };
         let ms = |m: u64| SimTime::ZERO + SimDuration::from_millis(m);
-        let mut clock = EpochClock::new(1_000, policy);
-        assert_eq!(clock.boundary(), ms(1_000));
-        clock.advance(25); // burst: > 2×target halves 1000 → 500
-        assert_eq!(clock.boundary(), ms(1_500));
-        clock.advance(25); // 500 → 250
-        assert_eq!(clock.boundary(), ms(1_750));
-        clock.advance(100); // clamped at min_ms
-        assert_eq!(clock.boundary(), ms(2_000));
-        clock.advance(4); // near-idle: 2×count < target doubles 250 → 500
-        assert_eq!(clock.boundary(), ms(2_500));
-        clock.advance(10); // in band: unchanged
-        assert_eq!(clock.boundary(), ms(3_000));
-        clock.advance(0); // 500 → 1000
-        assert_eq!(clock.boundary(), ms(4_000));
-        clock.advance(0); // 1000 → 2000
-        assert_eq!(clock.boundary(), ms(6_000));
-        clock.advance(0); // 2000 → 4000
-        assert_eq!(clock.boundary(), ms(10_000));
-        clock.advance(0); // clamped at max_ms
-        assert_eq!(clock.boundary(), ms(14_000));
+        let burst = STREAM_CHUNK_TARGET_ARRIVALS * 2 + 1;
+        let idle = STREAM_CHUNK_TARGET_ARRIVALS / 2 - 1;
+        let mut clock = EpochClock::chunking();
+        assert_eq!(clock.boundary(), ms(STREAM_CHUNK_BASE_MS));
+        let mut at = STREAM_CHUNK_BASE_MS;
+        let mut len = STREAM_CHUNK_BASE_MS;
+        while len > 1 {
+            len /= 2;
+            at += len;
+            clock.advance(burst);
+            assert_eq!(clock.boundary(), ms(at), "burst halves to {len} ms");
+        }
+        clock.advance(burst); // clamped at 1 ms
+        at += 1;
+        assert_eq!(clock.boundary(), ms(at));
+        clock.advance(STREAM_CHUNK_TARGET_ARRIVALS); // in band: unchanged
+        at += 1;
+        assert_eq!(clock.boundary(), ms(at));
+        while len < STREAM_CHUNK_MAX_MS {
+            len = (len * 2).min(STREAM_CHUNK_MAX_MS);
+            at += len;
+            clock.advance(idle);
+            assert_eq!(clock.boundary(), ms(at), "idle doubles to {len} ms");
+        }
+        clock.advance(0); // clamped at the ceiling
+        at += STREAM_CHUNK_MAX_MS;
+        assert_eq!(clock.boundary(), ms(at));
 
-        let mut fixed = EpochClock::new(1_000, EpochLengthPolicy::Fixed);
+        let mut fixed = EpochClock::fixed(1_000);
+        assert_eq!(fixed.boundary(), ms(1_000));
         fixed.advance(1_000_000);
         assert_eq!(fixed.boundary(), ms(2_000));
         fixed.advance(0);
         assert_eq!(fixed.boundary(), ms(3_000));
-    }
-
-    /// Unusable adaptive bounds are a typed error from [`Cluster::try_new`], never a
-    /// clamp panic or a zero-length epoch spinning the clock forever.
-    #[test]
-    fn unusable_adaptive_epoch_bounds_are_a_config_error() {
-        let zero_min = config(EngineKind::prefillonly_default()).with_adaptive_epochs(8, 0, 1_000);
-        let err = Cluster::try_new(&zero_min).unwrap_err();
-        assert_eq!(
-            err,
-            crate::config::ConfigError::AdaptiveEpochBounds {
-                min_ms: 0,
-                max_ms: 1_000
-            }
-        );
-        assert!(err.to_string().contains("min_ms"));
-
-        let inverted =
-            config(EngineKind::prefillonly_default()).with_adaptive_epochs(8, 2_000, 1_000);
-        assert!(matches!(
-            Cluster::try_new(&inverted).unwrap_err(),
-            crate::config::ConfigError::AdaptiveEpochBounds { .. }
-        ));
-
-        let tight = config(EngineKind::prefillonly_default()).with_adaptive_epochs(8, 500, 500);
-        assert!(Cluster::try_new(&tight).is_ok());
     }
 
     #[test]

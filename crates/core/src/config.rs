@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use executor::{ExecutorConfig, Parallelism, PrefillStrategy};
-use gpu::{HardwareSetup, LinkKind, NetLinkKind};
+use gpu::{HardwareSetup, NetLinkKind};
 use model::ModelPreset;
 use scheduler::PolicyKind;
 use workload::InstanceRole;
@@ -30,15 +30,6 @@ pub enum ConfigError {
         deployment_block_bytes: u64,
         /// Bytes of full KV per block the supplied pool was built with.
         pool_block_bytes: u64,
-    },
-    /// Adaptive epoch bounds are unusable: `min_ms` must be at least 1 (a
-    /// zero-length epoch would never advance simulated time) and no greater than
-    /// `max_ms`.
-    AdaptiveEpochBounds {
-        /// The configured lower bound.
-        min_ms: u64,
-        /// The configured upper bound.
-        max_ms: u64,
     },
     /// The autoscaler policy is unusable: the fleet bounds must satisfy
     /// `1 <= min_instances <= max_instances` and the load thresholds must leave a
@@ -96,10 +87,6 @@ impl std::fmt::Display for ConfigError {
                 "warm pool must match the deployment's KV block geometry \
                  ({pool_block_bytes} B/block supplied, {deployment_block_bytes} B/block profiled)"
             ),
-            ConfigError::AdaptiveEpochBounds { min_ms, max_ms } => write!(
-                f,
-                "adaptive epoch bounds need 1 <= min_ms <= max_ms, got min {min_ms} max {max_ms}"
-            ),
             ConfigError::AutoscalerBounds {
                 min_instances,
                 max_instances,
@@ -135,58 +122,6 @@ impl std::fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
-
-/// How the engine decides whether to reload a reloadable KV segment (CPU- or
-/// network-resident continuation of the GPU-cached prefix) or recompute it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReloadPolicyKind {
-    /// Per-request decision (the default): compare the modelled link transfer time at
-    /// the observed hit depth against the modelled recompute saving, per tier.  On
-    /// hosts where a tier's link is slower than recomputation for a given segment,
-    /// the segment is recomputed.
-    Modeled,
-    /// Always reload whatever is present and resident-able — the two-tier engines'
-    /// historical behaviour, kept as an ablation/regression reference.
-    Always,
-}
-
-/// How propagation-epoch boundaries are laid out within a replay window.
-///
-/// Epoch boundaries must be a pure function of the configuration and the trace
-/// prefix already replayed — never of wall-clock or simulation-internal state —
-/// so that parallel and sequential replay cut the window identically and stay
-/// byte-identical.  Both variants satisfy this: `Fixed` ignores the trace
-/// entirely, `Adaptive` looks only at the *count* of arrivals in completed
-/// epochs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EpochLengthPolicy {
-    /// Every epoch is exactly `net_propagation_ms` long (the default, and the
-    /// fixed-boundary behaviour of earlier releases, byte for byte).
-    Fixed,
-    /// Epoch lengths track arrival density: starting from `net_propagation_ms`
-    /// (clamped into `[min_ms, max_ms]`), an epoch that saw more than
-    /// `2 * target_arrivals` arrivals halves the next epoch's length (routing
-    /// snapshots refresh faster under burst) and an epoch that saw fewer than
-    /// `target_arrivals / 2` doubles it (idle stretches stop paying a barrier +
-    /// snapshot merge every `net_propagation_ms` of simulated silence).  Lengths
-    /// never leave `[min_ms, max_ms]`.
-    ///
-    /// Note the propagation *latency* contract weakens when an epoch runs longer
-    /// than `net_propagation_ms`: a spill still surfaces at the next boundary,
-    /// which an idle-stretched epoch can push out to `max_ms` after publish.
-    /// That trade — bounded-staleness visibility for O(arrivals) instead of
-    /// O(window span) barrier overhead — is the point of the policy, and it only
-    /// ever delays sharing on traces too idle to contend for it.
-    Adaptive {
-        /// Per-epoch arrival count the controller steers towards.
-        target_arrivals: u64,
-        /// Shortest epoch the controller may shrink to, in milliseconds (also the
-        /// floor under burst; must be ≥ 1 to make progress).
-        min_ms: u64,
-        /// Longest epoch the controller may stretch to, in milliseconds.
-        max_ms: u64,
-    },
-}
 
 /// Threshold/hysteresis autoscaler over the router's modelled
 /// [`InstanceLoad`](crate::InstanceLoad) signal, evaluated at propagation-epoch
@@ -339,16 +274,11 @@ pub struct EngineConfig {
     pub memory_utilization: f64,
     /// KV block size in tokens.
     pub block_size: usize,
-    /// JCT profiling granularity in tokens (§6.3 uses 1,000).
-    pub profile_granularity: u64,
     /// Host (CPU) memory per instance dedicated to the hierarchical KV tier (§9
     /// extension).  Zero — the default — disables offloading entirely: eviction
     /// victims are discarded and every code path behaves exactly as the published
     /// system.
     pub cpu_kv_capacity_bytes: u64,
-    /// The host↔device link KV blocks cross when spilled or reloaded (PCIe for the
-    /// evaluated setups; NVLink-C2C on Grace-Hopper-class hosts).
-    pub host_link: LinkKind,
     /// Capacity of the *cluster-shared* network KV tier (third tier of the
     /// hierarchical cache), shared by every instance of the deployment.  Zero — the
     /// default — disables the tier entirely, making the engine bit-identical to the
@@ -366,16 +296,9 @@ pub struct EngineConfig {
     /// 0): the delay is a property of the shared tier, and there is nothing to
     /// propagate without one.
     pub net_propagation_ms: u64,
-    /// How reload-vs-recompute is decided per reloadable segment.
-    pub reload_policy: ReloadPolicyKind,
     /// How arrivals are routed onto the deployment's instances (see
     /// [`RoutingPolicyKind`]; the default is the paper's sticky user-id routing).
     pub routing: RoutingPolicyKind,
-    /// How propagation-epoch lengths adapt to the arrival pattern (see
-    /// [`EpochLengthPolicy`]; the default keeps every epoch exactly
-    /// [`Self::net_propagation_ms`] long, byte-identical to the fixed-boundary
-    /// behaviour of earlier releases).
-    pub epoch_length: EpochLengthPolicy,
     /// Optional threshold/hysteresis autoscaler evaluated at propagation-epoch
     /// boundaries (see [`AutoscalerPolicy`]).  `None` — the default — keeps the
     /// fleet at whatever size the hardware setup and any scheduled membership
@@ -412,15 +335,11 @@ impl EngineConfig {
             max_model_len,
             memory_utilization: 0.9,
             block_size: 16,
-            profile_granularity: 1_000,
             cpu_kv_capacity_bytes: 0,
-            host_link: LinkKind::PcieGen4,
             net_kv_capacity_bytes: 0,
             net_link: NetLinkKind::Rdma100G,
             net_propagation_ms: 0,
-            reload_policy: ReloadPolicyKind::Modeled,
             routing: RoutingPolicyKind::StickyUser,
-            epoch_length: EpochLengthPolicy::Fixed,
             autoscaler: None,
             roles: Vec::new(),
             track_window_metrics: false,
@@ -436,11 +355,6 @@ impl EngineConfig {
         }
         if self.block_size == 0 {
             return Err(ConfigError::ZeroBlockSize);
-        }
-        if let EpochLengthPolicy::Adaptive { min_ms, max_ms, .. } = self.epoch_length {
-            if min_ms == 0 || min_ms > max_ms {
-                return Err(ConfigError::AdaptiveEpochBounds { min_ms, max_ms });
-            }
         }
         if let Some(autoscaler) = &self.autoscaler {
             autoscaler.validate()?;
@@ -501,18 +415,10 @@ impl EngineConfig {
     }
 
     /// Enables the hierarchical KV tier: each instance gets `cpu_kv_capacity_bytes`
-    /// of host memory for evicted prefix blocks, reached over [`Self::host_link`]
-    /// (PCIe gen-4 unless overridden — host memory sits behind the PCIe switch even
-    /// on NVLink GPU setups).
+    /// of host memory for evicted prefix blocks, reached over a PCIe gen-4 host link
+    /// (host memory sits behind the PCIe switch even on NVLink GPU setups).
     pub fn with_cpu_offload(mut self, cpu_kv_capacity_bytes: u64) -> EngineConfig {
         self.cpu_kv_capacity_bytes = cpu_kv_capacity_bytes;
-        self
-    }
-
-    /// Overrides the host↔device link used for KV offload traffic (e.g.
-    /// [`LinkKind::NvLink4`] to model a Grace-Hopper-style coherent host link).
-    pub fn with_host_link(mut self, host_link: LinkKind) -> EngineConfig {
-        self.host_link = host_link;
         self
     }
 
@@ -535,31 +441,6 @@ impl EngineConfig {
     /// at replay-window boundaries (see [`Self::net_propagation_ms`]).
     pub fn with_net_propagation_ms(mut self, net_propagation_ms: u64) -> EngineConfig {
         self.net_propagation_ms = net_propagation_ms;
-        self
-    }
-
-    /// Overrides the reload-vs-recompute policy (see [`ReloadPolicyKind`]).
-    pub fn with_reload_policy(mut self, reload_policy: ReloadPolicyKind) -> EngineConfig {
-        self.reload_policy = reload_policy;
-        self
-    }
-
-    /// Makes propagation-epoch lengths adapt to arrival density (see
-    /// [`EpochLengthPolicy::Adaptive`]): epochs shrink towards `min_ms` under
-    /// burst and stretch towards `max_ms` when the trace goes idle, keeping
-    /// per-epoch work near `target_arrivals` while staying a pure function of the
-    /// trace — parallel and sequential replay remain byte-identical.
-    pub fn with_adaptive_epochs(
-        mut self,
-        target_arrivals: u64,
-        min_ms: u64,
-        max_ms: u64,
-    ) -> EngineConfig {
-        self.epoch_length = EpochLengthPolicy::Adaptive {
-            target_arrivals,
-            min_ms,
-            max_ms,
-        };
         self
     }
 

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use simcore::{SimDuration, SimTime};
 
 use executor::{max_input_length, profile_jct_grid, Executor};
-use gpu::{HostLink, NetLink};
+use gpu::{HostLink, LinkKind, NetLink};
 use kvcache::{
     CacheStats, KvCacheManager, NetKvPool, OffloadStats, ProbeCache, ReloadQuote, ReloadTier,
     RequestKv, RequestMap, RetentionPolicy, SequenceGrowth, TierHits, TokenBlockHash,
@@ -21,10 +21,18 @@ use kvcache::{
 use scheduler::{CacheProbe, JctEstimator, SchedulingPolicy, WaitingQueue, WaitingRequest};
 use workload::InstanceRole;
 
-use crate::config::{ConfigError, EngineConfig, ReloadPolicyKind};
+use crate::config::{ConfigError, EngineConfig};
 use crate::report::RequestRecord;
 use crate::request::PrefillRequest;
 use crate::routing::InstanceLoad;
+
+/// The host↔device link KV blocks cross when spilled to or reloaded from the CPU
+/// tier: host memory sits behind the PCIe switch on every evaluated setup.
+const HOST_LINK: LinkKind = LinkKind::PcieGen4;
+
+/// Token granularity of the profile run's maximum-input-length search and JCT
+/// grid (§6.3 uses 1,000).
+const PROFILE_GRANULARITY_TOKENS: u64 = 1_000;
 
 /// Cumulative per-instance statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -87,8 +95,7 @@ struct HandoffCarry {
 ///
 /// Emitted by a `Prefill`-role instance when a decode-bearing request reaches its
 /// first token; drained by the cluster at the next propagation-epoch boundary
-/// ([`EngineInstance::take_handoffs`]) into the
-/// [`kvcache::HandoffLedger`].
+/// ([`EngineInstance::take_handoffs`]) and held in flight until `ready_at`.
 #[derive(Debug, Clone)]
 pub struct KvHandoff {
     /// The original request (tokens, decode budget, routing provenance).
@@ -191,7 +198,7 @@ impl InstanceProfile {
     /// reload discounts.
     pub fn new(config: &EngineConfig) -> InstanceProfile {
         let executor = Executor::new(config.executor_config());
-        let mil = max_input_length(&executor, config.profile_granularity);
+        let mil = max_input_length(&executor, PROFILE_GRANULARITY_TOKENS);
         let effective_max = config.max_model_len.min(mil).max(1);
 
         // Profile run: size the KV pool from what is left after the longest request.
@@ -206,7 +213,7 @@ impl InstanceProfile {
 
         // JCT profile (§6.3): grid over (n_input, n_cached) at 1,000-token granularity,
         // then fit the cache-miss-token proxy the paper uses by default.
-        let granularity = config.profile_granularity.min(effective_max).max(1);
+        let granularity = PROFILE_GRANULARITY_TOKENS.min(effective_max).max(1);
         let grid = profile_jct_grid(&executor, effective_max, granularity);
         let samples: Vec<(f64, f64, f64)> = grid
             .iter()
@@ -227,7 +234,7 @@ impl InstanceProfile {
         let recompute_secs_per_token =
             ((estimator.estimate(2_000, 0) - estimator.estimate(1_000, 0)) / 1_000.0).max(1e-12);
         let reload_secs_per_token =
-            HostLink::new(config.host_link).secs_per_byte() * kv_bytes_per_token as f64;
+            HostLink::new(HOST_LINK).secs_per_byte() * kv_bytes_per_token as f64;
         let cpu_hit_discount =
             (1.0 - reload_secs_per_token / recompute_secs_per_token).clamp(0.0, 1.0);
         let net_reload_secs_per_token =
@@ -293,8 +300,6 @@ pub struct EngineInstance {
     cpu_hit_discount: f64,
     /// JCT-estimator weight of a network-tier token hit, in `[0, 1]`.
     net_hit_discount: f64,
-    /// How reload-vs-recompute is decided per reloadable segment.
-    reload_policy: ReloadPolicyKind,
     /// Which serving phase(s) this instance runs (see [`InstanceRole`]).
     role: InstanceRole,
     /// KV handoffs emitted since the cluster last drained them (prefill role only).
@@ -411,11 +416,10 @@ impl EngineInstance {
             stage_free_at: vec![SimTime::ZERO; stages],
             max_input_length: profile.max_input_length,
             block_bytes: profile.block_bytes,
-            host_link: HostLink::new(config.host_link),
+            host_link: HostLink::new(HOST_LINK),
             net_link: NetLink::new(config.net_link),
             cpu_hit_discount: profile.cpu_hit_discount,
             net_hit_discount: profile.net_hit_discount,
-            reload_policy: config.reload_policy,
             role: config.role_of(id),
             outbox: Vec::new(),
             stats: InstanceStats::default(),
@@ -649,20 +653,16 @@ impl EngineInstance {
                 self.stats.rejected += 1;
                 continue;
             }
-            // Per-request reload-vs-recompute decision (the `Modeled` policy): a
-            // reloadable segment is fetched over its tier's link only if the
-            // modelled transfer time at the observed hit depth beats the modelled
-            // recompute saving — both derived from the same executor cost model the
-            // engine charges with, so the decision and the charge cannot drift.
+            // Per-request reload-vs-recompute decision: a reloadable segment is
+            // fetched over its tier's link only if the modelled transfer time at the
+            // observed hit depth beats the modelled recompute saving — both derived
+            // from the same executor cost model the engine charges with, so the
+            // decision and the charge cannot drift.
             let executor = &self.executor;
             let host_link = self.host_link;
             let net_link = self.net_link;
             let block_size = self.kv.block_size() as u64;
-            let always_reload = self.reload_policy == ReloadPolicyKind::Always;
             let mut decide = |quote: &ReloadQuote| -> bool {
-                if always_reload {
-                    return true;
-                }
                 let seg_tokens = quote.blocks * block_size;
                 let rem_before = (quote.total_tokens - quote.resident_prefix_tokens).max(1);
                 let rem_after = rem_before.saturating_sub(seg_tokens).max(1);
@@ -739,16 +739,8 @@ impl EngineInstance {
 
             // Continuous batching (iteration-level scheduling): requests that are
             // still producing decode tokens at admission time form the decode batch
-            // this request joins.  `RequestMap` iteration order depends on the
-            // request ids, but both uses below are order-independent (a count and
-            // a sum).
-            let batchmates: u64 = self
-                .running
-                .values()
-                .filter(|r| {
-                    r.request.decode_tokens > 0 && r.handoff_chain.is_none() && r.completion > now
-                })
-                .count() as u64;
+            // this request joins.
+            let batchmates = self.decoding(now).count() as u64;
             // Chunked prefill interleaves one decode iteration for the co-running
             // batch after each prefill chunk (Sarathi-style stall-free batching):
             // the new request's prefill pass stretches by the batchmates' decode
@@ -761,13 +753,7 @@ impl EngineInstance {
                 {
                     let chunks = prefill_new.div_ceil(chunk_tokens.max(1));
                     let per_iteration: SimDuration = self
-                        .running
-                        .values()
-                        .filter(|r| {
-                            r.request.decode_tokens > 0
-                                && r.handoff_chain.is_none()
-                                && r.completion > now
-                        })
+                        .decoding(now)
                         .map(|r| {
                             self.executor
                                 .decode_step_time(r.request.prompt_tokens(), batchmates)
@@ -802,14 +788,12 @@ impl EngineInstance {
             // subsequent prefills via chunked interleaving rather than occupying
             // `stage_free_at` (the batched-iteration simplification: decode never
             // blocks admission, it stretches co-running work instead).
-            let mut decode_time = SimDuration::ZERO;
-            if !emit_handoff {
-                let batch = 1 + batchmates;
-                for step in 0..request.decode_tokens {
-                    decode_time += self.executor.decode_step_time(prompt_tokens + step, batch);
-                }
-                self.stats.busy += decode_time;
-            }
+            let decode_time = if emit_handoff {
+                SimDuration::ZERO
+            } else {
+                self.decode_time(prompt_tokens, request.decode_tokens, 1 + batchmates)
+            };
+            self.stats.busy += decode_time;
             let completion = first_token + decode_time;
 
             let request_id = request.id;
@@ -951,19 +935,12 @@ impl EngineInstance {
                 return HandoffAdmission::Retry(handoff);
             }
         };
-        let batchmates: u64 = self
-            .running
-            .values()
-            .filter(|r| {
-                r.request.decode_tokens > 0 && r.handoff_chain.is_none() && r.completion > now
-            })
-            .count() as u64;
-        let batch = 1 + batchmates;
-        let prompt_tokens = handoff.request.prompt_tokens();
-        let mut decode_time = SimDuration::ZERO;
-        for step in 0..handoff.request.decode_tokens {
-            decode_time += self.executor.decode_step_time(prompt_tokens + step, batch);
-        }
+        let batch = 1 + self.decoding(now).count() as u64;
+        let decode_time = self.decode_time(
+            handoff.request.prompt_tokens(),
+            handoff.request.decode_tokens,
+            batch,
+        );
         self.stats.busy += decode_time;
         let completion = now + decode_time;
         let request_id = handoff.request.id;
@@ -990,6 +967,23 @@ impl EngineInstance {
             request_id,
             completion,
         })
+    }
+
+    /// The running requests still producing decode tokens at `now`: the decode
+    /// batch an admission joins.  `RequestMap` iteration order depends on the
+    /// request ids, so callers only count or sum over it.
+    fn decoding(&self, now: SimTime) -> impl Iterator<Item = &RunningRequest> {
+        self.running.values().filter(move |r| {
+            r.request.decode_tokens > 0 && r.handoff_chain.is_none() && r.completion > now
+        })
+    }
+
+    /// The decode schedule of a request with `prompt_tokens` of context that emits
+    /// `decode_tokens`, one forward pass per token in a batch of `batch`.
+    fn decode_time(&self, prompt_tokens: u64, decode_tokens: u64, batch: u64) -> SimDuration {
+        (0..decode_tokens)
+            .map(|step| self.executor.decode_step_time(prompt_tokens + step, batch))
+            .sum()
     }
 }
 

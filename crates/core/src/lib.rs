@@ -38,10 +38,10 @@
 //! `net_kv_capacity_bytes > 0` adds a **cluster-shared network tier** below that —
 //! CPU eviction victims that pass the single-use spill filter become reloadable by
 //! *every* instance of the deployment over [`gpu::NetLink`].  Whether a reloadable
-//! segment is fetched or recomputed is a per-request decision
-//! ([`ReloadPolicyKind::Modeled`]) comparing the modelled transfer time at the
-//! observed hit depth against the modelled recompute saving.  Zero capacities are
-//! bit-identical to the published discard-on-evict engine.
+//! segment is fetched or recomputed is a per-request decision comparing the
+//! modelled transfer time at the observed hit depth against the modelled
+//! recompute saving.  Zero capacities are bit-identical to the published
+//! discard-on-evict engine.
 //!
 //! The full cost model — tier table, spill cascade and filter, the
 //! reload-vs-recompute inequality, link charging order, scheduling discounts, and
@@ -74,6 +74,7 @@ mod baselines;
 mod client;
 mod cluster;
 mod config;
+mod handoff;
 mod instance;
 mod report;
 mod request;
@@ -82,9 +83,7 @@ mod routing;
 pub use baselines::{all_engine_kinds, engine_display_name};
 pub use client::PrefillOnlyClient;
 pub use cluster::{AppliedMembership, Cluster, DrainRecord, RoutingScratch, RunError};
-pub use config::{
-    AutoscalerPolicy, ConfigError, EngineConfig, EngineKind, EpochLengthPolicy, ReloadPolicyKind,
-};
+pub use config::{AutoscalerPolicy, ConfigError, EngineConfig, EngineKind};
 pub use instance::{EngineInstance, HandoffAdmission, InstanceProfile, InstanceStats, KvHandoff};
 pub use report::{RequestRecord, RoutingJct, RunReport, SlotWindow, WindowMetrics};
 pub use request::{PrefillRequest, PrefillResponse, TokenScore};

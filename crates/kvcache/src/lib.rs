@@ -23,10 +23,9 @@
 //!   single-use spill filter), and a *per-request* reload-vs-recompute decision
 //!   ([`KvCacheManager::allocate_from_hashes_with_policy`]) chooses between fetching
 //!   a prefix over the network and recomputing it;
-//! * a **prefill→decode handoff ledger** ([`HandoffLedger`]) for disaggregated
-//!   fleets: whole reserved chains shipped from `Prefill`-role to decode-capable
-//!   instances, ordered deterministically and surfaced at epoch boundaries like
-//!   published spills.
+//! * **decode growth** ([`SequenceGrowth`]): the block reservation a decoding
+//!   request grows into, which a disaggregated fleet ships whole from a
+//!   `Prefill`-role instance to a decode-capable one.
 //!
 //! The manager never stores actual key/value tensors — only block identities and
 //! token-content hashes — because the reproduction's GPU is analytical.  Everything the
@@ -35,7 +34,6 @@
 
 mod block;
 mod growth;
-mod handoff;
 mod hash;
 mod manager;
 mod netpool;
@@ -44,7 +42,6 @@ mod probe;
 
 pub use block::{BlockId, BlockPool};
 pub use growth::SequenceGrowth;
-pub use handoff::{HandoffLedger, HandoffRecord};
 pub use hash::{
     extend_token_blocks, hash_token_blocks, BlockHasher, RequestMap, SharedPrefix, TokenBlockHash,
     TokenSeq,

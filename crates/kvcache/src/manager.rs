@@ -682,11 +682,6 @@ impl KvCacheManager {
         self.net.as_ref()
     }
 
-    /// Whether a network tier is currently installed.
-    pub fn net_enabled(&self) -> bool {
-        self.net.is_some()
-    }
-
     /// Blocks currently resident in the network-tier snapshot.
     pub fn net_resident_blocks(&self) -> u64 {
         self.net.as_ref().map_or(0, NetPoolView::resident_blocks)

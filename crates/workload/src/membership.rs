@@ -6,9 +6,10 @@
 //! the *trace*: a [`MembershipSchedule`] names virtual times at which the fleet
 //! grows or shrinks, and the cluster applies each event at the first
 //! propagation-epoch boundary at or after its scheduled time.  Epoch boundaries are
-//! a pure function of the trace prefix (see the adaptive epoch clock), so the
-//! applied fleet size at every instant is too — both replay flavours see identical
-//! fleets, identical routing snapshots and identical KV tiers.
+//! a pure function of the configuration and the trace prefix (fixed propagation
+//! epochs, or a chunk clock that adapts to completed chunks' arrival counts), so
+//! the applied fleet size at every instant is too — both replay flavours see
+//! identical fleets, identical routing snapshots and identical KV tiers.
 //!
 //! A [`MembershipChange::Join`] adds one instance, either *attached* to the cluster
 //! net tier (it installs the shared pool's visible snapshot from its first epoch —
